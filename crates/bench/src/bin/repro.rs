@@ -1,8 +1,8 @@
 //! `repro` — regenerates every figure of the paper.
 //!
 //! ```text
-//! repro [--scale smoke|default|paper|paper-native] [--seed N] [--jobs N]
-//!       [--cache-dir DIR | --no-cache]
+//! repro [--scale smoke|default|paper|paper-native] [--seed N] [--trials N]
+//!       [--jobs N] [--cache-dir DIR | --no-cache]
 //!       [--journal FILE] [--resume FILE] [--max-attempts N]
 //!       [--trial-budget NS] [--chaos SPEC]
 //!       [fig1 fig2 ... | faults | all]
@@ -71,15 +71,16 @@ use pagesim::report;
 use pagesim_bench::repro_bench::{self, history};
 use pagesim_bench::statline::StatLine;
 use pagesim_bench::sweep::{
-    default_jobs, journal::json_escape, run_sweep_resilient, run_sweep_traced, ChaosPlan,
-    SweepOptions, SweepOutcome, TraceRequest,
+    default_jobs, run_sweep_resilient, run_sweep_traced, ChaosPlan, SweepOptions, SweepOutcome,
+    TraceRequest,
 };
+use pagesim_trace::json::escape;
 use pagesim_trace::TraceConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale smoke|default|paper|paper-native] [--seed N] [--jobs N]\n\
-         \x20            [--cache-dir DIR | --no-cache] [--journal FILE]\n\
+        "usage: repro [--scale smoke|default|paper|paper-native] [--seed N] [--trials N]\n\
+         \x20            [--jobs N] [--cache-dir DIR | --no-cache] [--journal FILE]\n\
          \x20            [--resume FILE] [--max-attempts N] [--trial-budget NS]\n\
          \x20            [--chaos SPEC] [fig1..fig12 | faults | all]\n\
          \x20      repro trace <fig> [--cell N] [--trial N] [--trace-out FILE]...\n\
@@ -89,6 +90,8 @@ fn usage() -> ! {
          \x20            [--check FILE] [--min-samples N] [--max-samples N]\n\
          \x20            [--gate-slack F] [--commit SHA] [--list]\n\
          \n\
+         --trials N          trials per cell, at least 1 (default: the scale's);\n\
+         \x20                    fits and p-values need 2 and print '-' below\n\
          --jobs N            sweep worker threads (default: all cores)\n\
          --cache-dir D       cell cache directory (default: .pagesim-cache)\n\
          --no-cache          disable the on-disk cell cache\n\
@@ -147,22 +150,8 @@ fn usage() -> ! {
 }
 
 fn render_fig(bench: &Bench, fig: &str) -> String {
-    match fig {
-        "fig1" => experiments::fig1(bench).to_string(),
-        "fig2" => experiments::fig2(bench).to_string(),
-        "fig3" => experiments::fig3(bench).to_string(),
-        "fig4" => experiments::fig4(bench).to_string(),
-        "fig5" => experiments::fig5(bench).to_string(),
-        "fig6" => experiments::fig6(bench).to_string(),
-        "fig7" => experiments::fig7(bench).to_string(),
-        "fig8" => experiments::fig8(bench).to_string(),
-        "fig9" => experiments::fig9(bench).to_string(),
-        "fig10" => experiments::fig10(bench).to_string(),
-        "fig11" => experiments::fig11(bench).to_string(),
-        "fig12" => experiments::fig12(bench).to_string(),
-        "faults" => experiments::faults(bench).to_string(),
-        _ => usage(),
-    }
+    let spec = experiments::experiment(fig).unwrap_or_else(|| usage());
+    (spec.render)(bench)
 }
 
 fn print_header(bench: &Bench, scale: Scale) {
@@ -222,6 +211,9 @@ fn main() {
             "--trials" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 scale.trials = v.parse().unwrap_or_else(|_| usage());
+                if scale.trials == 0 {
+                    usage();
+                }
             }
             "--jobs" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -395,8 +387,8 @@ fn main() {
     print_header(&bench, scale);
 
     // Content keys of every cell that could not be completed: figures
-    // referencing one render as explicit holes instead of panicking (or
-    // silently recomputing the cell the sweep just proved uncomputable).
+    // referencing one render as explicit holes instead of panicking on
+    // the missing cell.
     let failed_keys: std::collections::BTreeMap<(Wl, u64), &pagesim::CellFailure> = outcome
         .failures
         .iter()
@@ -441,9 +433,9 @@ fn print_failure_report(outcome: &SweepOutcome) {
         .map(|f| {
             format!(
                 "{{\"ident\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\",\"attempts\":{}}}",
-                json_escape(&f.ident),
+                escape(&f.ident),
                 f.kind.label(),
-                json_escape(&f.kind.detail()),
+                escape(&f.kind.detail()),
                 f.attempts
             )
         })
@@ -454,8 +446,8 @@ fn print_failure_report(outcome: &SweepOutcome) {
         .map(|d| {
             format!(
                 "{{\"ident\":\"{}\",\"error\":\"{}\",\"trials\":{}}}",
-                json_escape(&d.ident),
-                json_escape(&d.error),
+                escape(&d.ident),
+                escape(&d.error),
                 d.trials
             )
         })

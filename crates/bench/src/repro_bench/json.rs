@@ -1,347 +1,5 @@
-//! Minimal hand-rolled JSON reader for the bench history file.
-//!
-//! Like the trace validator, this crate parses its own JSON without an
-//! external dependency. Numbers keep their *raw lexeme* rather than being
-//! eagerly converted: the history file round-trips byte-for-byte, and an
-//! integer like a unix timestamp is re-parsed exactly instead of through
-//! an `f64` detour.
+//! JSON for the bench history: the workspace's one JSON module
+//! ([`pagesim_trace::json`]), re-exported at the path the `pagebench`
+//! package imports.
 
-use std::fmt;
-
-/// A parsed JSON value. Object keys keep insertion order (the canonical
-/// writer controls ordering, so order-preserving parsing is what makes
-/// parse → re-serialize byte-identical).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, as its raw lexeme (e.g. `"-12.5"`).
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The value as `f64`, for [`Json::Num`].
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, for integral [`Json::Num`] lexemes.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, for [`Json::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The value as `bool`, for [`Json::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, for [`Json::Arr`].
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Member lookup by key, for [`Json::Obj`].
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: byte offset and what went wrong.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset into the input.
-    pub offset: usize,
-    /// Human-readable description.
-    pub msg: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.msg)
-    }
-}
-
-/// Parses one complete JSON document; trailing non-whitespace is an error
-/// (that is what makes a torn/truncated history file detectable).
-pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing data after document"));
-    }
-    Ok(value)
-}
-
-fn err(offset: usize, msg: &str) -> JsonError {
-    JsonError {
-        offset,
-        msg: msg.to_string(),
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, &format!("expected '{}'", b as char)))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, &format!("expected '{lit}'")))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_from = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == digits_from {
-        return Err(err(start, "invalid value"));
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad utf-8"))?;
-    // Validate the lexeme is a number f64 accepts; the raw form is kept.
-    raw.parse::<f64>().map_err(|_| err(start, "invalid number"))?;
-    Ok(Json::Num(raw.to_string()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates are not expected in our own files;
-                        // map unpaired ones to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "bad utf-8"))?;
-                let ch = rest.chars().next().ok_or_else(|| err(*pos, "empty"))?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(err(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(err(*pos, "expected ',' or '}'")),
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_document() {
-        let doc = r#"{"a": [1, -2.5, "x\n"], "b": {"c": true, "d": null}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[1].as_f64(),
-            Some(-2.5)
-        );
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
-            Some("x\n")
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn numbers_keep_their_raw_lexeme() {
-        let v = parse("[1754700000, 0.30000000000000004]").unwrap();
-        let a = v.as_arr().unwrap();
-        assert_eq!(a[0], Json::Num("1754700000".to_string()));
-        assert_eq!(a[1], Json::Num("0.30000000000000004".to_string()));
-        assert_eq!(a[0].as_u64(), Some(1_754_700_000));
-    }
-
-    #[test]
-    fn truncated_documents_are_errors() {
-        for torn in [
-            "{\"a\": 1",
-            "{\"a\": ",
-            "[1, 2",
-            "{\"a\": \"unterminated",
-            "",
-            "{\"a\": 1} trailing",
-        ] {
-            assert!(parse(torn).is_err(), "accepted torn input {torn:?}");
-        }
-    }
-
-    #[test]
-    fn escape_roundtrips_through_parse() {
-        let nasty = "quote\" back\\slash \n\t\u{1} end";
-        let doc = format!("\"{}\"", escape(nasty));
-        assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
-    }
-
-    #[test]
-    fn object_member_order_is_preserved() {
-        let v = parse(r#"{"z": 1, "a": 2}"#).unwrap();
-        let Json::Obj(members) = v else { panic!() };
-        assert_eq!(members[0].0, "z");
-        assert_eq!(members[1].0, "a");
-    }
-}
+pub use pagesim_trace::json::{escape, parse, Json};

@@ -34,25 +34,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use pagesim_trace::json::escape;
+
 /// Journal line format version.
 pub const JOURNAL_VERSION: u32 = 1;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The journal writer. All writes are best-effort: journalling failures
 /// degrade to "no checkpoint", never abort the sweep.
@@ -89,7 +74,7 @@ impl Journal {
         self.line(&format!(
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"run\",\"cells\":{cells},\"trials\":{trials},\
              \"figs\":\"{}\",\"resume\":{resume}}}",
-            json_escape(&figs.join(" "))
+            escape(&figs.join(" "))
         ));
     }
 
@@ -106,10 +91,10 @@ impl Journal {
         let mut s = format!(
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"trial\",\"hash\":\"{hash:016x}\",\
              \"ident\":\"{}\",\"status\":\"{status}\"",
-            json_escape(ident)
+            escape(ident)
         );
         if let Some(d) = detail {
-            s.push_str(&format!(",\"detail\":\"{}\"", json_escape(d)));
+            s.push_str(&format!(",\"detail\":\"{}\"", escape(d)));
         }
         s.push_str(&format!(",\"attempts\":{attempts},\"ms\":{ms}}}"));
         self.line(&s);
@@ -183,12 +168,6 @@ pub fn load_prior(path: &Path) -> PriorRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_covers_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn round_trip_last_line_wins() {

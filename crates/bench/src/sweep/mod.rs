@@ -1,12 +1,14 @@
 //! Deterministic parallel sweep executor with a content-addressed cell
 //! cache and a crash-resilient execution layer.
 //!
-//! The figure drivers in `pagesim::experiments` are lazy: each calls
-//! `Bench::cell` for the cells it plots and computes them on first use.
-//! This module turns a figure list into an explicit work plan instead:
+//! The figure drivers in `pagesim::experiments` only read the bench's cell
+//! table, and a cell missing from it is a panic, not a recompute. This
+//! module is the one thing that runs cells: it turns a figure list into
+//! an explicit work plan.
 //!
 //! 1. **Enumerate** — `pagesim::experiments::figure_cells` expands every
-//!    requested figure into its grid of [`CellQuery`]s; duplicates across
+//!    requested figure into the grid of [`CellQuery`]s its
+//!    `pagesim::experiments::EXPERIMENTS` entry declares; duplicates across
 //!    figures collapse on the cell content key, and each surviving cell
 //!    fans out into `trials` independent [`CellSpec`]s.
 //! 2. **Execute** — a pool of `jobs` worker threads drains a requeue-capable
@@ -263,7 +265,7 @@ pub fn plan_specs(bench: &Bench, plan: &[CellQuery]) -> Vec<CellSpec> {
 }
 
 /// Runs every cell the given figures need and installs the results into
-/// `bench`, so the figure drivers render entirely from cache. Returns the
+/// `bench`, so the figure drivers can render. Returns the
 /// sweep statistics. Output is deterministic: for a fixed bench scale the
 /// installed cells are byte-identical regardless of `jobs`, cache state,
 /// or completion order. Fault-tolerance outcomes (typed failures,

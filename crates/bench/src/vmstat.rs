@@ -13,9 +13,8 @@
 use pagesim::experiments::{figure_cells, Bench};
 use pagesim_stats::LatencyHistogram;
 
-/// Renders the vmstat report for `fig`. Cells not yet resident in `bench`
-/// are computed on demand ([`Bench::query`]); the `repro` driver runs the
-/// sweep first so rendering is pure cache reads there.
+/// Renders the vmstat report for `fig` from the cells a sweep of `fig`
+/// installed in `bench` ([`Bench::query`] panics on a cell never swept).
 pub fn vmstat_report(bench: &Bench, fig: &str) -> String {
     let cells = figure_cells(fig);
     let mut out = String::new();
@@ -68,12 +67,18 @@ pub fn vmstat_report(bench: &Bench, fig: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, SweepOptions};
     use pagesim::experiments::Scale;
+
+    fn fig1_report() -> String {
+        let bench = Bench::new(Scale::smoke());
+        run_sweep(&bench, &["fig1".to_owned()], &SweepOptions::default());
+        vmstat_report(&bench, "fig1")
+    }
 
     #[test]
     fn report_covers_every_cell_and_counter() {
-        let bench = Bench::new(Scale::smoke());
-        let report = vmstat_report(&bench, "fig1");
+        let report = fig1_report();
         for q in figure_cells("fig1") {
             assert!(report.contains(&format!("cell {}\n", q.ident())), "{}", q.ident());
         }
@@ -99,8 +104,6 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let a = vmstat_report(&Bench::new(Scale::smoke()), "fig1");
-        let b = vmstat_report(&Bench::new(Scale::smoke()), "fig1");
-        assert_eq!(a, b);
+        assert_eq!(fig1_report(), fig1_report());
     }
 }

@@ -88,6 +88,15 @@ fn append_preserves_earlier_entries_byte_for_byte() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The committed trajectory itself survives parse → re-serialize.
+#[test]
+fn committed_history_round_trips_byte_for_byte() {
+    let text = include_str!("../../../BENCH_pagesim.json");
+    let hist = BenchHistory::parse(text).expect("committed history parses");
+    assert!(!hist.entries.is_empty());
+    assert_eq!(hist.serialize(), text);
+}
+
 #[test]
 fn torn_final_entry_is_quarantined_not_parsed() {
     let path = tmp("torn");

@@ -1,11 +1,12 @@
 //! Golden-equivalence tests for the sweep executor: figure output must be
-//! byte-identical whether cells are computed lazily by the drivers, by a
-//! serial sweep, by a parallel sweep, or replayed from a warm cache.
+//! byte-identical whether cells are computed by a serial sweep, by a
+//! parallel sweep, or replayed from a warm cache — and every figure must
+//! render from exactly the cells its table entry declares.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use pagesim::experiments::{self, Bench, Scale};
+use pagesim::experiments::{self, Bench, Scale, EXPERIMENTS};
 use pagesim_bench::sweep::{run_sweep, SweepOptions};
 
 /// Small enough to keep the suite fast, big enough to exercise every
@@ -30,14 +31,8 @@ fn fig_strings() -> Vec<String> {
 fn render(bench: &Bench) -> String {
     let mut out = String::new();
     for fig in FIGS {
-        out.push_str(&match *fig {
-            "fig1" => experiments::fig1(bench).to_string(),
-            "fig2" => experiments::fig2(bench).to_string(),
-            "fig3" => experiments::fig3(bench).to_string(),
-            "fig11" => experiments::fig11(bench).to_string(),
-            "faults" => experiments::faults(bench).to_string(),
-            other => panic!("unknown fig {other}"),
-        });
+        let spec = experiments::experiment(fig).expect("test figures are in the table");
+        out.push_str(&(spec.render)(bench));
         out.push('\n');
     }
     out
@@ -61,83 +56,49 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn sweep_output_is_independent_of_worker_count_and_lazy_path() {
-    let lazy = tiny_bench();
-    let golden = render(&lazy); // drivers compute cells themselves
+fn sweep_output_is_independent_of_worker_count() {
+    let rendered: Vec<String> = [1, 4]
+        .into_iter()
+        .map(|jobs| {
+            let bench = tiny_bench();
+            let stats = run_sweep(&bench, &fig_strings(), &no_cache(jobs));
+            assert!(stats.cells > 0 && stats.trials == stats.cells * 2);
+            assert_eq!(stats.cache_misses, stats.trials, "cache is disabled");
+            render(&bench)
+        })
+        .collect();
+    assert_eq!(rendered[0], rendered[1], "jobs=4 diverged from jobs=1");
+}
 
-    for jobs in [1, 4] {
-        let bench = tiny_bench();
-        let stats = run_sweep(&bench, &fig_strings(), &no_cache(jobs));
-        assert!(stats.cells > 0 && stats.trials == stats.cells * 2);
-        assert_eq!(stats.cache_misses, stats.trials, "cache is disabled");
-        assert_eq!(
-            render(&bench),
-            golden,
-            "jobs={jobs} sweep diverged from the lazy driver path"
-        );
+/// Every table entry renders from a fresh bench swept over exactly the
+/// cells it declares: a driver reading an undeclared cell would panic.
+#[test]
+fn enumeration_covers_every_figure_id() {
+    for spec in &EXPERIMENTS {
+        let bench = Bench::new(Scale {
+            trials: 2,
+            footprint: 0.08,
+            seed: 7,
+            page_compression: None,
+        });
+        run_sweep(&bench, &[spec.id.to_string()], &no_cache(2));
+        assert!(!(spec.render)(&bench).is_empty(), "{}", spec.id);
     }
 }
 
+/// Fig. 2 declares only the batch half of Fig. 1's grid, so rendering
+/// Fig. 1 from a Fig. 2 sweep reads an uninstalled YCSB cell.
 #[test]
-fn sweep_precomputes_every_cell_the_figures_need() {
-    let bench = tiny_bench();
-    run_sweep(&bench, &fig_strings(), &no_cache(2));
-    let computed_by_sweep_fallback = bench.cells_computed();
-    render(&bench);
-    assert_eq!(
-        bench.cells_computed(),
-        computed_by_sweep_fallback,
-        "a figure driver had to compute a cell the sweep enumeration missed"
-    );
-    assert_eq!(
-        computed_by_sweep_fallback, 0,
-        "the sweep itself must install cells, not fall back to Bench::query"
-    );
-}
-
-/// The enumeration covers *all* figures, not just the rendered subset:
-/// for each known figure id, the planned cells must satisfy its driver.
-/// One bench is shared across figures (cells resident from earlier
-/// figures are skipped by the planner), so this also exercises the
-/// incremental-sweep path.
-#[test]
-fn enumeration_covers_every_figure_id() {
+#[should_panic(expected = "cell ycsb-a/clock/Ssd/r0.50 is not in the cell table")]
+fn rendering_an_undeclared_cell_panics_and_names_it() {
     let bench = Bench::new(Scale {
         trials: 2,
         footprint: 0.08,
         seed: 7,
         page_compression: None,
     });
-    for fig in experiments::figure_ids() {
-        run_sweep(&bench, &[fig.to_string()], &no_cache(2));
-        let computed_before_render = bench.cells_computed();
-        match fig {
-            "fig1" => drop(experiments::fig1(&bench)),
-            "fig2" => drop(experiments::fig2(&bench)),
-            "fig3" => drop(experiments::fig3(&bench)),
-            "fig4" => drop(experiments::fig4(&bench)),
-            "fig5" => drop(experiments::fig5(&bench)),
-            "fig6" => drop(experiments::fig6(&bench)),
-            "fig7" => drop(experiments::fig7(&bench)),
-            "fig8" => drop(experiments::fig8(&bench)),
-            "fig9" => drop(experiments::fig9(&bench)),
-            "fig10" => drop(experiments::fig10(&bench)),
-            "fig11" => drop(experiments::fig11(&bench)),
-            "fig12" => drop(experiments::fig12(&bench)),
-            "faults" => drop(experiments::faults(&bench)),
-            other => panic!("unknown fig {other}"),
-        }
-        assert_eq!(
-            bench.cells_computed(),
-            computed_before_render,
-            "{fig}: driver needed a cell its enumeration missed"
-        );
-    }
-    assert_eq!(
-        bench.cells_computed(),
-        0,
-        "no figure may fall back to lazy computation after its sweep"
-    );
+    run_sweep(&bench, &["fig2".to_string()], &no_cache(2));
+    let _ = experiments::fig1(&bench);
 }
 
 #[test]

@@ -27,10 +27,18 @@ fn figs() -> Vec<String> {
     vec!["fig1".to_owned()]
 }
 
-/// The lazy-driver golden: what fig1 renders with no sweep involved.
+/// The clean golden: what fig1 renders after a fault-free serial sweep.
 fn golden() -> &'static str {
     static GOLDEN: OnceLock<String> = OnceLock::new();
-    GOLDEN.get_or_init(|| experiments::fig1(&tiny_bench()).to_string())
+    GOLDEN.get_or_init(|| {
+        let bench = tiny_bench();
+        let serial = SweepOptions {
+            jobs: 1,
+            ..SweepOptions::default()
+        };
+        run_sweep_resilient(&bench, &figs(), &serial);
+        render(&bench)
+    })
 }
 
 fn render(bench: &Bench) -> String {

@@ -25,8 +25,7 @@ fn smoke_sweep_runs_clean_under_sanitizer() {
     };
     let stats = run_sweep(&bench, &figs, &opts);
     assert!(stats.cells > 0, "sweep planned no cells");
-    // Render the figures too, so the lazy driver path (direct Kernel::run
-    // calls) also executes under the sanitizer.
+    // Both figures render from the cells the sanitized sweep installed.
     let fig1 = experiments::fig1(&bench).to_string();
     let faults = experiments::faults(&bench).to_string();
     assert!(!fig1.is_empty() && !faults.is_empty());

@@ -1,8 +1,8 @@
 //! Determinism tests for the `repro vmstat` observability report.
 //!
 //! The report annotates golden-diffed figures, so it inherits their
-//! contract: byte-identical output whether cells were computed lazily by
-//! the drivers, by a cold parallel sweep, or replayed from a warm cache
+//! contract: byte-identical output whether cells were computed by a
+//! serial sweep, by a cold parallel sweep, or replayed from a warm cache
 //! under `--resume` — and identical sweep-summary observability counters
 //! (`shadow=`, `ws_refault=`) either way.
 
@@ -35,8 +35,14 @@ fn vmstat_report_is_identical_across_jobs_and_warm_resume() {
     let figs = vec![fig.to_string()];
     let dir = scratch_dir("resume");
 
-    // Lazy path: vmstat_report computes cells on demand via Bench::query.
-    let golden = vmstat_report(&tiny_bench(), fig);
+    // Serial, uncached sweep: the reference rendering.
+    let reference = tiny_bench();
+    let serial = SweepOptions {
+        jobs: 1,
+        ..SweepOptions::default()
+    };
+    run_sweep(&reference, &figs, &serial);
+    let golden = vmstat_report(&reference, fig);
     assert!(golden.contains("workingset_refault "));
 
     // Cold parallel sweep into a journalled cache.

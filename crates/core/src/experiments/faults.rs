@@ -4,8 +4,8 @@
 //! the same policy comparison looks like when the SSD periodically stalls
 //! and occasionally fails ([`FaultConfig::stalling_ssd`]). Each cell runs
 //! twice — once healthy, once faulted; both live in the shared cell
-//! cache (the fault plan is part of the content key, so a sweep can
-//! precompute and cache them like any figure cell) —
+//! table (the fault plan is part of the content key, so a sweep can
+//! compute and cache them like any figure cell) —
 //! and the report puts the policies' degraded tails side by side with the
 //! fault-path counters (retries, kills, allocation stalls, degraded time).
 
@@ -16,7 +16,7 @@ use pagesim_stats::LatencyHistogram;
 use crate::config::{FaultConfig, PolicyChoice, SwapChoice};
 use crate::report::Table;
 
-use super::{Bench, Wl};
+use super::{Bench, CellQuery, Wl};
 
 /// One (workload, policy) comparison under the stalling-SSD plan.
 #[derive(Clone, Debug)]
@@ -84,6 +84,20 @@ fn tail2(h: &LatencyHistogram) -> [u64; 2] {
         return [0, 0];
     }
     [h.value_at_percentile(99.0), h.value_at_percentile(99.99)]
+}
+
+/// The fault study's cells: each (workload, policy) pair healthy, then on
+/// the stalling SSD.
+pub(super) fn faults_cells() -> Vec<CellQuery> {
+    let mut cells = Vec::new();
+    for wl in [Wl::Tpch, Wl::YcsbA] {
+        for policy in [PolicyChoice::Clock, PolicyChoice::MgLruDefault] {
+            cells.push(CellQuery::healthy(wl, policy, SwapChoice::Ssd, 0.5));
+            let plan = FaultConfig::stalling_ssd();
+            cells.push(CellQuery::faulted(wl, policy, SwapChoice::Ssd, 0.5, plan));
+        }
+    }
+    cells
 }
 
 /// Runs the faults experiment: a batch workload (TPC-H) and a

@@ -7,7 +7,16 @@ use pagesim_stats::{linear_regression, welch_t_test, LatencyHistogram, Summary};
 use crate::config::{PolicyChoice, SwapChoice};
 use crate::report::Table;
 
-use super::{Bench, Wl};
+use super::{grid, Bench, CellQuery, Wl};
+
+/// The batch workloads the joint-distribution figures plot.
+const BATCH: [Wl; 2] = [Wl::Tpch, Wl::PageRank];
+
+/// The YCSB workloads the tail-latency figures plot.
+const YCSB: [Wl; 3] = [Wl::YcsbA, Wl::YcsbB, Wl::YcsbC];
+
+/// The paper's headline comparison.
+const CLOCK_VS_MGLRU: [PolicyChoice; 2] = [PolicyChoice::Clock, PolicyChoice::MgLruDefault];
 
 /// Tail percentiles used by every latency figure.
 const TAIL_PS: [f64; 5] = [50.0, 90.0, 99.0, 99.9, 99.99];
@@ -44,6 +53,11 @@ pub struct Fig1Row {
 pub struct Fig1 {
     /// One row per workload.
     pub rows: Vec<Fig1Row>,
+}
+
+/// Fig. 1's cells: Clock vs default MG-LRU for all workloads (SSD, 50%).
+pub(super) fn fig1_cells() -> Vec<CellQuery> {
+    grid(&[0.5], &Wl::all(), &CLOCK_VS_MGLRU, SwapChoice::Ssd)
 }
 
 /// Runs Fig. 1.
@@ -90,10 +104,10 @@ pub struct JointCell {
     pub policy: PolicyChoice,
     /// Per-trial (runtime s, major faults) points.
     pub points: Vec<(f64, f64)>,
-    /// r² of runtime against faults.
-    pub r_squared: f64,
-    /// Fitted seconds-per-fault slope.
-    pub slope: f64,
+    /// r² of runtime against faults (`None` below two trials).
+    pub r_squared: Option<f64>,
+    /// Fitted seconds-per-fault slope (`None` below two trials).
+    pub slope: Option<f64>,
     /// Max/min runtime spread.
     pub runtime_spread: f64,
 }
@@ -108,31 +122,50 @@ pub struct JointFigure {
     pub cells: Vec<JointCell>,
 }
 
+fn joint_cells(policies: &[PolicyChoice]) -> Vec<CellQuery> {
+    grid(&[0.5], &BATCH, policies, SwapChoice::Ssd)
+}
+
+/// Fig. 2's cells: the TPC-H/PageRank subset of Fig. 1's.
+pub(super) fn fig2_cells() -> Vec<CellQuery> {
+    joint_cells(&CLOCK_VS_MGLRU)
+}
+
+/// Fig. 5's cells: every MG-LRU variant on TPC-H/PageRank.
+pub(super) fn fig5_cells() -> Vec<CellQuery> {
+    joint_cells(&PolicyChoice::mglru_variants())
+}
+
 fn joint(bench: &Bench, id: &'static str, policies: &[PolicyChoice]) -> JointFigure {
-    let mut cells = Vec::new();
-    for wl in [Wl::Tpch, Wl::PageRank] {
-        for &policy in policies {
-            let set = bench.cell(wl, policy, SwapChoice::Ssd, 0.5);
+    let cells = joint_cells(policies)
+        .iter()
+        .map(|q| {
+            let set = bench.query(q);
             let runtimes = set.runtimes();
             let faults = set.faults();
-            let reg = linear_regression(&faults, &runtimes);
-            let rt = Summary::of(&runtimes);
-            cells.push(JointCell {
-                workload: wl,
-                policy,
-                points: runtimes.iter().copied().zip(faults.iter().copied()).collect(),
-                r_squared: reg.r_squared,
-                slope: reg.slope,
-                runtime_spread: rt.spread(),
-            });
-        }
-    }
+            // A fit needs two points; with one trial the figure says so
+            // instead of inventing a line.
+            let reg = (runtimes.len() >= 2).then(|| linear_regression(&faults, &runtimes));
+            JointCell {
+                workload: q.wl,
+                policy: q.policy,
+                points: runtimes
+                    .iter()
+                    .copied()
+                    .zip(faults.iter().copied())
+                    .collect(),
+                r_squared: reg.as_ref().map(|r| r.r_squared),
+                slope: reg.as_ref().map(|r| r.slope),
+                runtime_spread: Summary::of(&runtimes).spread(),
+            }
+        })
+        .collect();
     JointFigure { id, cells }
 }
 
 /// Runs Fig. 2 (Clock vs default MG-LRU).
 pub fn fig2(bench: &Bench) -> JointFigure {
-    joint(bench, "fig2", &[PolicyChoice::Clock, PolicyChoice::MgLruDefault])
+    joint(bench, "fig2", &CLOCK_VS_MGLRU)
 }
 
 /// Runs Fig. 5 (all MG-LRU variants).
@@ -158,8 +191,8 @@ impl fmt::Display for JointFigure {
                 format!("{}", c.points.len()),
                 format!("{:.1}s", Summary::of(&rt).mean),
                 format!("{:.2}x", c.runtime_spread),
-                format!("{:.3}", c.r_squared),
-                format!("{:.2}ms", c.slope * 1e3),
+                c.r_squared.map_or("-".into(), |r| format!("{r:.3}")),
+                c.slope.map_or("-".into(), |s| format!("{:.2}ms", s * 1e3)),
             ]);
         }
         write!(f, "{}", t.render())?;
@@ -212,31 +245,40 @@ pub struct TailFigure {
     pub rows: Vec<TailRow>,
 }
 
+fn tail_cells(swap: SwapChoice, ratios: &[f64]) -> Vec<CellQuery> {
+    grid(ratios, &YCSB, &CLOCK_VS_MGLRU, swap)
+}
+
+/// Fig. 3's cells: YCSB only (SSD, 50%).
+pub(super) fn fig3_cells() -> Vec<CellQuery> {
+    tail_cells(SwapChoice::Ssd, &[0.5])
+}
+
+/// Fig. 8's cells: YCSB at 75%/90% (SSD).
+pub(super) fn fig8_cells() -> Vec<CellQuery> {
+    tail_cells(SwapChoice::Ssd, &[0.75, 0.9])
+}
+
+/// Fig. 12's cells: YCSB under ZRAM at 50%.
+pub(super) fn fig12_cells() -> Vec<CellQuery> {
+    tail_cells(SwapChoice::Zram, &[0.5])
+}
+
 fn tails(bench: &Bench, id: &'static str, swap: SwapChoice, ratios: &[f64]) -> TailFigure {
     let mut rows = Vec::new();
-    for &ratio in ratios {
-        for wl in [Wl::YcsbA, Wl::YcsbB, Wl::YcsbC] {
-            for policy in [PolicyChoice::Clock, PolicyChoice::MgLruDefault] {
-                let set = bench.cell(wl, policy, swap, ratio);
-                let read = set.merged_read_latency();
-                rows.push(TailRow {
-                    workload: wl,
-                    policy,
-                    ratio,
-                    reads: true,
-                    tail_ns: tail_row(&read),
-                });
-                let write = set.merged_write_latency();
-                if write.count() > 0 {
-                    rows.push(TailRow {
-                        workload: wl,
-                        policy,
-                        ratio,
-                        reads: false,
-                        tail_ns: tail_row(&write),
-                    });
-                }
-            }
+    for q in tail_cells(swap, ratios) {
+        let set = bench.query(&q);
+        let row = |reads, h: &LatencyHistogram| TailRow {
+            workload: q.wl,
+            policy: q.policy,
+            ratio: q.ratio,
+            reads,
+            tail_ns: tail_row(h),
+        };
+        rows.push(row(true, &set.merged_read_latency()));
+        let write = set.merged_write_latency();
+        if write.count() > 0 {
+            rows.push(row(false, &write));
         }
     }
     TailFigure { id, swap, rows }
@@ -316,6 +358,16 @@ pub struct Fig4 {
     pub rows: Vec<Fig4Row>,
 }
 
+/// Fig. 4's cells: MG-LRU variants across all workloads (SSD, 50%).
+pub(super) fn fig4_cells() -> Vec<CellQuery> {
+    grid(
+        &[0.5],
+        &Wl::all(),
+        &PolicyChoice::mglru_variants(),
+        SwapChoice::Ssd,
+    )
+}
+
 /// Runs Fig. 4.
 pub fn fig4(bench: &Bench) -> Fig4 {
     let mut rows = Vec::new();
@@ -392,6 +444,16 @@ pub struct Fig6 {
     pub rows: Vec<Fig6Row>,
 }
 
+/// Fig. 6's cells: the full paper set at tighter ratios, all workloads.
+pub(super) fn fig6_cells() -> Vec<CellQuery> {
+    grid(
+        &[0.75, 0.9],
+        &Wl::all(),
+        &PolicyChoice::paper_set(),
+        SwapChoice::Ssd,
+    )
+}
+
 /// Runs Fig. 6.
 pub fn fig6(bench: &Bench) -> Fig6 {
     let mut rows = Vec::new();
@@ -401,7 +463,8 @@ pub fn fig6(bench: &Bench) -> Fig6 {
             let base_perf = bench.mean_perf(wl, &base);
             for policy in PolicyChoice::paper_set() {
                 let set = bench.cell(wl, policy, SwapChoice::Ssd, ratio);
-                let p_value = if policy == PolicyChoice::MgLruDefault {
+                // Welch needs two samples per side: one trial has no p.
+                let p_value = if policy == PolicyChoice::MgLruDefault || set.runs.len() < 2 {
                     None
                 } else {
                     Some(welch_t_test(&set.runtimes(), &base.runtimes()).p_value)
@@ -464,11 +527,21 @@ pub struct Fig7 {
     pub rows: Vec<Fig7Row>,
 }
 
+/// Fig. 7's cells: Fig. 6's ratios, TPC-H/PageRank only.
+pub(super) fn fig7_cells() -> Vec<CellQuery> {
+    grid(
+        &[0.75, 0.9],
+        &BATCH,
+        &PolicyChoice::paper_set(),
+        SwapChoice::Ssd,
+    )
+}
+
 /// Runs Fig. 7.
 pub fn fig7(bench: &Bench) -> Fig7 {
     let mut rows = Vec::new();
     for ratio in [0.75, 0.9] {
-        for wl in [Wl::Tpch, Wl::PageRank] {
+        for wl in BATCH {
             let base = bench.cell(wl, PolicyChoice::MgLruDefault, SwapChoice::Ssd, ratio);
             let base_mean = base.fault_summary().mean.max(1.0);
             for policy in PolicyChoice::paper_set() {
@@ -535,6 +608,16 @@ pub struct ZramFigure {
     pub id: &'static str,
     /// Rows.
     pub rows: Vec<ZramRow>,
+}
+
+/// Figs. 9/10 share one grid: the paper set under ZRAM at 50%.
+pub(super) fn zram_cells() -> Vec<CellQuery> {
+    grid(
+        &[0.5],
+        &Wl::all(),
+        &PolicyChoice::paper_set(),
+        SwapChoice::Zram,
+    )
 }
 
 fn zram_means(bench: &Bench, id: &'static str, faults: bool) -> ZramFigure {
@@ -627,11 +710,24 @@ pub struct Fig11 {
     pub rows: Vec<Fig11Row>,
 }
 
+/// Fig. 11's cells: SSD vs ZRAM head-to-head, per workload and policy.
+pub(super) fn fig11_cells() -> Vec<CellQuery> {
+    let mut cells = Vec::new();
+    for wl in Wl::all() {
+        for policy in CLOCK_VS_MGLRU {
+            for swap in [SwapChoice::Ssd, SwapChoice::Zram] {
+                cells.push(CellQuery::healthy(wl, policy, swap, 0.5));
+            }
+        }
+    }
+    cells
+}
+
 /// Runs Fig. 11.
 pub fn fig11(bench: &Bench) -> Fig11 {
     let mut rows = Vec::new();
     for wl in Wl::all() {
-        for policy in [PolicyChoice::Clock, PolicyChoice::MgLruDefault] {
+        for policy in CLOCK_VS_MGLRU {
             let ssd = bench.cell(wl, policy, SwapChoice::Ssd, 0.5);
             let zram = bench.cell(wl, policy, SwapChoice::Zram, 0.5);
             rows.push(Fig11Row {

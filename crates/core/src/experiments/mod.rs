@@ -1,19 +1,20 @@
 //! Per-figure experiment drivers.
 //!
-//! Each `figN` function regenerates the corresponding figure of the paper:
-//! it runs (or reuses) the experiment cells the figure needs, computes the
-//! same normalized series the paper plots, and renders a plain-text table.
-//! The structured results are public so integration tests can assert on
-//! the reproduced *shapes* (who wins, spreads, correlations).
+//! Each figure of the paper is one [`FigureSpec`] in [`EXPERIMENTS`]: the
+//! grid of cells it plots, declared beside the driver that renders them.
+//! The bench crate's sweep executor runs every declared cell trial by
+//! trial ([`CellSpec`], [`Bench::run_trial`]) and installs the merged
+//! [`TrialSet`]s with [`Bench::install_cell`]; the drivers then only read
+//! that cell table. A driver asking for a cell its figure did not declare
+//! panics with the cell's identity, so a declaration can never silently
+//! drift from its driver. The structured results are public so
+//! integration tests can assert on the reproduced *shapes* (who wins,
+//! spreads, correlations).
 //!
-//! Figures share experiment cells (Fig. 1 and Fig. 2 plot the same runs);
-//! [`Bench`] caches each cell under its *content key* — the workload plus
-//! the stable hash of its fully-resolved [`SystemConfig`] — so a full
-//! `fig1..fig12` sweep runs every cell exactly once, fault cells included.
-//! [`figure_cells`] enumerates each figure's grid as [`CellQuery`] values
-//! so an external executor (the bench crate's sweep) can precompute cells
-//! trial-by-trial ([`CellSpec`], [`Bench::run_trial`]) and install them
-//! with [`Bench::install_cell`] before the drivers render.
+//! Figures share cells (Fig. 1 and Fig. 2 plot the same runs); the table
+//! keys each cell by its *content key* — the workload plus the stable
+//! hash of its fully-resolved [`SystemConfig`] — so a full sweep runs
+//! every cell exactly once, fault cells included.
 
 mod faults;
 mod figures;
@@ -21,10 +22,9 @@ mod figures;
 pub use faults::*;
 pub use figures::*;
 
-// Ordered containers only (pagesim-lint rule L1): the cell cache is never
+// Ordered containers only (pagesim-lint rule L1): the cell table is never
 // iterated today, but a `BTreeMap` keeps any future walk deterministic.
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pagesim_engine::rng::trial_seed;
@@ -144,7 +144,7 @@ impl Wl {
 /// One experiment cell: everything needed to build its [`SystemConfig`],
 /// independent of trial count. `faults: FaultConfig::none()` is a healthy
 /// cell; figures and the fault study enumerate through the same type, so
-/// both share the cell cache and the sweep executor.
+/// both share the cell table and the sweep executor.
 #[derive(Clone, Debug)]
 pub struct CellQuery {
     /// Workload driving the cell.
@@ -210,7 +210,7 @@ impl CellQuery {
     /// Stable content key of the cell's configuration: workload identity
     /// plus the stable hash of the fully-resolved [`SystemConfig`]. Two
     /// queries with equal keys run byte-identical simulations (given equal
-    /// seeds and footprints), so this — not the label — keys the cache.
+    /// seeds and footprints), so this — not the label — keys the cell table.
     fn config_key(&self) -> (Wl, u64) {
         (self.wl, self.system_config().stable_hash())
     }
@@ -236,7 +236,7 @@ pub struct CellSpec {
 
 type CellKey = (Wl, u64);
 
-/// Workload instances plus a cache of completed experiment cells.
+/// Workload instances plus the table of completed experiment cells.
 pub struct Bench {
     scale: Scale,
     tpch: TpchWorkload,
@@ -245,8 +245,7 @@ pub struct Bench {
     ycsb_b: YcsbWorkload,
     ycsb_c: YcsbWorkload,
     buffered: BufferedIoWorkload,
-    cache: parking_lot::Mutex<BTreeMap<CellKey, Arc<TrialSet>>>,
-    computed: AtomicU64,
+    cells: parking_lot::Mutex<BTreeMap<CellKey, Arc<TrialSet>>>,
 }
 
 impl Bench {
@@ -267,8 +266,7 @@ impl Bench {
             ycsb_b: ycsb(YcsbMix::B),
             ycsb_c: ycsb(YcsbMix::C),
             buffered: BufferedIoWorkload::new(BufferedIoConfig::default()),
-            cache: parking_lot::Mutex::new(BTreeMap::new()),
-            computed: AtomicU64::new(0),
+            cells: parking_lot::Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -306,7 +304,7 @@ impl Bench {
         }
     }
 
-    /// Runs (or fetches from cache) one experiment cell.
+    /// The installed trials of one healthy cell (see [`Bench::query`]).
     pub fn cell(
         &self,
         wl: Wl,
@@ -317,9 +315,9 @@ impl Bench {
         self.query(&CellQuery::healthy(wl, policy, swap, ratio))
     }
 
-    /// Runs (or fetches from cache) one cell with a fault model attached.
-    /// Fault cells share the content-keyed cache with healthy cells: the
-    /// fault plan is part of the config hash, so they can never collide.
+    /// The installed trials of one cell with a fault model attached. Fault
+    /// cells share the content-keyed table with healthy cells: the fault
+    /// plan is part of the config hash, so they can never collide.
     pub fn fault_cell(
         &self,
         wl: Wl,
@@ -331,31 +329,27 @@ impl Bench {
         self.query(&CellQuery::faulted(wl, policy, swap, ratio, faults))
     }
 
-    /// Runs (or fetches from cache) the cell described by `query`.
+    /// The installed trials of the cell described by `query`.
+    ///
+    /// # Panics
+    ///
+    /// When the cell was never installed. Only the sweep runs cells, and
+    /// it runs exactly what each figure declares, so a miss means a driver
+    /// reads a cell its [`FigureSpec::cells`] does not list.
     pub fn query(&self, query: &CellQuery) -> Arc<TrialSet> {
-        let key = query.config_key();
-        if let Some(hit) = self.cache.lock().get(&key) {
-            return Arc::clone(hit);
-        }
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        let exp = Experiment::new(self.resolve_config(query));
-        let seed = self.scale.seed;
-        let trials = self.scale.trials;
-        let set = match query.wl {
-            Wl::Tpch => exp.run_trials(&self.tpch, seed, trials),
-            Wl::PageRank => exp.run_trials(&self.pagerank, seed, trials),
-            Wl::YcsbA => exp.run_trials(&self.ycsb_a, seed, trials),
-            Wl::YcsbB => exp.run_trials(&self.ycsb_b, seed, trials),
-            Wl::YcsbC => exp.run_trials(&self.ycsb_c, seed, trials),
-        };
-        let set = Arc::new(set);
-        self.cache.lock().insert(key, Arc::clone(&set));
-        set
+        let hit = self.cells.lock().get(&query.config_key()).cloned();
+        hit.unwrap_or_else(|| {
+            panic!(
+                "cell {} is not in the cell table: sweep the figures that declare it first",
+                query.ident()
+            )
+        })
     }
 
     /// Runs exactly one trial of a cell — the pure unit of sweep work.
-    /// Seeds derive the same way `run_trials` derives them, so a cell
-    /// assembled trial-by-trial is identical to one run in a batch.
+    /// Seeds derive the same way [`Experiment::run_trials`] derives them,
+    /// so a cell assembled trial-by-trial is identical to one run in a
+    /// batch.
     pub fn run_trial(&self, query: &CellQuery, trial: u32) -> RunMetrics {
         self.run_trial_budgeted(query, trial, None)
     }
@@ -424,22 +418,15 @@ impl Bench {
         (metrics, tracer.into_data(meta))
     }
 
-    /// Installs an externally-computed cell (from a sweep or a cache) so
-    /// figure drivers find it instead of recomputing.
+    /// Installs a computed cell (from a sweep or a cache) into the table
+    /// the figure drivers read.
     pub fn install_cell(&self, query: &CellQuery, set: TrialSet) {
-        self.cache.lock().insert(query.config_key(), Arc::new(set));
+        self.cells.lock().insert(query.config_key(), Arc::new(set));
     }
 
-    /// Whether a cell is already resident.
+    /// Whether a cell is already installed.
     pub fn has_cell(&self, query: &CellQuery) -> bool {
-        self.cache.lock().contains_key(&query.config_key())
-    }
-
-    /// How many cells this bench computed itself (cache misses inside
-    /// [`Bench::query`]). After a sweep pre-populated every cell a figure
-    /// needs, rendering the figure must leave this at zero.
-    pub fn cells_computed(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
+        self.cells.lock().contains_key(&query.config_key())
     }
 
     /// The content key of one trial of `query`, independent of process,
@@ -483,135 +470,57 @@ impl Bench {
     }
 }
 
-/// Figure ids known to [`figure_cells`], in `repro -- all` order, plus the
-/// fault study.
-pub fn figure_ids() -> [&'static str; 13] {
-    [
-        "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-        "fig12", "faults",
-    ]
+/// One figure of the paper, or the fault study: the cells it plots and
+/// how it renders them. The sweep runs `cells`; `render` only reads them.
+pub struct FigureSpec {
+    /// The `repro` subcommand naming the figure.
+    pub id: &'static str,
+    /// Every cell the figure reads, in driver order. The order is part of
+    /// the contract: sweep plans, journals, chaos victims and
+    /// `repro trace --cell` indices all follow it.
+    pub cells: fn() -> Vec<CellQuery>,
+    /// Renders the figure from a bench holding every cell in `cells`.
+    pub render: fn(&Bench) -> String,
 }
 
-/// Enumerates every experiment cell the named figure consumes, mirroring
-/// its driver's grid. Drivers still call [`Bench::cell`] themselves, so a
-/// missed cell here only costs a lazy recompute — never a wrong figure;
-/// `sweep_covers_every_figure` in the bench crate pins the equivalence.
+/// Every figure in `repro all` order, then the fault study.
+#[rustfmt::skip]
+pub static EXPERIMENTS: [FigureSpec; 13] = [
+    FigureSpec { id: "fig1", cells: fig1_cells, render: |b| fig1(b).to_string() },
+    FigureSpec { id: "fig2", cells: fig2_cells, render: |b| fig2(b).to_string() },
+    FigureSpec { id: "fig3", cells: fig3_cells, render: |b| fig3(b).to_string() },
+    FigureSpec { id: "fig4", cells: fig4_cells, render: |b| fig4(b).to_string() },
+    FigureSpec { id: "fig5", cells: fig5_cells, render: |b| fig5(b).to_string() },
+    FigureSpec { id: "fig6", cells: fig6_cells, render: |b| fig6(b).to_string() },
+    FigureSpec { id: "fig7", cells: fig7_cells, render: |b| fig7(b).to_string() },
+    FigureSpec { id: "fig8", cells: fig8_cells, render: |b| fig8(b).to_string() },
+    FigureSpec { id: "fig9", cells: zram_cells, render: |b| fig9(b).to_string() },
+    FigureSpec { id: "fig10", cells: zram_cells, render: |b| fig10(b).to_string() },
+    FigureSpec { id: "fig11", cells: fig11_cells, render: |b| fig11(b).to_string() },
+    FigureSpec { id: "fig12", cells: fig12_cells, render: |b| fig12(b).to_string() },
+    FigureSpec { id: "faults", cells: faults_cells, render: |b| faults(b).to_string() },
+];
+
+/// The [`EXPERIMENTS`] entry named `id`.
+pub fn experiment(id: &str) -> Option<&'static FigureSpec> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Every cell the named figure reads; empty for an unknown id.
 pub fn figure_cells(fig: &str) -> Vec<CellQuery> {
-    use PolicyChoice as P;
-    use SwapChoice as S;
+    experiment(fig).map_or_else(Vec::new, |e| (e.cells)())
+}
+
+/// Healthy cells for every `ratio × workload × policy`, nested in that
+/// order: the row order of every figure that plots a plain grid.
+fn grid(ratios: &[f64], wls: &[Wl], policies: &[PolicyChoice], swap: SwapChoice) -> Vec<CellQuery> {
     let mut cells = Vec::new();
-    match fig {
-        // Fig. 1 plots Clock vs default MG-LRU for all workloads (SSD, 50%).
-        "fig1" => {
-            for wl in Wl::all() {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                }
+    for &ratio in ratios {
+        for &wl in wls {
+            for &policy in policies {
+                cells.push(CellQuery::healthy(wl, policy, swap, ratio));
             }
         }
-        // Fig. 2 reuses the TPC-H/PageRank subset of Fig. 1's cells.
-        "fig2" => {
-            for wl in [Wl::Tpch, Wl::PageRank] {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                }
-            }
-        }
-        // Fig. 3 tails: YCSB only (SSD, 50%).
-        "fig3" => {
-            for wl in [Wl::YcsbA, Wl::YcsbB, Wl::YcsbC] {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                }
-            }
-        }
-        // Fig. 4: MG-LRU variants across all workloads (SSD, 50%).
-        "fig4" => {
-            for wl in Wl::all() {
-                for policy in P::mglru_variants() {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                }
-            }
-        }
-        // Fig. 5: variant joint distributions on TPC-H/PageRank.
-        "fig5" => {
-            for wl in [Wl::Tpch, Wl::PageRank] {
-                for policy in P::mglru_variants() {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                }
-            }
-        }
-        // Fig. 6: full paper set at tighter ratios, all workloads.
-        "fig6" => {
-            for ratio in [0.75, 0.9] {
-                for wl in Wl::all() {
-                    for policy in P::paper_set() {
-                        cells.push(CellQuery::healthy(wl, policy, S::Ssd, ratio));
-                    }
-                }
-            }
-        }
-        // Fig. 7: same ratios, TPC-H/PageRank only.
-        "fig7" => {
-            for ratio in [0.75, 0.9] {
-                for wl in [Wl::Tpch, Wl::PageRank] {
-                    for policy in P::paper_set() {
-                        cells.push(CellQuery::healthy(wl, policy, S::Ssd, ratio));
-                    }
-                }
-            }
-        }
-        // Fig. 8 tails: YCSB at 75%/90%.
-        "fig8" => {
-            for ratio in [0.75, 0.9] {
-                for wl in [Wl::YcsbA, Wl::YcsbB, Wl::YcsbC] {
-                    for policy in [P::Clock, P::MgLruDefault] {
-                        cells.push(CellQuery::healthy(wl, policy, S::Ssd, ratio));
-                    }
-                }
-            }
-        }
-        // Figs. 9/10 share one grid: paper set under ZRAM at 50%.
-        "fig9" | "fig10" => {
-            for wl in Wl::all() {
-                for policy in P::paper_set() {
-                    cells.push(CellQuery::healthy(wl, policy, S::Zram, 0.5));
-                }
-            }
-        }
-        // Fig. 11: SSD vs ZRAM head-to-head.
-        "fig11" => {
-            for wl in Wl::all() {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                    cells.push(CellQuery::healthy(wl, policy, S::Zram, 0.5));
-                }
-            }
-        }
-        // Fig. 12 tails: YCSB under ZRAM at 50%.
-        "fig12" => {
-            for wl in [Wl::YcsbA, Wl::YcsbB, Wl::YcsbC] {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Zram, 0.5));
-                }
-            }
-        }
-        // Fault study: healthy and stalling-SSD cells side by side.
-        "faults" => {
-            for wl in [Wl::Tpch, Wl::YcsbA] {
-                for policy in [P::Clock, P::MgLruDefault] {
-                    cells.push(CellQuery::healthy(wl, policy, S::Ssd, 0.5));
-                    cells.push(CellQuery::faulted(
-                        wl,
-                        policy,
-                        S::Ssd,
-                        0.5,
-                        FaultConfig::stalling_ssd(),
-                    ));
-                }
-            }
-        }
-        _ => {}
     }
     cells
 }

@@ -383,43 +383,14 @@ impl Experiment {
         (metrics, *tracer)
     }
 
-    /// Runs `trials` independent executions with seeds derived from
-    /// `master_seed` (the paper runs 25 per cell).
-    pub fn run_trials<W: Workload + Sync>(
-        &self,
-        workload: &W,
-        master_seed: u64,
-        trials: u32,
-    ) -> TrialSet {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(trials as usize)
-            .max(1);
-        let mut runs: Vec<Option<RunMetrics>> = vec![None; trials as usize];
-        if threads <= 1 {
-            for (i, slot) in runs.iter_mut().enumerate() {
-                *slot = Some(self.run(workload, trial_seed(master_seed, i as u32)));
-            }
-        } else {
-            let results = parking_lot::Mutex::new(&mut runs);
-            let next = std::sync::atomic::AtomicU32::new(0);
-            crossbeam::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= trials {
-                            break;
-                        }
-                        let m = self.run(workload, trial_seed(master_seed, i));
-                        results.lock()[i as usize] = Some(m);
-                    });
-                }
-            })
-            .expect("trial worker panicked");
-        }
+    /// Runs `trials` independent executions, one after another, with
+    /// seeds derived from `master_seed` (the paper runs 25 per cell). The
+    /// parallel path is the bench crate's sweep executor (`repro`).
+    pub fn run_trials<W: Workload>(&self, workload: &W, master_seed: u64, trials: u32) -> TrialSet {
         TrialSet {
-            runs: runs.into_iter().map(|r| r.expect("trial missing")).collect(),
+            runs: (0..trials)
+                .map(|i| self.run(workload, trial_seed(master_seed, i)))
+                .collect(),
         }
     }
 }

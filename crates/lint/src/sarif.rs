@@ -6,24 +6,9 @@
 //! `codeFlows` thread flow — one location per function along the
 //! root→…→construct path — which GitHub renders as a step-through.
 
-use crate::{Finding, Rule};
+use pagesim_trace::json::escape as esc;
 
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::{Finding, Rule};
 
 fn location(file: &str, line: u32, message: Option<&str>) -> String {
     let msg = match message {

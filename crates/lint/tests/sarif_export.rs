@@ -3,222 +3,38 @@
 //! offline build cannot fetch the real schema, so the contract lives in
 //! `tests/fixtures/sarif-2.1.0-snippet.json`).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON parser (no serde in the offline build).
-// ---------------------------------------------------------------------
+use pagesim_trace::json::{self, Json};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// Dotted-path navigation (object keys and numeric array indexes) over
+/// the workspace's shared JSON tree.
+trait At {
+    fn at(&self, path: &str) -> Option<&Json>;
+    fn strings_at(&self, path: &str) -> Vec<String>;
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end".to_owned()),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("bad \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        Some(&c) => out.push(c as char),
-                        None => return Err("unterminated escape".to_owned()),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through byte-by-byte; fine
-                    // for structural validation.
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("bad array at {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.insert(key, self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("bad object at {}", self.i)),
-            }
-        }
-    }
-}
-
-impl Json {
-    /// Navigates a dotted path: object keys and numeric array indexes.
+impl At for Json {
     fn at(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
         for seg in path.split('.') {
             cur = match cur {
-                Json::Obj(m) => m.get(seg)?,
                 Json::Arr(v) => v.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
+                _ => cur.get(seg)?,
             };
         }
         Some(cur)
     }
 
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
     fn strings_at(&self, path: &str) -> Vec<String> {
         self.at(path)
             .and_then(Json::as_arr)
-            .map(|v| v.iter().filter_map(|s| s.as_str().map(str::to_owned)).collect())
+            .map(|v| {
+                v.iter()
+                    .filter_map(|s| s.as_str().map(str::to_owned))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 }
@@ -236,7 +52,7 @@ fn fixture(name: &str) -> PathBuf {
 fn schema_snippet() -> Json {
     let text = std::fs::read_to_string(fixture("sarif-2.1.0-snippet.json"))
         .expect("schema snippet readable");
-    Parser::parse(&text).expect("schema snippet is valid JSON")
+    json::parse(&text).expect("schema snippet is valid JSON")
 }
 
 fn export_sarif(root: &str) -> Json {
@@ -252,7 +68,7 @@ fn export_sarif(root: &str) -> Json {
         .output()
         .expect("spawn pagesim-lint");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    Parser::parse(&stdout).unwrap_or_else(|e| panic!("SARIF must be valid JSON ({e}): {stdout}"))
+    json::parse(&stdout).unwrap_or_else(|e| panic!("SARIF must be valid JSON ({e}): {stdout}"))
 }
 
 #[test]
@@ -354,7 +170,7 @@ fn baselined_findings_export_as_warnings() {
         .expect("spawn pagesim-lint");
     std::fs::remove_file(&base).ok();
     assert_eq!(out.status.code(), Some(0), "baselined run passes");
-    let doc = Parser::parse(&String::from_utf8_lossy(&out.stdout))
+    let doc = json::parse(&String::from_utf8_lossy(&out.stdout))
         .expect("SARIF is valid JSON");
     assert_eq!(
         doc.at("runs.0.results.0.level").and_then(Json::as_str),

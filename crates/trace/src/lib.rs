@@ -20,6 +20,9 @@
 //! - A validator — [`Schema`] / [`validate_jsonl`] and the
 //!   `trace-validate` binary check exported JSONL against the checked-in
 //!   schema (`schema/trace-jsonl.schema`) so CI can gate on it.
+//! - [`json`] — the workspace's one JSON reader and string escaper, shared
+//!   by the validator, the bench history, the run journal and the lint's
+//!   SARIF export.
 //!
 //! The kernel embeds the tracer behind a `trace` cargo feature in
 //! `pagesim` with a runtime on/off guard on top: release figure runs with
@@ -28,12 +31,10 @@
 
 mod event;
 mod export;
-mod json;
+pub mod json;
 mod schema;
 mod tracer;
 
 pub use event::{EventRing, ThreadKind, TraceEvent};
-pub use export::json_escape;
-pub use json::{parse_json, JsonValue};
 pub use schema::{validate_jsonl, RecordSpec, Schema, BUILTIN_SCHEMA};
 pub use tracer::{CoreOcc, Sample, TraceConfig, TraceData, TraceMeta, Tracer};

@@ -17,7 +17,7 @@
 //! kind-specific payloads), but a line whose `type` names no record, a
 //! missing required field, or a type mismatch all fail validation.
 
-use crate::json::{parse_json, JsonValue};
+use crate::json::{self, Json};
 
 /// One record block: a name and its required `(field, type)` pairs.
 #[derive(Clone, Debug)]
@@ -119,7 +119,7 @@ pub fn validate_jsonl(schema: &Schema, jsonl: &str) -> Vec<String> {
     let mut types = Vec::with_capacity(lines.len());
     for (idx, line) in lines.iter().enumerate() {
         let lineno = idx + 1;
-        let value = match parse_json(line) {
+        let value = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 errors.push(format!("line {lineno}: invalid json: {e}"));
@@ -127,7 +127,7 @@ pub fn validate_jsonl(schema: &Schema, jsonl: &str) -> Vec<String> {
                 continue;
             }
         };
-        let Some(ty) = value.get("type").and_then(JsonValue::as_str) else {
+        let Some(ty) = value.get("type").and_then(Json::as_str) else {
             errors.push(format!("line {lineno}: missing string field 'type'"));
             types.push(String::new());
             continue;
@@ -135,10 +135,7 @@ pub fn validate_jsonl(schema: &Schema, jsonl: &str) -> Vec<String> {
         types.push(ty.to_owned());
         if idx == 0 {
             if let Some(expect) = schema.version {
-                let found = value.get("schema_version").and_then(|v| match v {
-                    JsonValue::Num(n) => n.parse::<u64>().ok(),
-                    _ => None,
-                });
+                let found = value.get("schema_version").and_then(Json::as_u64);
                 if found != Some(expect) {
                     errors.push(format!(
                         "line 1: schema_version must be {expect} (found {})",

@@ -137,8 +137,8 @@ fn default_fault_config_is_zero_drift() {
 
 #[test]
 fn trial_sets_are_order_independent() {
-    // run_trials may execute trials on worker threads; results must land
-    // by trial index regardless of completion order.
+    // Trial i is seeded from (master seed, i) alone, so a set replays
+    // exactly, whichever executor ran its trials in whatever order.
     let w = TpchWorkload::new(TpchConfig::tiny());
     let e = Experiment::new(config(PolicyChoice::Clock, SwapChoice::Zram));
     let a = e.run_trials(&w, 7, 4);

@@ -5,11 +5,18 @@
 
 use pagesim::experiments::{faults, Bench, Scale, Wl};
 use pagesim::PolicyChoice;
+use pagesim_bench::sweep::{run_sweep, SweepOptions};
+
+/// A smoke-scale bench holding every cell of the fault study.
+fn bench() -> Bench {
+    let b = Bench::new(Scale::smoke());
+    run_sweep(&b, &["faults".to_owned()], &SweepOptions::default());
+    b
+}
 
 #[test]
 fn faults_experiment_exercises_every_fault_path() {
-    let b = Bench::new(Scale::smoke());
-    let f = faults(&b);
+    let f = faults(&bench());
     assert_eq!(f.rows.len(), 4, "2 workloads x 2 policies");
 
     let total = |g: fn(&pagesim::experiments::FaultsRow) -> u64| -> u64 {
@@ -44,8 +51,8 @@ fn faults_experiment_exercises_every_fault_path() {
 
 #[test]
 fn faults_experiment_is_deterministic_per_seed() {
-    let a = faults(&Bench::new(Scale::smoke()));
-    let b = faults(&Bench::new(Scale::smoke()));
+    let a = faults(&bench());
+    let b = faults(&bench());
     assert_eq!(
         format!("{:?}", a.rows),
         format!("{:?}", b.rows),

@@ -1,34 +1,26 @@
-//! Tests of the figure harness itself: cell caching, figure structure,
-//! and cross-figure consistency.
+//! Tests of the figure harness itself: figure structure and cross-figure
+//! consistency.
 
 use pagesim::experiments::{fig1, fig10, fig2, fig4, fig9, Bench, Scale, Wl};
-use pagesim::{PolicyChoice, SwapChoice};
+use pagesim::PolicyChoice;
+use pagesim_bench::sweep::{run_sweep, SweepOptions};
 
-fn tiny_bench() -> Bench {
-    Bench::new(Scale {
+/// A tiny bench holding every cell of `figs`.
+fn tiny_bench(figs: &[&str]) -> Bench {
+    let b = Bench::new(Scale {
         trials: 2,
         footprint: 0.12,
         seed: 7,
         page_compression: None,
-    })
-}
-
-#[test]
-fn cells_are_cached_across_figures() {
-    let b = tiny_bench();
-    // fig1 and fig2 share the (tpch, clock, ssd, 50%) cell: the second
-    // call must return the identical Arc.
-    let a = b.cell(Wl::Tpch, PolicyChoice::Clock, SwapChoice::Ssd, 0.5);
-    let c = b.cell(Wl::Tpch, PolicyChoice::Clock, SwapChoice::Ssd, 0.5);
-    assert!(std::sync::Arc::ptr_eq(&a, &c), "cache miss on identical cell");
-    // A different ratio is a different cell.
-    let d = b.cell(Wl::Tpch, PolicyChoice::Clock, SwapChoice::Ssd, 0.75);
-    assert!(!std::sync::Arc::ptr_eq(&a, &d));
+    });
+    let figs: Vec<String> = figs.iter().map(|f| f.to_string()).collect();
+    run_sweep(&b, &figs, &SweepOptions::default());
+    b
 }
 
 #[test]
 fn figures_cover_their_declared_grids() {
-    let b = tiny_bench();
+    let b = tiny_bench(&["fig1", "fig4"]);
     let f1 = fig1(&b);
     assert_eq!(f1.rows.len(), 5, "fig1: one row per workload");
     let f2 = fig2(&b);
@@ -47,7 +39,7 @@ fn figures_cover_their_declared_grids() {
 
 #[test]
 fn fig9_and_fig10_share_cells_and_baselines() {
-    let b = tiny_bench();
+    let b = tiny_bench(&["fig9"]);
     let f9 = fig9(&b);
     let f10 = fig10(&b);
     assert_eq!(f9.rows.len(), 30);
@@ -63,7 +55,7 @@ fn fig9_and_fig10_share_cells_and_baselines() {
 
 #[test]
 fn figure_displays_render_tables() {
-    let b = tiny_bench();
+    let b = tiny_bench(&["fig1"]);
     let s = fig1(&b).to_string();
     assert!(s.contains("Fig 1"));
     assert!(s.contains("tpch"));

@@ -5,22 +5,26 @@
 use pagesim::experiments::{fig11, fig9, Bench, Scale, Wl};
 use pagesim::{Experiment, PolicyChoice, SwapChoice, SystemConfig};
 use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
+use pagesim_bench::sweep::{run_sweep, SweepOptions};
 use pagesim_policy::MgLruConfig;
 
-fn bench() -> Bench {
-    Bench::new(Scale {
+/// A bench holding every cell of `fig`.
+fn bench(fig: &str) -> Bench {
+    let b = Bench::new(Scale {
         trials: 4,
         footprint: 0.25,
         seed: 0xFEED,
         page_compression: None,
-    })
+    });
+    run_sweep(&b, &[fig.to_owned()], &SweepOptions::default());
+    b
 }
 
 #[test]
 fn fig11_zram_is_dramatically_faster() {
     // Fig. 11: switching to ZRAM collapses runtime on every workload
     // (the paper measures the media two orders of magnitude apart).
-    let b = bench();
+    let b = bench("fig11");
     let f = fig11(&b);
     for row in &f.rows {
         assert!(
@@ -47,7 +51,7 @@ fn fig9_clock_matches_mglru_under_zram() {
     // Fig. 9: with ZRAM swap Clock's throughput catches up with MG-LRU
     // (the rmap-walk overhead MG-LRU avoids no longer hides behind 7.5ms
     // device waits — but it is also small in absolute terms).
-    let b = bench();
+    let b = bench("fig9");
     let f = fig9(&b);
     for wl in [Wl::Tpch, Wl::YcsbA, Wl::YcsbB, Wl::YcsbC] {
         let clock = f.norm(wl, PolicyChoice::Clock).unwrap();
