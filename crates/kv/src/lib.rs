@@ -16,8 +16,11 @@
 //!
 //! A GET touches the key's bucket page, then each item page along the
 //! collision chain until the key matches. An UPDATE does the same and
-//! writes the item's page(s). Values default to ~1.2 KiB, the per-item
-//! footprint implied by the paper's setup (11 M items in 12–16 GB).
+//! writes the item's page(s). [`KvStore::plan_into`] writes a request's
+//! touches into a caller's buffer, so a request stream allocates nothing;
+//! [`KvStore::get_plan`]/[`KvStore::update_plan`] wrap it. Values default
+//! to ~1.2 KiB, the per-item footprint implied by the paper's setup (11 M
+//! items in 12–16 GB).
 //!
 //! ```rust
 //! use pagesim_kv::{KvConfig, KvStore};
@@ -79,10 +82,14 @@ const REQUEST_CPU_NS: u64 = 120_000;
 const CHAIN_CPU_NS: u64 = 400;
 
 /// The store: item placement plus a real chained hash table.
+///
+/// The chains are stored flat (CSR): bucket `b`'s chain, in item order, is
+/// `chains[chain_start[b]..chain_start[b + 1]]`.
 #[derive(Debug)]
 pub struct KvStore {
     cfg: KvConfig,
-    buckets: Vec<Vec<u32>>, // bucket -> item ids (chain order)
+    chain_start: Vec<u32>,
+    chains: Vec<u32>,
     bucket_pages: u32,
     item_pages_each: u32,
     items_per_page: u32,
@@ -112,15 +119,28 @@ impl KvStore {
             cfg.items.div_ceil(items_per_page)
         };
 
-        let mut buckets = vec![Vec::new(); nbuckets as usize];
+        // Counting sort of the items by bucket; filling in item order keeps
+        // each chain in insertion (item) order.
+        let bucket = |item: u32| (Self::hash(cfg.seed, item) % nbuckets as u64) as usize;
+        let mut chain_start = vec![0u32; nbuckets as usize + 1];
         for item in 0..cfg.items {
-            let b = Self::hash(cfg.seed, item) % nbuckets as u64;
-            buckets[b as usize].push(item);
+            chain_start[bucket(item) + 1] += 1;
+        }
+        for b in 0..nbuckets as usize {
+            chain_start[b + 1] += chain_start[b];
+        }
+        let mut fill = chain_start[..nbuckets as usize].to_vec();
+        let mut chains = vec![0u32; cfg.items as usize];
+        for item in 0..cfg.items {
+            let slot = &mut fill[bucket(item)];
+            chains[*slot as usize] = item;
+            *slot += 1;
         }
 
         KvStore {
             cfg,
-            buckets,
+            chain_start,
+            chains,
             bucket_pages,
             item_pages_each,
             items_per_page,
@@ -152,8 +172,18 @@ impl KvStore {
         self.cfg.items
     }
 
+    fn buckets(&self) -> usize {
+        self.chain_start.len() - 1
+    }
+
     fn bucket_of(&self, item: u32) -> u32 {
-        (Self::hash(self.cfg.seed, item) % self.buckets.len() as u64) as u32
+        (Self::hash(self.cfg.seed, item) % self.buckets() as u64) as u32
+    }
+
+    /// Items hashed to `bucket`, in chain order.
+    fn chain(&self, bucket: u32) -> &[u32] {
+        let b = bucket as usize;
+        &self.chains[self.chain_start[b] as usize..self.chain_start[b + 1] as usize]
     }
 
     fn bucket_page(&self, bucket: u32) -> Vpn {
@@ -170,17 +200,23 @@ impl KvStore {
         }
     }
 
-    fn plan(&self, item: u32, write: bool) -> AccessPlan {
+    /// Writes the ordered page touches of a GET (`write == false`) or an
+    /// UPDATE (`write == true`) of `item` into `touches`, replacing its
+    /// contents, and returns the request's base CPU cost in nanoseconds
+    /// (as [`AccessPlan::cpu_ns`]). Reusing one `touches` buffer makes a
+    /// request allocation-free.
+    pub fn plan_into(&self, item: u32, write: bool, touches: &mut Vec<Touch>) -> u64 {
         debug_assert!(item < self.cfg.items, "unknown item {item}");
         let bucket = self.bucket_of(item);
-        let mut touches = vec![Touch {
+        touches.clear();
+        touches.push(Touch {
             vpn: self.bucket_page(bucket),
             write: false,
-        }];
+        });
         let mut cpu_ns = REQUEST_CPU_NS;
         // Walk the chain: every element before ours costs a page touch of
         // that item's header plus a key compare.
-        for &chained in &self.buckets[bucket as usize] {
+        for &chained in self.chain(bucket) {
             cpu_ns += CHAIN_CPU_NS;
             if chained == item {
                 break;
@@ -197,6 +233,12 @@ impl KvStore {
                 write,
             });
         }
+        cpu_ns
+    }
+
+    fn plan(&self, item: u32, write: bool) -> AccessPlan {
+        let mut touches = Vec::new();
+        let cpu_ns = self.plan_into(item, write, &mut touches);
         AccessPlan { touches, cpu_ns }
     }
 
@@ -212,12 +254,16 @@ impl KvStore {
 
     /// Mean collision-chain length (diagnostics; should be ≈ load factor).
     pub fn mean_chain_len(&self) -> f64 {
-        self.cfg.items as f64 / self.buckets.len() as f64
+        self.cfg.items as f64 / self.buckets() as f64
     }
 
     /// Longest collision chain (tail-latency contributor).
     pub fn max_chain_len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).max().unwrap_or(0)
+        self.chain_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -277,12 +323,9 @@ mod tests {
         let s = small();
         // Find a bucket with >= 2 items; the second item's plan must touch
         // the first item's page on the way.
-        let (bucket, chain) = s
-            .buckets
-            .iter()
-            .enumerate()
+        let (bucket, chain) = (0..s.buckets() as u32)
+            .map(|b| (b, s.chain(b)))
             .find(|(_, c)| c.len() >= 2)
-            .map(|(b, c)| (b as u32, c.clone()))
             .expect("10k items must collide somewhere");
         let first = chain[0];
         let second = chain[1];
@@ -293,6 +336,43 @@ mod tests {
         assert_eq!(p2.touches[1].vpn, s.item_page(first));
         assert_eq!(s.bucket_of(second), bucket);
         assert!(p2.cpu_ns > p1.cpu_ns);
+    }
+
+    #[test]
+    fn plan_into_matches_a_naive_chain_walk() {
+        let s = small();
+        // Reference chains: every item in item order, pushed to its bucket.
+        let mut naive = vec![Vec::new(); s.buckets()];
+        for item in 0..s.items() {
+            naive[s.bucket_of(item) as usize].push(item);
+        }
+        let mut touches = Vec::new();
+        for item in 0..s.items() {
+            for write in [false, true] {
+                let bucket = s.bucket_of(item);
+                let mut want = vec![Touch {
+                    vpn: s.bucket_page(bucket),
+                    write: false,
+                }];
+                let mut want_cpu = REQUEST_CPU_NS;
+                for &chained in &naive[bucket as usize] {
+                    want_cpu += CHAIN_CPU_NS;
+                    if chained == item {
+                        break;
+                    }
+                    want.push(Touch {
+                        vpn: s.item_page(chained),
+                        write: false,
+                    });
+                }
+                want.push(Touch {
+                    vpn: s.item_page(item),
+                    write,
+                });
+                assert_eq!(s.plan_into(item, write, &mut touches), want_cpu);
+                assert_eq!(touches, want, "item {item} write {write}");
+            }
+        }
     }
 
     #[test]

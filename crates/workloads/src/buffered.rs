@@ -10,15 +10,13 @@
 //! the PID controller, refaults on the hot subset push its tier above the
 //! base tier's refault rate and eviction starts protecting it.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use pagesim_engine::rng::derive_seed;
 use pagesim_mem::{AsId, EntropyClass, Vpn};
 
-use crate::{AccessStream, Annotation, Op, SpaceSpec, Workload};
+use crate::{AccessStream, Annotation, Op, OpBuf, SpaceSpec, Workload};
 
 /// Configuration of the buffered-I/O workload.
 #[derive(Clone, Copy, Debug)]
@@ -125,7 +123,7 @@ impl Workload for BufferedIoWorkload {
                     rng: SmallRng::seed_from_u64(derive_seed(seed, &format!("bufio-{t}"))),
                     pass: 0,
                     cursor: 0,
-                    buf: VecDeque::new(),
+                    buf: OpBuf::default(),
                 }) as Box<dyn AccessStream>
             })
             .collect()
@@ -138,7 +136,7 @@ struct BufferedIoStream {
     rng: SmallRng,
     pass: u32,
     cursor: u32,
-    buf: VecDeque<Op>,
+    buf: OpBuf,
 }
 
 impl BufferedIoStream {
@@ -157,7 +155,7 @@ impl BufferedIoStream {
 impl AccessStream for BufferedIoStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if let Some(op) = self.buf.pop_front() {
+            if let Some(op) = self.buf.pop() {
                 return op;
             }
             let (lo, hi) = self.my_slice();
@@ -178,7 +176,7 @@ impl AccessStream for BufferedIoStream {
             }
             self.cursor += 1;
             // Stream one cold file page...
-            self.buf.push_back(Op::FdAccess {
+            self.buf.push(Op::FdAccess {
                 space: AsId(0),
                 vpn,
                 write: false,
@@ -187,7 +185,7 @@ impl AccessStream for BufferedIoStream {
             // ...re-read hot file pages...
             for _ in 0..self.cfg.hot_rereads_per_page {
                 let hot = self.rng.random_range(0..self.cfg.hot_pages);
-                self.buf.push_back(Op::FdAccess {
+                self.buf.push(Op::FdAccess {
                     space: AsId(0),
                     vpn: hot,
                     write: false,
@@ -196,7 +194,7 @@ impl AccessStream for BufferedIoStream {
             }
             // ...and touch the anonymous working set.
             let anon = self.cfg.file_pages + self.rng.random_range(0..self.cfg.anon_pages);
-            self.buf.push_back(Op::Access {
+            self.buf.push(Op::Access {
                 space: AsId(0),
                 vpn: anon,
                 write: self.rng.random_bool(0.3),

@@ -8,8 +8,20 @@
 //! endpoint is derived from a hash of `(vertex, edge index)` mapped through
 //! a power-law warp. This keeps multi-million-edge graphs free while
 //! preserving the page-access distribution over the rank array.
+//!
+//! The endpoint of edge `(v, i)` is computed in two halves:
+//! [`PowerLawGraph::neighbor_draw`] hashes the edge to a 53-bit draw `m`,
+//! and [`PowerLawGraph::neighbor_of_draw`] warps `m` to a vertex. The warp
+//! is monotone in `m` and is the only costly step (a `powf`), so a caller
+//! that only needs a monotone function of the neighbor, such as the page of
+//! its rank entry, can replace the warp by a threshold table over draws
+//! (see [`crate::pagerank::RankPageTable`]).
 
 use pagesim_engine::rng::splitmix64;
+
+/// Number of distinct neighbor draws: a draw is the top 53 bits of a
+/// 64-bit hash, the mantissa width of an `f64`, so `draw / DRAWS` is exact.
+pub const DRAWS: u64 = 1 << 53;
 
 /// A synthetic scale-free graph with hash-generated adjacency.
 ///
@@ -91,18 +103,38 @@ impl PowerLawGraph {
         self.offsets[v as usize]
     }
 
-    /// The `i`-th out-neighbor of `v`, derived deterministically.
+    /// The `i`-th out-neighbor of `v`, derived deterministically: the
+    /// neighbor of the edge's draw. This composition is the definition of
+    /// the adjacency; [`neighbor_draw`](Self::neighbor_draw) and
+    /// [`neighbor_of_draw`](Self::neighbor_of_draw) are its two halves.
     ///
     /// Neighbor ids follow a power-law toward low ids (hubs), matching the
     /// in-degree skew of RMAT-style graphs.
     pub fn neighbor(&self, v: u32, i: u32) -> u32 {
+        self.neighbor_of_draw(self.neighbor_draw(v, i))
+    }
+
+    /// The 53-bit uniform draw behind edge `(v, i)`: a hash of the graph
+    /// seed and the edge, in `0..`[`DRAWS`].
+    pub fn neighbor_draw(&self, v: u32, i: u32) -> u64 {
         debug_assert!(i < self.degree(v));
-        let h = splitmix64(self.seed ^ ((v as u64) << 32) ^ i as u64);
+        splitmix64(self.seed ^ ((v as u64) << 32) ^ i as u64) >> 11
+    }
+
+    /// The neighbor a draw `m` in `0..`[`DRAWS`] selects: non-decreasing
+    /// in `m`, up to the sub-ULP rounding of the `powf` warp.
+    pub fn neighbor_of_draw(&self, m: u64) -> u32 {
+        debug_assert!(m < DRAWS);
         // u in [0,1): warp by u^(1/(1-skew)) to concentrate near 0.
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+        let u = m as f64 / DRAWS as f64;
         let warped = u.powf(1.0 / (1.0 - self.skew));
         let n = (warped * self.vertices() as f64) as u32;
         n.min(self.vertices() - 1)
+    }
+
+    /// The degree/neighbor skew exponent in `(0, 1)`.
+    pub(crate) fn skew(&self) -> f64 {
+        self.skew
     }
 
     /// Maximum degree (the straggler hub).

@@ -124,6 +124,36 @@ pub trait AccessStream {
     fn next_op(&mut self) -> Op;
 }
 
+/// The ops a stream has generated but not yet handed out: a `Vec` plus a
+/// read cursor. A stream fills it only once it is drained, and draining
+/// clears it, so its capacity is reused from one batch to the next.
+#[derive(Debug, Default)]
+pub(crate) struct OpBuf {
+    ops: Vec<Op>,
+    next: usize,
+}
+
+impl OpBuf {
+    /// Appends an op to the batch.
+    pub(crate) fn push(&mut self, op: Op) {
+        self.ops.push(op);
+    }
+
+    /// The next buffered op, or `None` (leaving the buffer empty) once
+    /// every op has been handed out.
+    pub(crate) fn pop(&mut self) -> Option<Op> {
+        let op = self.ops.get(self.next).copied();
+        match op {
+            Some(_) => self.next += 1,
+            None => {
+                self.ops.clear();
+                self.next = 0;
+            }
+        }
+        op
+    }
+}
+
 /// A workload: address-space layout plus one stream per thread.
 pub trait Workload {
     /// Short name for reports ("tpch", "pagerank", "ycsb-a", ...).

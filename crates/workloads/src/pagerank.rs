@@ -19,16 +19,35 @@
 //! The edges array is streamed sequentially once per iteration (large,
 //! evict-friendly); the rank arrays are accessed randomly with hub skew
 //! (small, hot) — the tension a replacement policy must resolve.
+//!
+//! ## Rank pages without a `powf` per edge group
+//!
+//! Each edge group touches the rank page of one neighbor:
+//! `neighbor_of_draw(m) · 8 / PAGE_SIZE` for the group's 53-bit draw `m`.
+//! That page is a monotone step function of `m`: a multiply, a truncation
+//! and a division, each monotone, after a `powf` warp that is monotone up to
+//! its sub-ULP rounding error. So it is fixed by its thresholds `T_k`, the
+//! least draw whose page is `>= k`, one per rank page.
+//! [`RankPageTable::new`] finds each `T_k` once per workload. It starts
+//! from the analytic inverse of the warp, `(k · 512 / V)^(1 − skew) · 2^53`,
+//! and then gallops and bisects against `neighbor_of_draw` itself. The
+//! search evaluates the definition and makes no approximation, so every
+//! threshold is exact, and so is the table: `page(m) = k` exactly when
+//! `T_k <= m < T_{k+1}`. A lookup indexes a bucket array by the top bits of
+//! `m`. There are at least four buckets per rank page, so it then steps
+//! over at most a threshold or two. Rounding can only matter within a few
+//! draws of a page boundary, that is, of a threshold, and
+//! `tests/rank_pages.rs` checks the table against the definition on every
+//! draw within 64 of every threshold at every scale the figures use.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use pagesim_engine::rng::derive_seed;
 use pagesim_mem::{AsId, EntropyClass, Vpn, PAGE_SIZE};
 
-use crate::graph::PowerLawGraph;
-use crate::{AccessStream, Annotation, Op, SpaceSpec, Workload};
+use crate::graph::{PowerLawGraph, DRAWS};
+use crate::{AccessStream, Annotation, Op, OpBuf, SpaceSpec, Workload};
 
 /// Configuration of the PageRank model.
 #[derive(Clone, Copy, Debug)]
@@ -90,11 +109,113 @@ impl PageRankConfig {
     }
 }
 
+/// Ranks (8-byte `f64`s) per page of a rank array.
+const RANKS_PER_PAGE: u32 = (PAGE_SIZE / 8) as u32;
+
+/// The rank-array page each neighbor draw lands on, as a table lookup.
+///
+/// `page(m)` equals `graph.neighbor_of_draw(m) / RANKS_PER_PAGE` for every
+/// draw `m` (see the module docs for why the table is exact).
+#[derive(Clone, Debug)]
+pub struct RankPageTable {
+    /// `thresholds[k]` is the least draw whose page is `>= k`, for
+    /// `k in 0..pages`; `thresholds[pages]` is a `u64::MAX` sentinel.
+    thresholds: Vec<u64>,
+    /// `buckets[b]` is the page of draw `b << shift`, the first draw of
+    /// bucket `b`.
+    buckets: Vec<u32>,
+    shift: u32,
+}
+
+impl RankPageTable {
+    /// Builds the table of `graph`'s rank pages.
+    pub fn new(graph: &PowerLawGraph) -> Self {
+        let pages = graph.vertices().div_ceil(RANKS_PER_PAGE);
+        let page_of = |m: u64| graph.neighbor_of_draw(m) / RANKS_PER_PAGE;
+        let mut thresholds = Vec::with_capacity(pages as usize + 1);
+        thresholds.push(0);
+        for k in 1..pages {
+            // Inverse of the warp: draw m reaches vertex n at about
+            // (n / V)^(1 - skew) · DRAWS. Start there, then search exactly.
+            let frac = (k * RANKS_PER_PAGE) as f64 / graph.vertices() as f64;
+            let guess = (frac.powf(1.0 - graph.skew()) * DRAWS as f64) as u64;
+            thresholds.push(least_draw(guess, |m| page_of(m) >= k));
+        }
+        thresholds.push(u64::MAX);
+        let nbuckets = (4 * pages as usize).next_power_of_two();
+        let shift = DRAWS.trailing_zeros() - nbuckets.trailing_zeros();
+        let buckets = (0..nbuckets as u64)
+            .map(|b| (thresholds.partition_point(|&t| t <= b << shift) - 1) as u32)
+            .collect();
+        RankPageTable {
+            thresholds,
+            buckets,
+            shift,
+        }
+    }
+
+    /// The rank page of draw `m` in `0..DRAWS`: start at the page of `m`'s
+    /// bucket, then step over the thresholds at or below `m` (rarely more
+    /// than one, since there are at least four buckets per page).
+    pub fn page(&self, m: u64) -> u32 {
+        debug_assert!(m < DRAWS);
+        let mut p = self.buckets[(m >> self.shift) as usize] as usize;
+        while m >= self.thresholds[p + 1] {
+            p += 1;
+        }
+        p as u32
+    }
+
+    /// The least draw of each page after the first: entry `k - 1` is the
+    /// least `m` with `page(m) >= k`.
+    pub fn thresholds(&self) -> &[u64] {
+        &self.thresholds[1..self.thresholds.len() - 1]
+    }
+}
+
+/// The least draw `m` with `pred(m)`, for `pred` monotone over
+/// `0..DRAWS` with `pred(0)` false and `pred(DRAWS - 1)` true: gallops
+/// out from `guess` until the answer is bracketed, then bisects.
+fn least_draw(guess: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    let guess = guess.clamp(1, DRAWS - 1);
+    // Invariant: !pred(lo) && pred(hi).
+    let (mut lo, mut hi);
+    let mut step = 1;
+    if pred(guess) {
+        hi = guess;
+        lo = guess.saturating_sub(step);
+        while pred(lo) {
+            hi = lo;
+            step *= 2;
+            lo = lo.saturating_sub(step);
+        }
+    } else {
+        lo = guess;
+        hi = (guess + step).min(DRAWS - 1);
+        while !pred(hi) {
+            assert!(hi < DRAWS - 1, "predicate false on the last draw");
+            lo = hi;
+            step *= 2;
+            hi = (hi + step).min(DRAWS - 1);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// The PageRank workload (see module docs).
 #[derive(Clone, Debug)]
 pub struct PageRankWorkload {
     cfg: PageRankConfig,
     graph: Arc<PowerLawGraph>,
+    ranks: Arc<RankPageTable>,
     offsets_pages: u32,
     edges_pages: u32,
     rank_pages: u32,
@@ -115,6 +236,7 @@ impl PageRankWorkload {
         let rank_pages = (cfg.vertices as u64 * 8).div_ceil(PAGE_SIZE as u64) as u32;
         PageRankWorkload {
             cfg,
+            ranks: Arc::new(RankPageTable::new(&graph)),
             graph: Arc::new(graph),
             offsets_pages,
             edges_pages,
@@ -195,11 +317,12 @@ impl Workload for PageRankWorkload {
                     cfg: self.cfg,
                     layout: self.layout(),
                     graph: Arc::clone(&self.graph),
+                    ranks: Arc::clone(&self.ranks),
                     counters: Arc::clone(&counters),
                     nchunks,
                     nbr_salt: derive_seed(seed, &format!("pr-nbr-{t}")),
                     iteration: 0,
-                    buf: VecDeque::new(),
+                    buf: OpBuf::default(),
                     done: false,
                 }) as Box<dyn AccessStream>
             })
@@ -213,13 +336,14 @@ struct PageRankStream {
     cfg: PageRankConfig,
     layout: Layout,
     graph: Arc<PowerLawGraph>,
+    ranks: Arc<RankPageTable>,
     counters: Arc<Vec<AtomicU32>>,
     nchunks: u32,
     /// Per-trial salt: decides which neighbor represents each edge group,
     /// modeling run-to-run variation in the sampled access interleaving.
     nbr_salt: u64,
     iteration: u32,
-    buf: VecDeque<Op>,
+    buf: OpBuf,
     done: bool,
 }
 
@@ -234,7 +358,7 @@ impl PageRankStream {
     }
 
     fn push(&mut self, vpn: Vpn, write: bool, cpu_ns: u32) {
-        self.buf.push_back(Op::Access {
+        self.buf.push(Op::Access {
             space: AsId(0),
             vpn,
             write,
@@ -276,8 +400,7 @@ impl PageRankStream {
                         self.nbr_salt ^ ((v as u64) << 24) ^ gidx as u64,
                     ) % group as u64) as u32)
                     .min(deg - 1);
-                let nbr = self.graph.neighbor(v, rep_edge);
-                let vpn = src_base + (nbr as u64 * 8 / PAGE_SIZE as u64) as u32;
+                let vpn = src_base + self.ranks.page(self.graph.neighbor_draw(v, rep_edge));
                 self.push(vpn, false, cpu_group);
             }
             // Write the new rank.
@@ -290,7 +413,7 @@ impl PageRankStream {
 impl AccessStream for PageRankStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if let Some(op) = self.buf.pop_front() {
+            if let Some(op) = self.buf.pop() {
                 return op;
             }
             if self.done {
@@ -305,7 +428,7 @@ impl AccessStream for PageRankStream {
             if chunk >= self.nchunks {
                 // Iteration exhausted: converge at the barrier.
                 self.iteration += 1;
-                self.buf.push_back(Op::Barrier { id: 0 });
+                self.buf.push(Op::Barrier { id: 0 });
             } else {
                 self.fill_chunk(chunk);
             }

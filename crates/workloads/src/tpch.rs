@@ -18,8 +18,6 @@
 //! `build` (scan + hash-table writes), `probe` (scan + hash reads +
 //! shuffle writes), `aggregate` (hash reads + shuffle read/write).
 
-use std::collections::VecDeque;
-
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -27,7 +25,7 @@ use rand::{RngExt, SeedableRng};
 use pagesim_engine::rng::derive_seed;
 use pagesim_mem::{AsId, EntropyClass, Vpn};
 
-use crate::{AccessStream, Annotation, Op, SpaceSpec, Workload};
+use crate::{AccessStream, Annotation, Op, OpBuf, SpaceSpec, Workload};
 
 /// Configuration of the TPC-H model.
 #[derive(Clone, Copy, Debug)]
@@ -205,7 +203,7 @@ struct TpchStream {
     /// Shared plan seed: all threads of a run agree on query windows.
     plan_seed: u64,
     rng: SmallRng,
-    buf: VecDeque<Op>,
+    buf: OpBuf,
     stage: u32,
     total_stages: u32,
     done: bool,
@@ -219,7 +217,7 @@ impl TpchStream {
             live_frac,
             plan_seed,
             rng: SmallRng::seed_from_u64(seed),
-            buf: VecDeque::new(),
+            buf: OpBuf::default(),
             stage: 0,
             total_stages: cfg.queries * cfg.stages_per_query,
             done: false,
@@ -267,7 +265,7 @@ impl TpchStream {
     }
 
     fn push_access(&mut self, vpn: Vpn, write: bool) {
-        self.buf.push_back(Op::Access {
+        self.buf.push(Op::Access {
             space: AsId(0),
             vpn,
             write,
@@ -346,14 +344,14 @@ impl TpchStream {
                 }
             }
         }
-        self.buf.push_back(Op::Barrier { id: 0 });
+        self.buf.push(Op::Barrier { id: 0 });
     }
 }
 
 impl AccessStream for TpchStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if let Some(op) = self.buf.pop_front() {
+            if let Some(op) = self.buf.pop() {
                 return op;
             }
             if self.done || self.stage >= self.total_stages {

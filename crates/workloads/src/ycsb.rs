@@ -10,18 +10,17 @@
 //! the page faults its bucket/item touches incur, which is precisely the
 //! tail mechanism §V-A/§V-D analyses.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use pagesim_engine::rng::derive_seed;
-use pagesim_kv::{KvConfig, KvStore};
+use pagesim_kv::{KvConfig, KvStore, Touch};
 use pagesim_mem::{AsId, EntropyClass};
 
-use crate::zipf::ScrambledZipfian;
-use crate::{AccessStream, Annotation, Op, ReqClass, SpaceSpec, Workload};
+use crate::zipf::{ScrambledZipfian, ZipfianDist, YCSB_THETA};
+use crate::{AccessStream, Annotation, Op, OpBuf, ReqClass, SpaceSpec, Workload};
 
 /// Which YCSB core workload to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,6 +102,8 @@ impl YcsbConfig {
 pub struct YcsbWorkload {
     cfg: YcsbConfig,
     store: Arc<KvStore>,
+    /// Item popularity, computed once and shared by every stream.
+    zipf: ZipfianDist,
 }
 
 impl YcsbWorkload {
@@ -119,6 +120,7 @@ impl YcsbWorkload {
         YcsbWorkload {
             cfg,
             store: Arc::new(store),
+            zipf: ZipfianDist::new(cfg.items as u64, YCSB_THETA),
         }
     }
 
@@ -165,11 +167,12 @@ impl Workload for YcsbWorkload {
                 Box::new(YcsbStream {
                     cfg: self.cfg,
                     store: Arc::clone(&self.store),
-                    zipf: ScrambledZipfian::new(self.cfg.items as u64, s),
+                    zipf: ScrambledZipfian::from_dist(self.zipf, s),
                     rng: SmallRng::seed_from_u64(s ^ 0xFACE),
                     remaining: per_thread,
                     total: per_thread,
-                    buf: VecDeque::new(),
+                    touches: Vec::new(),
+                    buf: OpBuf::default(),
                 }) as Box<dyn AccessStream>
             })
             .collect()
@@ -184,13 +187,15 @@ struct YcsbStream {
     rng: SmallRng,
     remaining: u64,
     total: u64,
-    buf: VecDeque<Op>,
+    /// Scratch for one request's page touches, reused across requests.
+    touches: Vec<Touch>,
+    buf: OpBuf,
 }
 
 impl AccessStream for YcsbStream {
     fn next_op(&mut self) -> Op {
         loop {
-            if let Some(op) = self.buf.pop_front() {
+            if let Some(op) = self.buf.pop() {
                 return op;
             }
             if self.remaining == 0 {
@@ -203,27 +208,23 @@ impl AccessStream for YcsbStream {
 
             let item = self.zipf.next_item() as u32;
             let is_update = self.rng.random_bool(self.cfg.mix.update_fraction());
-            let plan = if is_update {
-                self.store.update_plan(item)
-            } else {
-                self.store.get_plan(item)
-            };
+            let cpu_ns = self.store.plan_into(item, is_update, &mut self.touches);
             let class = if is_update {
                 ReqClass::Write
             } else {
                 ReqClass::Read
             };
-            self.buf.push_back(Op::RequestStart { class, warmup });
-            let n = plan.touches.len() as u64;
-            for t in plan.touches {
-                self.buf.push_back(Op::Access {
+            self.buf.push(Op::RequestStart { class, warmup });
+            let cpu_per_touch = (cpu_ns / self.touches.len() as u64) as u32;
+            for t in &self.touches {
+                self.buf.push(Op::Access {
                     space: AsId(0),
                     vpn: t.vpn,
                     write: t.write,
-                    cpu_ns: (plan.cpu_ns / n) as u32,
+                    cpu_ns: cpu_per_touch,
                 });
             }
-            self.buf.push_back(Op::RequestEnd);
+            self.buf.push(Op::RequestEnd);
         }
     }
 }

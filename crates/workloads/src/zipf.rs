@@ -12,7 +12,70 @@ use pagesim_engine::rng::splitmix64;
 /// YCSB's default skew constant.
 pub const YCSB_THETA: f64 = 0.99;
 
-/// A zipfian distribution over `0..n` with parameter θ.
+/// The constants of a zipfian distribution over `0..n` with parameter θ.
+///
+/// Computing them sums `n` powers (`zeta(n)`), so a workload computes them
+/// once and hands a copy to every generator it seeds.
+#[derive(Clone, Copy, Debug)]
+pub struct ZipfianDist {
+    n: u64,
+    alpha: f64,
+    zetan: f64,
+    eta: f64,
+    /// `0.5^θ`: rank 1's share relative to rank 0's.
+    half_pow_theta: f64,
+}
+
+impl ZipfianDist {
+    /// The distribution over `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or θ is not in `(0, 1)`.
+    pub fn new(n: u64, theta: f64) -> Self {
+        assert!(n > 0, "empty domain");
+        assert!(
+            (0.0..1.0).contains(&theta) && theta > 0.0,
+            "theta must be in (0,1)"
+        );
+        let zetan = Self::zeta(n, theta);
+        let zeta2 = Self::zeta(2, theta);
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        ZipfianDist {
+            n,
+            alpha,
+            zetan,
+            eta,
+            half_pow_theta: 0.5f64.powf(theta),
+        }
+    }
+
+    fn zeta(n: u64, theta: f64) -> f64 {
+        // Direct sum; domains in this simulator are ≤ a few million.
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
+    /// The rank of a uniform draw `u` in `[0, 1)`: 0 is the most popular.
+    fn rank(&self, u: f64) -> u64 {
+        let uz = u * self.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + self.half_pow_theta {
+            return 1;
+        }
+        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        rank.min(self.n - 1)
+    }
+
+    /// Domain size.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+}
+
+/// A zipfian generator over `0..n` with parameter θ.
 ///
 /// ```rust
 /// use pagesim_workloads::zipf::Zipfian;
@@ -22,11 +85,7 @@ pub const YCSB_THETA: f64 = 0.99;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Zipfian {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
+    dist: ZipfianDist,
     rng: SmallRng,
 }
 
@@ -37,44 +96,24 @@ impl Zipfian {
     ///
     /// Panics if `n == 0` or θ is not in `(0, 1)`.
     pub fn new(n: u64, theta: f64, seed: u64) -> Self {
-        assert!(n > 0, "empty domain");
-        assert!((0.0..1.0).contains(&theta) && theta > 0.0, "theta must be in (0,1)");
-        let zetan = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(2, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        Self::from_dist(ZipfianDist::new(n, theta), seed)
+    }
+
+    fn from_dist(dist: ZipfianDist, seed: u64) -> Self {
         Zipfian {
-            n,
-            theta,
-            alpha,
-            zetan,
-            eta,
+            dist,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    fn zeta(n: u64, theta: f64) -> f64 {
-        // Direct sum; domains in this simulator are ≤ a few million.
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-    }
-
     /// Draws a rank: 0 is the most popular.
     pub fn next_rank(&mut self) -> u64 {
-        let u: f64 = self.rng.random();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        rank.min(self.n - 1)
+        self.dist.rank(self.rng.random())
     }
 
     /// Domain size.
     pub fn n(&self) -> u64 {
-        self.n
+        self.dist.n()
     }
 }
 
@@ -89,8 +128,13 @@ pub struct ScrambledZipfian {
 impl ScrambledZipfian {
     /// Creates a scrambled generator over `0..n` with YCSB's θ.
     pub fn new(n: u64, seed: u64) -> Self {
+        Self::from_dist(ZipfianDist::new(n, YCSB_THETA), seed)
+    }
+
+    /// Creates a scrambled generator drawing ranks from `dist`.
+    pub fn from_dist(dist: ZipfianDist, seed: u64) -> Self {
         ScrambledZipfian {
-            inner: Zipfian::new(n, YCSB_THETA, seed),
+            inner: Zipfian::from_dist(dist, seed),
         }
     }
 
