@@ -19,8 +19,10 @@ use pagesim_policy::memview::tests_support::FakeMem;
 use pagesim_policy::{BloomFilter, ClockLru, CostModel, Links, MgLru, MgLruConfig, PageList, Policy};
 use pagesim_stats::LatencyHistogram;
 use pagesim_swap::{compress, page_for_class};
+use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
 use pagesim_workloads::zipf::ScrambledZipfian;
+use pagesim_workloads::{Op, Workload};
 
 fn bench_bloom(c: &mut Criterion) {
     let mut g = c.benchmark_group("bloom");
@@ -72,6 +74,48 @@ fn bench_zipf(c: &mut Criterion) {
         let mut z = ScrambledZipfian::new(1_000_000, 7);
         b.iter(|| black_box(z.next_item()));
     });
+}
+
+/// Op delivery: every stream of a default-config PageRank trial drained
+/// to the end (about 7 M ops), one virtual call per op against one per
+/// batch. Building the streams is untimed.
+fn bench_streams(c: &mut Criterion) {
+    let mut g = c.benchmark_group("streams");
+    let workload = PageRankWorkload::new(PageRankConfig::default(), 0xD00D);
+    g.bench_function("drain_next_op", |b| {
+        b.iter_batched(
+            || workload.streams(1),
+            |streams| {
+                let mut ops = 0u64;
+                for mut s in streams {
+                    while s.next_op() != Op::Done {
+                        ops += 1;
+                    }
+                }
+                ops
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.bench_function("drain_next_batch", |b| {
+        let mut batch = Vec::new();
+        b.iter_batched(
+            || workload.streams(1),
+            |streams| {
+                let mut ops = 0u64;
+                for mut s in streams {
+                    s.next_batch(&mut batch);
+                    while batch != [Op::Done] {
+                        ops += batch.len() as u64;
+                        s.next_batch(&mut batch);
+                    }
+                }
+                ops
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.finish();
 }
 
 fn bench_compress(c: &mut Criterion) {
@@ -215,7 +259,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_bloom, bench_page_list, bench_zipf, bench_compress,
+    targets = bench_bloom, bench_page_list, bench_zipf, bench_streams, bench_compress,
               bench_histogram, bench_event_queue, bench_reclaim, bench_end_to_end
 }
 criterion_main!(benches);

@@ -5,9 +5,10 @@
 //! ## Execution model
 //!
 //! The kernel is a discrete-event simulation. When a thread is dispatched
-//! onto a core it runs a *slice*: ops are consumed from its access stream
-//! until the time-slice budget is spent, the thread blocks (fault I/O,
-//! barrier, frame starvation), or it finishes. Slice effects are applied
+//! onto a core it runs a *slice*: ops are consumed from the batch it took
+//! from its access stream, refilled a batch at a time, until the
+//! time-slice budget is spent, the thread blocks (fault I/O, barrier,
+//! frame starvation), or it finishes. Slice effects are applied
 //! at dispatch using the slice's *virtual* timestamps (`now + used`);
 //! cross-thread interleaving is therefore accurate to within one quantum,
 //! which is far below every latency of interest (SSD ops are 7.5 ms).
@@ -185,7 +186,12 @@ enum Event {
 enum ThreadBody {
     App {
         stream: Box<dyn AccessStream>,
-        pending: Option<Op>,
+        /// The batch being executed, from [`AccessStream::next_batch`].
+        ops: Vec<Op>,
+        /// The next op of `ops` to execute. An op interrupted by
+        /// preemption or frame starvation stays under the cursor and is
+        /// retried at the next dispatch.
+        pos: usize,
         request: Option<(ReqClass, SimTime, bool)>,
     },
     Kswapd,
@@ -349,7 +355,8 @@ impl Kernel {
             debug_assert_eq!(tid.0 as usize, bodies.len());
             bodies.push(ThreadBody::App {
                 stream,
-                pending: None,
+                ops: Vec::new(),
+                pos: 0,
                 request: None,
             });
             sched.make_runnable(tid);
@@ -688,34 +695,56 @@ impl Kernel {
             // retire without consuming further ops.
             return (0, SliceOutcome::Finished);
         }
+        // The batch leaves the thread's body for the slice, so the op loop
+        // can borrow the kernel freely.
+        let ThreadBody::App { ops, pos, .. } = &mut self.bodies[tid.0 as usize] else {
+            unreachable!("app slice on kernel thread")
+        };
+        let (mut batch, mut at) = (std::mem::take(ops), *pos);
+        let slice = self.run_ops(tid, &mut batch, &mut at);
+        if let ThreadBody::App { ops, pos, .. } = &mut self.bodies[tid.0 as usize] {
+            (*ops, *pos) = (batch, at);
+        }
+        slice
+    }
+
+    /// Executes `ops` from `pos` until the slice ends. An op that is
+    /// consumed advances `pos`; one that must be retried (preempted before
+    /// it starts, starved of a frame) leaves it in place, and a `Compute`
+    /// split at the quantum is rewritten in place to its remainder.
+    fn run_ops(
+        &mut self,
+        tid: ThreadId,
+        ops: &mut Vec<Op>,
+        pos: &mut usize,
+    ) -> (Nanos, SliceOutcome) {
         let budget = self.sched.quantum();
         let mut used: Nanos = 0;
         loop {
-            // Pull the next op (a pending op was interrupted by preemption
-            // or frame starvation and must be retried).
-            let op = {
-                let ThreadBody::App { stream, pending, .. } = &mut self.bodies[tid.0 as usize]
-                else {
-                    unreachable!("app slice on kernel thread")
+            if *pos == ops.len() {
+                // A new batch only once every op of the last one ran: the
+                // moment a per-op drain would generate it, so state the
+                // streams share is read in the same order (see
+                // `AccessStream`).
+                let ThreadBody::App { stream, .. } = &mut self.bodies[tid.0 as usize] else {
+                    unreachable!()
                 };
-                match pending.take() {
-                    Some(op) => op,
-                    None => stream.next_op(),
-                }
-            };
-            match op {
+                stream.next_batch(ops);
+                *pos = 0;
+            }
+            let op = ops[*pos];
+            // `Some` ends the slice once the op is consumed.
+            let stop = match op {
                 Op::Compute { cpu_ns } => {
                     let room = budget.saturating_sub(used);
                     if cpu_ns > room {
-                        used = budget;
-                        let ThreadBody::App { pending, .. } = &mut self.bodies[tid.0 as usize]
-                        else {
-                            unreachable!()
+                        ops[*pos] = Op::Compute {
+                            cpu_ns: cpu_ns - room,
                         };
-                        *pending = Some(Op::Compute { cpu_ns: cpu_ns - room });
-                        return (used, SliceOutcome::Preempted);
+                        return (budget, SliceOutcome::Preempted);
                     }
                     used += cpu_ns;
+                    None
                 }
                 Op::Access {
                     space,
@@ -730,29 +759,16 @@ impl Kernel {
                     cpu_ns,
                 } => {
                     if used + cpu_ns as u64 > budget {
-                        let ThreadBody::App { pending, .. } = &mut self.bodies[tid.0 as usize]
-                        else {
-                            unreachable!()
-                        };
-                        *pending = Some(op);
                         return (budget, SliceOutcome::Preempted);
                     }
                     used += cpu_ns as u64;
                     let fd = matches!(op, Op::FdAccess { .. });
                     match self.touch(tid, space, vpn, write, fd, &mut used) {
-                        TouchResult::Hit => {}
-                        TouchResult::BlockedIo => return (used, SliceOutcome::Blocked),
-                        TouchResult::Starved => {
-                            // Retry the whole access once frames free up.
-                            let ThreadBody::App { pending, .. } =
-                                &mut self.bodies[tid.0 as usize]
-                            else {
-                                unreachable!()
-                            };
-                            *pending = Some(op);
-                            return (used, SliceOutcome::Blocked);
-                        }
-                        TouchResult::Killed => return (used, SliceOutcome::Finished),
+                        TouchResult::Hit => None,
+                        TouchResult::BlockedIo => Some(SliceOutcome::Blocked),
+                        // Retry the whole access once frames free up.
+                        TouchResult::Starved => return (used, SliceOutcome::Blocked),
+                        TouchResult::Killed => Some(SliceOutcome::Finished),
                     }
                 }
                 Op::Barrier { id } => {
@@ -762,8 +778,9 @@ impl Kernel {
                             for w in waiters {
                                 self.sched.make_runnable(w);
                             }
+                            None
                         }
-                        None => return (used, SliceOutcome::Blocked),
+                        None => Some(SliceOutcome::Blocked),
                     }
                 }
                 Op::RequestStart { class, warmup } => {
@@ -776,6 +793,7 @@ impl Kernel {
                         self.metrics.error.get_or_insert(SimError::NestedRequest);
                     }
                     *request = Some((class, at, warmup));
+                    None
                 }
                 Op::RequestEnd => {
                     let at = self.now + used;
@@ -783,21 +801,30 @@ impl Kernel {
                     else {
                         unreachable!()
                     };
-                    let Some((class, start, warmup)) = request.take() else {
-                        self.metrics
-                            .error
-                            .get_or_insert(SimError::RequestWithoutStart);
-                        continue;
-                    };
-                    if !warmup {
-                        let latency = at.saturating_since(start).max(1);
-                        match class {
-                            ReqClass::Read => self.metrics.read_latency.record(latency),
-                            ReqClass::Write => self.metrics.write_latency.record(latency),
+                    match request.take() {
+                        Some((class, start, warmup)) => {
+                            if !warmup {
+                                let latency = at.saturating_since(start).max(1);
+                                match class {
+                                    ReqClass::Read => self.metrics.read_latency.record(latency),
+                                    ReqClass::Write => self.metrics.write_latency.record(latency),
+                                }
+                            }
+                        }
+                        None => {
+                            self.metrics
+                                .error
+                                .get_or_insert(SimError::RequestWithoutStart);
                         }
                     }
+                    None
                 }
+                // Not consumed: a finished stream stays finished.
                 Op::Done => return (used, SliceOutcome::Finished),
+            };
+            *pos += 1;
+            if let Some(outcome) = stop {
+                return (used, outcome);
             }
             if used >= budget {
                 return (used, SliceOutcome::Preempted);
@@ -1629,10 +1656,13 @@ enum TouchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultConfig, PolicyChoice};
+    use crate::config::{AppCosts, FaultConfig, PolicyChoice};
     use pagesim_engine::{FaultPlan, StallPlan, SECOND};
     use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
     use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
+    use pagesim_workloads::{OpBuf, SpaceSpec};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn cfg(policy: PolicyChoice, swap: SwapChoice, ratio: f64) -> SystemConfig {
         SystemConfig::new(policy, swap)
@@ -1726,6 +1756,101 @@ mod tests {
         let w = TpchWorkload::new(TpchConfig::tiny());
         let m = Kernel::build(&cfg(PolicyChoice::Clock, SwapChoice::Zram, 0.5), &w, 1).run();
         assert!(m.clean_drops > 0, "swap-cache fast path never used");
+    }
+
+    /// One thread on eight pages: a two-and-a-half-quantum `Compute` in
+    /// its first batch; then two first touches (the second too long for
+    /// what is left of its slice), a resident store and a one-party
+    /// barrier in its second.
+    struct SliceProgram {
+        refills: Arc<AtomicU32>,
+    }
+
+    struct SliceProgramStream {
+        batch: u32,
+        buf: OpBuf,
+        refills: Arc<AtomicU32>,
+    }
+
+    impl AccessStream for SliceProgramStream {
+        fn refill(&mut self) -> bool {
+            self.refills.fetch_add(1, Ordering::Relaxed);
+            let touch = |vpn, write, cpu_ns| Op::Access {
+                space: AsId(0),
+                vpn,
+                write,
+                cpu_ns,
+            };
+            self.batch += 1;
+            match self.batch {
+                1 => self.buf.push(Op::Compute {
+                    cpu_ns: 2 * MILLISECOND + MILLISECOND / 2,
+                }),
+                2 => {
+                    self.buf.push(touch(0, false, 100));
+                    self.buf.push(touch(1, false, 600 * MICROSECOND as u32));
+                    self.buf.push(touch(0, true, 100));
+                    self.buf.push(Op::Barrier { id: 0 });
+                }
+                _ => return false,
+            }
+            true
+        }
+
+        fn buf(&mut self) -> &mut OpBuf {
+            &mut self.buf
+        }
+    }
+
+    impl Workload for SliceProgram {
+        fn name(&self) -> String {
+            "slice-program".to_owned()
+        }
+
+        fn spaces(&self) -> Vec<SpaceSpec> {
+            vec![SpaceSpec {
+                pages: 8,
+                annotations: Vec::new(),
+            }]
+        }
+
+        fn barriers(&self) -> Vec<usize> {
+            vec![1]
+        }
+
+        fn streams(&self, _seed: u64) -> Vec<Box<dyn AccessStream>> {
+            vec![Box::new(SliceProgramStream {
+                batch: 0,
+                buf: Default::default(),
+                refills: Arc::clone(&self.refills),
+            })]
+        }
+    }
+
+    #[test]
+    fn slice_loop_splits_compute_retries_preempted_access_and_stops_at_done() {
+        let w = SliceProgram {
+            refills: Default::default(),
+        };
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Zram, 1.0);
+        assert_eq!(c.quantum, MILLISECOND);
+        let m = Kernel::build(&c, &w, 1).run();
+        let costs = AppCosts::default();
+        // Slices 1-2: a quantum of the compute each. Slice 3: its last half
+        // quantum and the first touch; the second touch does not fit and
+        // the slice is charged in full. Slice 4: the second touch, the
+        // store (a hit on the page the first touch mapped), the barrier.
+        let last =
+            600 * MICROSECOND + costs.minor_fault_ns + 100 + costs.mem_access_ns + costs.barrier_ns;
+        assert_eq!(m.app_cpu_ns, 3 * MILLISECOND + last);
+        assert_eq!(m.runtime_ns, 3 * MILLISECOND + last);
+        assert_eq!(m.minor_faults, 2);
+        // Only resident touches count as accesses; first touches are faults.
+        assert_eq!(m.accesses, 1);
+        assert_eq!(m.error, None);
+        // Two batches, then one refill that reports the stream done: the
+        // finished thread is never asked again.
+        assert_eq!(w.refills.load(Ordering::Relaxed), 3);
     }
 
     // ------------------------------------------------------------

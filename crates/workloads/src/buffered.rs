@@ -153,14 +153,13 @@ impl BufferedIoStream {
 }
 
 impl AccessStream for BufferedIoStream {
-    fn next_op(&mut self) -> Op {
+    /// One batch is one step: a streamed cold page, its hot re-reads and
+    /// one anonymous touch.
+    fn refill(&mut self) -> bool {
         loop {
-            if let Some(op) = self.buf.pop() {
-                return op;
-            }
             let (lo, hi) = self.my_slice();
             if self.pass >= self.cfg.passes {
-                return Op::Done;
+                return false;
             }
             // Each pass streams a *different* segment of this thread's
             // slice (read-once data, like a log scan): the cold stream
@@ -200,7 +199,12 @@ impl AccessStream for BufferedIoStream {
                 write: self.rng.random_bool(0.3),
                 cpu_ns: self.cfg.cpu_per_touch_ns,
             });
+            return true;
         }
+    }
+
+    fn buf(&mut self) -> &mut OpBuf {
+        &mut self.buf
     }
 }
 

@@ -22,7 +22,7 @@
 //!
 //! A workload describes its address spaces ([`SpaceSpec`]) and yields one
 //! [`AccessStream`] per simulated thread; the kernel executes the streams'
-//! [`Op`]s. All randomness derives from the trial seed.
+//! [`Op`]s, a batch at a time. All randomness derives from the trial seed.
 
 
 pub mod buffered;
@@ -118,30 +118,81 @@ pub struct SpaceSpec {
 }
 
 /// A deterministic generator of [`Op`]s for one simulated thread.
+///
+/// A stream generates its ops in *batches*: one PageRank vertex chunk or
+/// barrier, one TPC-H stage, one YCSB request, one buffered-I/O step.
+/// [`refill`](AccessStream::refill) is its one generation routine; it
+/// writes the next batch into the stream's [`OpBuf`]. The two drains are
+/// provided on top of it:
+///
+/// * [`next_op`](AccessStream::next_op) hands out one op at a time;
+/// * [`next_batch`](AccessStream::next_batch) hands over the whole
+///   undrained batch at once, by swapping `Vec`s, so a caller that drains
+///   batch after batch neither copies nor allocates in steady state.
+///
+/// Both drains generate a batch only when the previous one is spent, and
+/// both yield the same ops in the same order. The timing matters:
+/// streams of one workload may share generator state (PageRank's threads
+/// take vertex chunks from shared per-iteration counters), so the op
+/// sequences depend on the order in which the streams refill. Because a
+/// refill happens exactly when a per-op caller would have asked for the
+/// first op of the next batch, a caller that asks for a new batch only
+/// once it has executed every op of the last one sees the shared state
+/// read in the same order as a per-op caller, and the same ops.
 pub trait AccessStream {
-    /// The next operation. After returning [`Op::Done`] it must keep
+    /// Writes the stream's next batch, at least one op, into
+    /// [`buf`](AccessStream::buf), and returns `true`; returns `false`,
+    /// writing nothing, once the stream is done (and on every later call).
+    /// Called only when the buffer is drained.
+    fn refill(&mut self) -> bool;
+
+    /// The buffer [`refill`](AccessStream::refill) writes into.
+    fn buf(&mut self) -> &mut OpBuf;
+
+    /// The next operation. After returning [`Op::Done`] it keeps
     /// returning `Done`.
-    fn next_op(&mut self) -> Op;
+    fn next_op(&mut self) -> Op {
+        loop {
+            if let Some(op) = self.buf().pop() {
+                return op;
+            }
+            if !self.refill() {
+                return Op::Done;
+            }
+        }
+    }
+
+    /// Replaces the contents of `out` with every op of the current batch
+    /// not yet handed out, generating the next batch first if none are
+    /// left. Once the stream is done, `out` holds just [`Op::Done`].
+    fn next_batch(&mut self, out: &mut Vec<Op>) {
+        while !self.buf().take_into(out) {
+            if !self.refill() {
+                out.push(Op::Done);
+                return;
+            }
+        }
+    }
 }
 
 /// The ops a stream has generated but not yet handed out: a `Vec` plus a
-/// read cursor. A stream fills it only once it is drained, and draining
+/// read cursor. A stream refills it only once it is drained, and draining
 /// clears it, so its capacity is reused from one batch to the next.
 #[derive(Debug, Default)]
-pub(crate) struct OpBuf {
+pub struct OpBuf {
     ops: Vec<Op>,
     next: usize,
 }
 
 impl OpBuf {
     /// Appends an op to the batch.
-    pub(crate) fn push(&mut self, op: Op) {
+    pub fn push(&mut self, op: Op) {
         self.ops.push(op);
     }
 
     /// The next buffered op, or `None` (leaving the buffer empty) once
     /// every op has been handed out.
-    pub(crate) fn pop(&mut self) -> Option<Op> {
+    fn pop(&mut self) -> Option<Op> {
         let op = self.ops.get(self.next).copied();
         match op {
             Some(_) => self.next += 1,
@@ -151,6 +202,22 @@ impl OpBuf {
             }
         }
         op
+    }
+
+    /// Moves every op not yet handed out into `out`, replacing its
+    /// contents, and leaves the buffer empty; returns whether any op moved.
+    /// An undrained batch trades storage with `out` instead of being
+    /// copied, so the buffer keeps `out`'s old capacity for its next batch.
+    fn take_into(&mut self, out: &mut Vec<Op>) -> bool {
+        out.clear();
+        if self.next == 0 {
+            std::mem::swap(&mut self.ops, out);
+        } else {
+            out.extend_from_slice(&self.ops[self.next..]);
+            self.ops.clear();
+            self.next = 0;
+        }
+        !out.is_empty()
     }
 }
 
@@ -177,6 +244,49 @@ pub trait Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Emits `batches` batches of three barrier ops.
+    struct Barriers {
+        batches: u32,
+        buf: OpBuf,
+    }
+
+    impl AccessStream for Barriers {
+        fn refill(&mut self) -> bool {
+            if self.batches == 0 {
+                return false;
+            }
+            self.batches -= 1;
+            for id in 0..3 {
+                self.buf.push(Op::Barrier { id });
+            }
+            true
+        }
+
+        fn buf(&mut self) -> &mut OpBuf {
+            &mut self.buf
+        }
+    }
+
+    #[test]
+    fn next_batch_hands_over_what_next_op_left() {
+        let barriers = |ids: &[usize]| ids.iter().map(|&id| Op::Barrier { id }).collect::<Vec<_>>();
+        let mut s = Barriers {
+            batches: 2,
+            buf: OpBuf::default(),
+        };
+        let mut out = vec![Op::RequestEnd];
+        assert_eq!(s.next_op(), Op::Barrier { id: 0 });
+        s.next_batch(&mut out);
+        assert_eq!(out, barriers(&[1, 2]));
+        s.next_batch(&mut out);
+        assert_eq!(out, barriers(&[0, 1, 2]));
+        s.next_batch(&mut out);
+        assert_eq!(out, [Op::Done]);
+        s.next_batch(&mut out);
+        assert_eq!(out, [Op::Done]);
+        assert_eq!(s.next_op(), Op::Done);
+    }
 
     #[test]
     fn ops_are_small() {

@@ -323,7 +323,6 @@ impl Workload for PageRankWorkload {
                     nbr_salt: derive_seed(seed, &format!("pr-nbr-{t}")),
                     iteration: 0,
                     buf: OpBuf::default(),
-                    done: false,
                 }) as Box<dyn AccessStream>
             })
             .collect()
@@ -344,7 +343,6 @@ struct PageRankStream {
     nbr_salt: u64,
     iteration: u32,
     buf: OpBuf,
-    done: bool,
 }
 
 impl PageRankStream {
@@ -411,28 +409,26 @@ impl PageRankStream {
 }
 
 impl AccessStream for PageRankStream {
-    fn next_op(&mut self) -> Op {
-        loop {
-            if let Some(op) = self.buf.pop() {
-                return op;
-            }
-            if self.done {
-                return Op::Done;
-            }
-            if self.iteration >= self.cfg.iterations {
-                self.done = true;
-                return Op::Done;
-            }
-            // Grab the next chunk of this iteration (dynamic scheduling).
-            let chunk = self.counters[self.iteration as usize].fetch_add(1, Ordering::Relaxed);
-            if chunk >= self.nchunks {
-                // Iteration exhausted: converge at the barrier.
-                self.iteration += 1;
-                self.buf.push(Op::Barrier { id: 0 });
-            } else {
-                self.fill_chunk(chunk);
-            }
+    /// One batch is one vertex chunk, or the barrier that ends an
+    /// iteration once its chunks run out.
+    fn refill(&mut self) -> bool {
+        if self.iteration >= self.cfg.iterations {
+            return false;
         }
+        // Grab the next chunk of this iteration (dynamic scheduling).
+        let chunk = self.counters[self.iteration as usize].fetch_add(1, Ordering::Relaxed);
+        if chunk >= self.nchunks {
+            // Iteration exhausted: converge at the barrier.
+            self.iteration += 1;
+            self.buf.push(Op::Barrier { id: 0 });
+        } else {
+            self.fill_chunk(chunk);
+        }
+        true
+    }
+
+    fn buf(&mut self) -> &mut OpBuf {
+        &mut self.buf
     }
 }
 

@@ -206,7 +206,6 @@ struct TpchStream {
     buf: OpBuf,
     stage: u32,
     total_stages: u32,
-    done: bool,
 }
 
 impl TpchStream {
@@ -220,7 +219,6 @@ impl TpchStream {
             buf: OpBuf::default(),
             stage: 0,
             total_stages: cfg.queries * cfg.stages_per_query,
-            done: false,
         }
     }
 
@@ -349,18 +347,18 @@ impl TpchStream {
 }
 
 impl AccessStream for TpchStream {
-    fn next_op(&mut self) -> Op {
-        loop {
-            if let Some(op) = self.buf.pop() {
-                return op;
-            }
-            if self.done || self.stage >= self.total_stages {
-                self.done = true;
-                return Op::Done;
-            }
-            self.fill_stage();
-            self.stage += 1;
+    /// One batch is one stage, ending in its barrier.
+    fn refill(&mut self) -> bool {
+        if self.stage >= self.total_stages {
+            return false;
         }
+        self.fill_stage();
+        self.stage += 1;
+        true
+    }
+
+    fn buf(&mut self) -> &mut OpBuf {
+        &mut self.buf
     }
 }
 

@@ -193,39 +193,40 @@ struct YcsbStream {
 }
 
 impl AccessStream for YcsbStream {
-    fn next_op(&mut self) -> Op {
-        loop {
-            if let Some(op) = self.buf.pop() {
-                return op;
-            }
-            if self.remaining == 0 {
-                return Op::Done;
-            }
-            let served = self.total - self.remaining;
-            let warmup =
-                (served as f64) < self.cfg.warmup_fraction * self.total as f64;
-            self.remaining -= 1;
-
-            let item = self.zipf.next_item() as u32;
-            let is_update = self.rng.random_bool(self.cfg.mix.update_fraction());
-            let cpu_ns = self.store.plan_into(item, is_update, &mut self.touches);
-            let class = if is_update {
-                ReqClass::Write
-            } else {
-                ReqClass::Read
-            };
-            self.buf.push(Op::RequestStart { class, warmup });
-            let cpu_per_touch = (cpu_ns / self.touches.len() as u64) as u32;
-            for t in &self.touches {
-                self.buf.push(Op::Access {
-                    space: AsId(0),
-                    vpn: t.vpn,
-                    write: t.write,
-                    cpu_ns: cpu_per_touch,
-                });
-            }
-            self.buf.push(Op::RequestEnd);
+    /// One batch is one request: its start marker, its page touches and
+    /// its end marker.
+    fn refill(&mut self) -> bool {
+        if self.remaining == 0 {
+            return false;
         }
+        let served = self.total - self.remaining;
+        let warmup = (served as f64) < self.cfg.warmup_fraction * self.total as f64;
+        self.remaining -= 1;
+
+        let item = self.zipf.next_item() as u32;
+        let is_update = self.rng.random_bool(self.cfg.mix.update_fraction());
+        let cpu_ns = self.store.plan_into(item, is_update, &mut self.touches);
+        let class = if is_update {
+            ReqClass::Write
+        } else {
+            ReqClass::Read
+        };
+        self.buf.push(Op::RequestStart { class, warmup });
+        let cpu_per_touch = (cpu_ns / self.touches.len() as u64) as u32;
+        for t in &self.touches {
+            self.buf.push(Op::Access {
+                space: AsId(0),
+                vpn: t.vpn,
+                write: t.write,
+                cpu_ns: cpu_per_touch,
+            });
+        }
+        self.buf.push(Op::RequestEnd);
+        true
+    }
+
+    fn buf(&mut self) -> &mut OpBuf {
+        &mut self.buf
     }
 }
 

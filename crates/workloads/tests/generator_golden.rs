@@ -10,6 +10,10 @@
 //! digests and op counts were computed from the generators before they
 //! were made table-driven and allocation-free; a mismatch means some
 //! emitted `Op` changed.
+//!
+//! The digests drain through `AccessStream::next_op`; the kernel drains
+//! through `AccessStream::next_batch`. `batch_and_op_drains_agree` checks
+//! that the two hand out the same ops.
 
 use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
@@ -89,6 +93,64 @@ fn digest(w: &dyn Workload, seed: u64) -> (u64, u64) {
         });
     }
     (h, n)
+}
+
+/// Drains each of a workload's streams alone, to the end, through
+/// `next_batch`, beside a twin stream (from a second `streams` call, so
+/// shared generator state is not shared between the twins) drained
+/// through `next_op`, and checks that both hand out the same ops.
+fn check_drains_agree(w: &dyn Workload, seed: u64) {
+    let name = w.name();
+    let mut batch = Vec::new();
+    let twins = w.streams(seed).into_iter().zip(w.streams(seed));
+    for (i, (mut by_batch, mut by_op)) in twins.enumerate() {
+        let mut n = 0u64;
+        loop {
+            by_batch.next_batch(&mut batch);
+            assert!(!batch.is_empty(), "{name} stream {i}: empty batch");
+            for &op in &batch {
+                assert_eq!(op, by_op.next_op(), "{name} seed {seed} stream {i} op {n}");
+                n += 1;
+            }
+            if batch == [Op::Done] {
+                break;
+            }
+            assert!(
+                !batch.contains(&Op::Done),
+                "{name} stream {i}: Done inside a batch"
+            );
+        }
+        by_batch.next_batch(&mut batch);
+        assert_eq!(batch, [Op::Done], "{name} stream {i}: Done is not sticky");
+        assert_eq!(
+            by_op.next_op(),
+            Op::Done,
+            "{name} stream {i}: Done is not sticky"
+        );
+    }
+}
+
+#[test]
+fn batch_and_op_drains_agree() {
+    let workloads: Vec<Box<dyn Workload>> = vec![
+        Box::new(TpchWorkload::new(TpchConfig::tiny())),
+        Box::new(TpchWorkload::new(TpchConfig::default())),
+        Box::new(PageRankWorkload::new(PageRankConfig::tiny(), 7)),
+        Box::new(PageRankWorkload::new(PageRankConfig::default(), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::tiny(YcsbMix::A), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::tiny(YcsbMix::B), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::tiny(YcsbMix::C), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::with_mix(YcsbMix::A), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::with_mix(YcsbMix::B), 7)),
+        Box::new(YcsbWorkload::new(YcsbConfig::with_mix(YcsbMix::C), 7)),
+        Box::new(BufferedIoWorkload::new(BufferedIoConfig::tiny())),
+        Box::new(BufferedIoWorkload::new(BufferedIoConfig::default())),
+    ];
+    for w in &workloads {
+        for seed in [1, 2] {
+            check_drains_agree(w.as_ref(), seed);
+        }
+    }
 }
 
 /// Checks `(workload seed, stream seed) -> (digest, ops)` for each case.
