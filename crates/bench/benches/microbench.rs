@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use pagesim::{Experiment, PolicyChoice, SwapChoice, SystemConfig};
 use pagesim_engine::{EventQueue, SimTime};
-use pagesim_mem::{AsId, EntropyClass};
+use pagesim_mem::{AddressSpace, AsId, EntropyClass, PageArena, PTES_PER_REGION, WORDS_PER_REGION};
 use pagesim_policy::memview::tests_support::FakeMem;
 use pagesim_policy::{BloomFilter, ClockLru, CostModel, Links, MgLru, MgLruConfig, PageList, Policy};
 use pagesim_stats::LatencyHistogram;
@@ -226,6 +226,64 @@ fn bench_reclaim(c: &mut Criterion) {
     g.finish();
 }
 
+/// PMD regions in the scan benches' space: 8,192 PTEs.
+const SCAN_REGIONS: u32 = 16;
+
+/// A space whose 512-PTE regions cycle through four populations:
+/// unmapped, mapped and cold, and (twice) mapped with one PTE in three
+/// young. Cold regions take the scans' no-young-PTEs fast path.
+fn scan_space() -> AddressSpace {
+    let pages = SCAN_REGIONS * PTES_PER_REGION as u32;
+    let mut space = AddressSpace::new(AsId(0), pages, &mut PageArena::new());
+    for vpn in 0..pages {
+        let kind = vpn / PTES_PER_REGION as u32 % 4;
+        if kind > 0 {
+            space.map(vpn, vpn);
+        }
+        if kind > 1 && vpn % 3 == 0 {
+            space.mark_accessed(vpn, false);
+        }
+    }
+    space
+}
+
+/// The word-level accessed-bit scans: MG-LRU's aging walk harvests whole
+/// regions (`scan_region`), its eviction scan single 8-PTE lines
+/// (`scan_line_mask`). Each iteration scans a freshly populated space
+/// (untimed setup), so every iteration harvests the same bits.
+fn bench_scan(c: &mut Criterion) {
+    let mut g = c.benchmark_group("scan");
+    g.bench_function("region", |b| {
+        b.iter_batched(
+            scan_space,
+            |mut space| {
+                let mut words = [0u64; WORDS_PER_REGION];
+                let mut examined = 0u32;
+                for region in 0..space.regions() {
+                    examined += space.scan_region(region, &mut words);
+                    black_box(&words);
+                }
+                (examined, space)
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.bench_function("line_mask", |b| {
+        b.iter_batched(
+            scan_space,
+            |mut space| {
+                let mut young = 0u32;
+                for line in 0..space.lines() {
+                    young += space.scan_line_mask(line).0.count_ones();
+                }
+                (young, space)
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.finish();
+}
+
 /// End-to-end: one tiny workload execution (the unit of every figure).
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end");
@@ -260,6 +318,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_bloom, bench_page_list, bench_zipf, bench_streams, bench_compress,
-              bench_histogram, bench_event_queue, bench_reclaim, bench_end_to_end
+              bench_histogram, bench_event_queue, bench_scan, bench_reclaim, bench_end_to_end
 }
 criterion_main!(benches);

@@ -9,9 +9,6 @@
 //! repro trace <fig> [--cell N] [--trial N] [--trace-out FILE]...
 //!       [--sample-interval NS] [--trace-events N] [--list]
 //! repro vmstat <fig>
-//! repro bench [--bench-scale quick|default] [--out FILE]
-//!       [--check FILE] [--min-samples N] [--max-samples N]
-//!       [--gate-slack F] [--gate-slack-scan F] [--commit SHA] [--list]
 //! ```
 //!
 //! Each figure subcommand prints the same normalized series the
@@ -51,16 +48,13 @@
 //! Like the figures, the report is byte-identical for any `--jobs` value
 //! and cache state (CI golden-diffs `vmstat_fig1.txt`).
 //!
-//! The `bench` subcommand runs the statistically-converged benchmark
-//! matrix (`pagesim_bench::repro_bench`): each metric is sampled until its
-//! 95% CI is narrower than 10% of the mean (hard cap ⇒ `converged: false`)
-//! and appended as a commit-stamped entry to `BENCH_pagesim.json`.
-//! `--check FILE` instead compares the run against FILE's last entry and
-//! fails when any tracked metric regresses beyond the combined noise band.
+//! Host performance is measured by `pagebench` (see `BENCHMARK.json`),
+//! not by this binary.
 //!
-//! Exit codes: 0 success, 2 usage, 3 completed with failed cells,
-//! 4 sweep aborted before merging (chaos `abort-after`),
-//! 5 bench regression gate failed (`bench --check`).
+//! Exit codes: 0 success, 2 usage (including an unknown figure id, which
+//! is rejected before any sweep runs and leaves stdout empty),
+//! 3 completed with failed cells, 4 sweep aborted before merging (chaos
+//! `abort-after`).
 //!
 //! `--chaos SPEC` injects seeded harness faults (worker panics, cache
 //! corruption, forced-slow trials, worker kills, a hard abort) to exercise
@@ -68,8 +62,6 @@
 
 use pagesim::experiments::{self, Bench, Scale, Wl};
 use pagesim::report;
-use pagesim_bench::repro_bench::{self, history};
-use pagesim_bench::statline::StatLine;
 use pagesim_bench::sweep::{
     default_jobs, run_sweep_resilient, run_sweep_traced, ChaosPlan, SweepOptions, SweepOutcome,
     TraceRequest,
@@ -86,9 +78,6 @@ fn usage() -> ! {
          \x20      repro trace <fig> [--cell N] [--trial N] [--trace-out FILE]...\n\
          \x20            [--sample-interval NS] [--trace-events N] [--list]\n\
          \x20      repro vmstat <fig>\n\
-         \x20      repro bench [--bench-scale quick|default] [--out FILE]\n\
-         \x20            [--check FILE] [--min-samples N] [--max-samples N]\n\
-         \x20            [--gate-slack F] [--commit SHA] [--list]\n\
          \n\
          --trials N          trials per cell, at least 1 (default: the scale's);\n\
          \x20                    fits and p-values need 2 and print '-' below\n\
@@ -116,21 +105,6 @@ fn usage() -> ! {
          vmstat subcommand:\n\
          \x20  per-cell Linux-named reclaim/working-set counters, merged\n\
          \x20  refault-distance histogram, and trial 0's lru_gen dump\n\
-         \n\
-         bench subcommand:\n\
-         --bench-scale S     quick (CI smoke) or default (default: default)\n\
-         --out FILE          history file to append to (default: BENCH_pagesim.json)\n\
-         --check FILE        compare against FILE's last entry instead of\n\
-         \x20                    appending; exit 5 on any regression beyond noise\n\
-         --min-samples N     override the scale's per-metric sample minimum\n\
-         --max-samples N     override the hard sample cap\n\
-         --gate-slack F      extra allowance as a fraction of the baseline\n\
-         \x20                    mean (default 0.25)\n\
-         --gate-slack-scan F slack for the *_scan_ns_per_pte metrics\n\
-         \x20                    (default: min(--gate-slack, 0.10))\n\
-         --commit SHA        commit id to stamp (default: $PAGESIM_COMMIT,\n\
-         \x20                    then git rev-parse HEAD)\n\
-         --list              print the metric matrix spec and exit\n\
          \n\
          fig1   mean runtime & faults, MG-LRU vs Clock (SSD, 50%)\n\
          fig2   joint runtime/fault distributions, Clock vs MG-LRU\n\
@@ -180,14 +154,6 @@ fn main() {
     let mut trial = 0u32;
     let mut trace_cfg = TraceConfig::default();
     let mut list_cells = false;
-    let mut bench_scale = repro_bench::BenchScale::default_scale();
-    let mut bench_out = std::path::PathBuf::from("BENCH_pagesim.json");
-    let mut bench_check: Option<std::path::PathBuf> = None;
-    let mut min_samples: Option<u64> = None;
-    let mut max_samples: Option<u64> = None;
-    let mut gate_slack = 0.25f64;
-    let mut gate_slack_scan: Option<f64> = None;
-    let mut commit: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -272,68 +238,9 @@ fn main() {
                 trace_cfg.event_capacity = v.parse().unwrap_or_else(|_| usage());
             }
             "--list" => list_cells = true,
-            "--bench-scale" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bench_scale = repro_bench::BenchScale::parse(&v).unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bench_out = std::path::PathBuf::from(v);
-            }
-            "--check" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                bench_check = Some(std::path::PathBuf::from(v));
-            }
-            "--min-samples" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                min_samples = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--max-samples" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                max_samples = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--gate-slack" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                gate_slack = v.parse().unwrap_or_else(|_| usage());
-                if !(0.0..=10.0).contains(&gate_slack) {
-                    usage();
-                }
-            }
-            "--gate-slack-scan" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let s: f64 = v.parse().unwrap_or_else(|_| usage());
-                if !(0.0..=10.0).contains(&s) {
-                    usage();
-                }
-                gate_slack_scan = Some(s);
-            }
-            "--commit" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                commit = Some(v);
-            }
             "-h" | "--help" => usage(),
             other => figs.push(other.to_owned()),
         }
-    }
-
-    if figs.first().map(String::as_str) == Some("bench") {
-        figs.remove(0);
-        if !figs.is_empty() {
-            usage();
-        }
-        run_bench_cmd(
-            bench_scale,
-            bench_out,
-            bench_check,
-            min_samples,
-            max_samples,
-            gate_slack,
-            gate_slack_scan,
-            commit,
-            jobs,
-            list_cells,
-        );
-        return;
     }
 
     if figs.first().map(String::as_str) == Some("vmstat") {
@@ -352,6 +259,14 @@ fn main() {
         return;
     }
 
+    // Reject unknown ids before anything runs or prints, as `vmstat` and
+    // `trace` do.
+    if figs
+        .iter()
+        .any(|f| f != "all" && experiments::experiment(f).is_none())
+    {
+        usage();
+    }
     if figs.is_empty() || figs.iter().any(|f| f == "all") {
         figs = (1..=12).map(|i| format!("fig{i}")).collect();
     }
@@ -460,129 +375,6 @@ fn print_failure_report(outcome: &SweepOutcome) {
         failures.join(","),
         degraded.join(",")
     );
-}
-
-/// The `bench` subcommand: run the converged benchmark matrix, then either
-/// append a commit-stamped entry to the history file (default) or gate the
-/// run against a baseline's last entry (`--check`, exit 5 on regression).
-#[allow(clippy::too_many_arguments)]
-fn run_bench_cmd(
-    scale: repro_bench::BenchScale,
-    out: std::path::PathBuf,
-    check: Option<std::path::PathBuf>,
-    min_samples: Option<u64>,
-    max_samples: Option<u64>,
-    gate_slack: f64,
-    gate_slack_scan: Option<f64>,
-    commit: Option<String>,
-    jobs: usize,
-    list: bool,
-) {
-    let opts = repro_bench::BenchOptions {
-        scale,
-        min_samples,
-        max_samples,
-        jobs,
-        scratch_dir: None,
-    };
-    let probes = repro_bench::matrix(&opts.scale);
-    if list {
-        print!("{}", repro_bench::matrix_spec(&probes));
-        return;
-    }
-
-    // Load the gate baseline *before* the expensive run: a missing or
-    // unparsable baseline is a usage error, not a quarantine case.
-    let baseline = check.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("repro bench: cannot read baseline {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let hist = history::BenchHistory::parse(&text).unwrap_or_else(|e| {
-            eprintln!("repro bench: baseline {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        hist.entries.last().cloned().unwrap_or_else(|| {
-            eprintln!("repro bench: baseline {} has no entries", path.display());
-            std::process::exit(2);
-        })
-    });
-
-    let commit = repro_bench::resolve_commit(commit);
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let report = repro_bench::run_bench(&opts, &commit, timestamp);
-    let entry = &report.entry;
-
-    let converged = entry.metrics.iter().filter(|m| m.converged).count();
-    let mut line = StatLine::new("bench");
-    line.push("scale", opts.scale.name)
-        .push("metrics", entry.metrics.len())
-        .push("converged", converged)
-        .push("samples", report.total_samples)
-        .push("wall_ms", report.wall_ms);
-    eprintln!("# {line} jobs={jobs}");
-
-    // Human-readable result table on stdout.
-    println!(
-        "# pagesim bench — scale: {}, commit: {}, seed: {}, counters: {}",
-        entry.bench_scale, entry.commit, entry.seed, entry.counters_enabled
-    );
-    for m in &entry.metrics {
-        println!(
-            "{}\t{:.3} {}\t95% CI [{:.3}, {:.3}]\tn={}\tconverged={}",
-            m.name, m.mean, m.unit, m.ci_lo, m.ci_hi, m.samples, m.converged
-        );
-    }
-
-    match baseline {
-        Some(base) => {
-            // The scan microbenches repeat tightly (fixed trial, pure host
-            // speed), so their gate defaults to a narrower band than the
-            // end-to-end metrics'.
-            let scan_slack = gate_slack_scan.unwrap_or_else(|| gate_slack.min(0.10));
-            let regressions = history::check_with(&base, entry, |name| {
-                if repro_bench::is_scan_metric(name) {
-                    scan_slack
-                } else {
-                    gate_slack
-                }
-            });
-            if regressions.is_empty() {
-                println!(
-                    "# bench check passed: {} tracked metric(s) within noise of {}",
-                    base.metrics.len(),
-                    base.commit
-                );
-            } else {
-                for r in &regressions {
-                    println!("# REGRESSION {r}");
-                }
-                eprintln!(
-                    "# bench check FAILED: {} metric(s) regressed beyond the noise band",
-                    regressions.len()
-                );
-                std::process::exit(5);
-            }
-        }
-        None => {
-            let loaded = history::load(&out);
-            let mut hist = loaded.history;
-            hist.entries.push(entry.clone());
-            if let Err(e) = history::save(&hist, &out) {
-                eprintln!("repro bench: cannot write {}: {e}", out.display());
-                std::process::exit(1);
-            }
-            println!(
-                "# appended entry {} to {} ({} total)",
-                entry.commit,
-                out.display(),
-                hist.entries.len()
-            );
-        }
-    }
 }
 
 /// The `vmstat` subcommand: sweep one figure's cells, then render the

@@ -1,13 +1,13 @@
 //! # pagesim-bench
 //!
-//! Benchmark harness for the pagesim reproduction:
+//! The reproduction harness around the simulator:
 //!
 //! * the `repro` binary regenerates every figure of the paper
 //!   (`cargo run --release -p pagesim-bench --bin repro -- --help`);
 //!   scales are defined by [`pagesim::experiments::Scale`];
 //! * `benches/microbench.rs` holds criterion micro-benchmarks of the core
 //!   data structures (bloom filter, page lists, zipfian, compressor,
-//!   reclaim paths, end-to-end runs);
+//!   page-table scans, reclaim paths, end-to-end runs);
 //! * `benches/ablations.rs` sweeps the MG-LRU design choices DESIGN.md
 //!   calls out (bloom sizing/threshold, eviction lookaround, generation
 //!   count, scan modes);
@@ -18,16 +18,17 @@
 //!   worker count. Its fault-tolerance layer (per-trial panic isolation,
 //!   retries, checksummed cache with quarantine, JSONL run journal with
 //!   `--resume`, seeded chaos injection) is behind
-//!   [`sweep::run_sweep_resilient`].
-
+//!   [`sweep::run_sweep_resilient`];
+//! * [`vmstat`] renders `repro vmstat`'s working-set report.
+//!
+//! Host performance is measured by `pagebench`, the package under
+//! `pagebench/` that builds against this crate.
 
 pub mod repro_bench;
-pub mod statline;
 pub mod sweep;
 pub mod vmstat;
 
 pub use pagesim::experiments::Scale;
-pub use statline::{ParsedStatLine, StatLine};
 pub use sweep::{
     run_sweep, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome, SweepStats,
 };

@@ -1,5 +1,4 @@
-//! JSON for the bench history: the workspace's one JSON module
-//! ([`pagesim_trace::json`]), re-exported at the path the `pagebench`
-//! package imports.
+//! The workspace's one JSON module ([`pagesim_trace::json`]), re-exported
+//! at the path the `pagebench` package imports.
 
 pub use pagesim_trace::json::{escape, parse, Json};

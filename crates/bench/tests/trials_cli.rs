@@ -1,6 +1,6 @@
 //! `repro --trials` at the binary boundary: one trial renders every
 //! statistic that needs two as `-` instead of panicking, and zero trials
-//! is a usage error.
+//! or an unknown figure id is a usage error.
 
 use std::process::{Command, Output};
 
@@ -55,11 +55,21 @@ fn one_trial_renders_dashes_for_fits_and_p_values() {
     );
 }
 
+/// Bad arguments are rejected before any sweep runs: exit 2, the usage
+/// text on stderr, and nothing on stdout. Unknown ids count too, even
+/// after a valid one, and `bench` is no longer a subcommand.
 #[test]
 fn zero_trials_is_a_usage_error() {
-    let out = repro(&["--trials", "0", "fig1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "nothing may render");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("usage: repro"), "{stderr}");
+    for args in [
+        &["--trials", "0", "fig1"][..],
+        &["--scale", "smoke", "--no-cache", "figx"],
+        &["--scale", "smoke", "--no-cache", "fig1", "figx"],
+        &["--scale", "smoke", "--no-cache", "bench"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may render");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: repro"), "{args:?}: {stderr}");
+    }
 }

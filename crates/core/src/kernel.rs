@@ -885,9 +885,6 @@ impl Kernel {
         fd: bool,
         used: &mut Nanos,
     ) -> TouchResult {
-        // Host-time fault-path probe for `repro bench`; zero-sized no-op
-        // unless `bench-counters` is compiled in.
-        let _bench_timer = crate::benchcounters::time_fault();
         let key = self.mem.space(space).key_of(vpn);
         // 0. Page-lock analog: if another thread's fault on this page is
         //    already in flight, wait for its I/O and retry the access.
@@ -1118,13 +1115,11 @@ impl Kernel {
         // and swap-out CPU.
         self.metrics.direct_reclaims += 1;
         for _ in 0..2 {
-            let bench_timer = crate::benchcounters::time_reclaim();
             let out = self.policy.reclaim(self.cfg.direct_batch, &mut self.mem);
             self.metrics.pgscan_direct += out.scanned;
             *used += out.cpu_ns;
             let vt = self.now + *used;
             *used += self.apply_evictions(&out.victims, vt);
-            drop(bench_timer);
             trace_event!(
                 self,
                 (self.now + *used).as_ns(),
@@ -1394,13 +1389,11 @@ impl Kernel {
                 }
                 return (used, SliceOutcome::Blocked);
             }
-            let bench_timer = crate::benchcounters::time_reclaim();
             let out = self.policy.reclaim(self.cfg.kswapd_batch, &mut self.mem);
             self.metrics.pgscan_kswapd += out.scanned;
             used += out.cpu_ns;
             let vt = self.now + used;
             used += self.apply_evictions(&out.victims, vt);
-            drop(bench_timer);
             self.metrics.kswapd_batches += 1;
             trace_event!(
                 self,

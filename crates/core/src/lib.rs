@@ -37,7 +37,6 @@
 //! ```
 
 
-pub mod benchcounters;
 mod config;
 pub mod experiments;
 mod failure;

@@ -8,8 +8,6 @@ use pagesim_mem::{
 use pagesim_policy::MemView;
 use pagesim_swap::SwapSlot;
 
-use crate::benchcounters;
-
 /// Address spaces, page tables, frame pool, and swap-cache bookkeeping.
 #[derive(Debug)]
 pub struct MemState {
@@ -87,17 +85,11 @@ impl MemView for MemState {
         region: RegionIdx,
         words: &mut [u64; WORDS_PER_REGION],
     ) -> u32 {
-        let _t = benchcounters::time_aging_scan();
-        let examined = self.space_mut(space).scan_region(region, words);
-        benchcounters::add_aging_scan_ptes(examined as u64);
-        examined
+        self.space_mut(space).scan_region(region, words)
     }
 
     fn scan_line_mask(&mut self, space: AsId, line: LineIdx) -> (u8, u32) {
-        let _t = benchcounters::time_evict_scan();
-        let (mask, examined) = self.space_mut(space).scan_line_mask(line);
-        benchcounters::add_evict_scan_ptes(examined as u64);
-        (mask, examined)
+        self.space_mut(space).scan_line_mask(line)
     }
 
     fn key_at(&self, space: AsId, vpn: Vpn) -> PageKey {

@@ -11,9 +11,6 @@
 //!   r² > 0.98 for the faults↔runtime relationship on TPC-H, Fig. 2/5).
 //! * [`welch_t_test`] — two-sample unequal-variance t-test (the paper's
 //!   p < 0.01 / p > 0.05 significance claims in §V-B and §V-C).
-//! * [`StopRule`] / [`MetricEstimate`] — adaptive CI-width stopping rule
-//!   driving the `repro bench` convergence loop (sample until the 95% CI
-//!   is narrower than 10% of the mean, with a hard cap).
 //!
 //! Everything is implemented from scratch on `f64` slices; no external
 //! statistics crates are used.
@@ -27,14 +24,12 @@
 //! ```
 
 
-mod converge;
 mod histogram;
 mod moments;
 mod regression;
 mod summary;
 mod ttest;
 
-pub use converge::{t_critical_95, Decision, MetricEstimate, StopRule};
 pub use histogram::LatencyHistogram;
 pub use moments::Moments;
 pub use regression::{linear_regression, Regression};
