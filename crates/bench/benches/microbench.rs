@@ -18,7 +18,7 @@ use pagesim_mem::{AddressSpace, AsId, EntropyClass, PageArena, PTES_PER_REGION, 
 use pagesim_policy::memview::tests_support::FakeMem;
 use pagesim_policy::{BloomFilter, ClockLru, CostModel, Links, MgLru, MgLruConfig, PageList, Policy};
 use pagesim_stats::LatencyHistogram;
-use pagesim_swap::{compress, page_for_class};
+use pagesim_swap::{compress, page_for_class, SsdDevice, SwapDevice, SwapSlot, ZramDevice};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
 use pagesim_workloads::zipf::ScrambledZipfian;
@@ -129,6 +129,43 @@ fn bench_compress(c: &mut Criterion) {
     g.finish();
 }
 
+/// Slots per `swap/slot_cycle` iteration.
+const CYCLE_SLOTS: u32 = 8192;
+
+/// Writes `CYCLE_SLOTS` pages, reads each back once its write completes,
+/// then releases every slot: the device side of a swap-out/swap-in cycle.
+fn slot_cycle(dev: &mut dyn SwapDevice, now: &mut SimTime, slots: &mut Vec<SwapSlot>) {
+    for _ in 0..CYCLE_SLOTS {
+        let slot = dev.allocate_slot();
+        dev.write(*now, slot, EntropyClass::Text).expect("fault-free write");
+        slots.push(slot);
+    }
+    for &slot in slots.iter() {
+        let at = (*now).max(dev.write_done(slot));
+        dev.read(at, slot).expect("fault-free read");
+    }
+    for slot in slots.drain(..) {
+        dev.release(slot);
+    }
+    *now = *now + dev.backlog(*now);
+}
+
+fn bench_swap(c: &mut Criterion) {
+    let mut g = c.benchmark_group("swap");
+    let devices: [(&str, Box<dyn SwapDevice>); 2] = [
+        ("slot_cycle/ssd", Box::new(SsdDevice::with_paper_costs(CYCLE_SLOTS))),
+        ("slot_cycle/zram", Box::new(ZramDevice::with_paper_costs(CYCLE_SLOTS))),
+    ];
+    for (name, mut dev) in devices {
+        let mut now = SimTime::ZERO;
+        let mut slots = Vec::with_capacity(CYCLE_SLOTS as usize);
+        g.bench_function(name, |b| {
+            b.iter(|| slot_cycle(dev.as_mut(), &mut now, &mut slots))
+        });
+    }
+    g.finish();
+}
+
 fn bench_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("histogram");
     g.bench_function("record", |b| {
@@ -184,7 +221,10 @@ fn bench_reclaim(c: &mut Criterion) {
                 }
                 (p, mem)
             },
-            |(mut p, mut mem)| black_box(p.reclaim(32, &mut mem)),
+            |(mut p, mut mem)| {
+                let mut victims = [0; 32];
+                black_box(p.reclaim(&mut victims, &mut mem))
+            },
             BatchSize::LargeInput,
         );
     });
@@ -203,7 +243,10 @@ fn bench_reclaim(c: &mut Criterion) {
                 p.age_once(&mut mem);
                 (p, mem)
             },
-            |(mut p, mut mem)| black_box(p.reclaim(32, &mut mem)),
+            |(mut p, mut mem)| {
+                let mut victims = [0; 32];
+                black_box(p.reclaim(&mut victims, &mut mem))
+            },
             BatchSize::LargeInput,
         );
     });
@@ -318,6 +361,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_bloom, bench_page_list, bench_zipf, bench_streams, bench_compress,
-              bench_histogram, bench_event_queue, bench_scan, bench_reclaim, bench_end_to_end
+              bench_histogram, bench_event_queue, bench_scan, bench_reclaim, bench_swap,
+              bench_end_to_end
 }
 criterion_main!(benches);

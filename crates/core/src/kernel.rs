@@ -30,6 +30,21 @@
 //!   demand; clean file pages are simply dropped. The backing file lives
 //!   on the same simulated device as swap (documented substitution).
 //!
+//! ## Fault path state
+//!
+//! The fault and reclaim path allocates nothing and looks nothing up in a
+//! tree or hash map; its state is dense arrays sized at [`Kernel::build`]:
+//!
+//! * Per-slot state lives in the swap device's slot table (`swap_map`
+//!   analog), sized to the workload's page count. A swap-in is submitted
+//!   no earlier than the device's [`write_done`](SwapDevice::write_done)
+//!   for its slot.
+//! * The page lock ([`PageLocks`]) is one word per page, one entry per
+//!   frame and one link per thread: later faulters on a page whose read is
+//!   in flight chain behind it and are woken in arrival order.
+//! * [`Policy::reclaim`] writes victims into one buffer sized to the
+//!   larger reclaim batch.
+//!
 //! ## Failure model
 //!
 //! With a non-empty [`FaultConfig`](crate::config::FaultConfig) the swap
@@ -52,7 +67,8 @@
 
 // Ordered containers only: kernel state must never expose hash-iteration
 // order to the simulation (enforced by `pagesim-lint` rule L1).
-use std::collections::{BTreeMap, BTreeSet};
+#[cfg(feature = "sanitize")]
+use std::collections::BTreeSet;
 
 use pagesim_engine::faults::IoError;
 use pagesim_engine::rng::derive_seed;
@@ -72,6 +88,7 @@ use pagesim_workloads::{AccessStream, Op, ReqClass, Workload};
 use crate::config::{SwapChoice, SystemConfig};
 use crate::mem_state::MemState;
 use crate::metrics::RunMetrics;
+use crate::pagelock::PageLocks;
 use crate::workingset::ShadowArena;
 
 /// Records a trace event when a tracer is attached and enabled. Expands
@@ -232,12 +249,13 @@ pub struct Kernel {
     kswapd_retry_pending: bool,
     aging: ThreadId,
     aging_asleep: bool,
-    /// Write-back completion time per in-flight slot (reads must wait).
-    slot_ready: BTreeMap<SwapSlot, SimTime>,
-    /// Faults already in flight per page (page-lock analog): later
-    /// faulters on the same page wait for the first I/O instead of
-    /// issuing their own.
-    inflight: BTreeMap<PageKey, Vec<ThreadId>>,
+    /// Page locks of faults whose read is in flight: later faulters on
+    /// the same page wait for the first I/O instead of issuing their own.
+    /// A locked page's frame is pinned: the OOM killer must not free it
+    /// (the `IoDone` handler will).
+    locks: PageLocks,
+    /// Reclaim's victim buffer, sized once to the larger reclaim batch.
+    victims: Box<[PageKey]>,
     /// First-touch frame attribution: which app thread faulted each frame
     /// in. Drives the OOM killer's RSS accounting; cleared at every free.
     frame_owner: Vec<Option<ThreadId>>,
@@ -253,9 +271,6 @@ pub struct Kernel {
     /// Consecutive starved allocations across all threads; the OOM
     /// trigger. Reset whenever an allocation succeeds.
     stall_streak: u32,
-    /// Frames referenced by an in-flight `IoDone` event: the OOM killer
-    /// must not free them (the completion handler will).
-    io_pinned: BTreeSet<FrameId>,
     /// Frames held by each active pressure step's balloon.
     balloon: Vec<Vec<FrameId>>,
     /// Shadow entries for evicted pages (`workingset.c` analog): one
@@ -318,12 +333,15 @@ impl Kernel {
             .plan
             .has_device_faults()
             .then(|| FaultInjector::new(config.faults.plan.clone(), derive_seed(seed, "fault-injection")));
+        // Each live slot backs exactly one page, so a slot per page is
+        // enough and the devices never grow their slot state.
         let swap: Box<dyn SwapDevice> = match config.swap {
             SwapChoice::Ssd => {
                 let mut d = SsdDevice::new(
                     7 * MILLISECOND + 500 * MICROSECOND,
                     7 * MILLISECOND + 500 * MICROSECOND,
                     config.ssd_parallelism,
+                    total_pages,
                 );
                 if let Some(inj) = device_faults {
                     d = d.with_faults(inj);
@@ -331,7 +349,7 @@ impl Kernel {
                 Box::new(d)
             }
             SwapChoice::Zram => {
-                let mut d = ZramDevice::with_paper_costs();
+                let mut d = ZramDevice::with_paper_costs(total_pages);
                 if let Some(bytes) = config.faults.zram_capacity_bytes {
                     d = d.with_capacity(bytes);
                 }
@@ -396,14 +414,14 @@ impl Kernel {
             kswapd_retry_pending: false,
             aging,
             aging_asleep: true,
-            slot_ready: BTreeMap::new(),
-            inflight: BTreeMap::new(),
+            locks: PageLocks::new(total_pages as usize, frames, thread_count),
+            victims: vec![0; config.kswapd_batch.max(config.direct_batch) as usize]
+                .into_boxed_slice(),
             frame_owner: vec![None; frames],
             killed: vec![false; thread_count],
             oom_rss: vec![0; thread_count],
             retry_attempts: vec![0; thread_count],
             stall_streak: 0,
-            io_pinned: BTreeSet::new(),
             balloon: vec![Vec::new(); pressure.len()],
             shadow: ShadowArena::new(total_pages as usize),
             metrics,
@@ -588,7 +606,6 @@ impl Kernel {
                 write,
                 fd,
             } => {
-                self.io_pinned.remove(&frame);
                 if self.killed[tid.0 as usize] || self.sched.is_finished(tid) {
                     // The faulting thread died while its I/O was in
                     // flight: drop the frame, leave the page out.
@@ -633,12 +650,12 @@ impl Kernel {
         }
     }
 
+    /// Unlocks `key` and wakes the threads that faulted on it meanwhile,
+    /// in arrival order.
     fn wake_inflight_waiters(&mut self, key: PageKey) {
-        if let Some(waiters) = self.inflight.remove(&key) {
-            for w in waiters {
-                if !self.sched.is_finished(w) {
-                    self.sched.make_runnable(w);
-                }
+        for w in self.locks.unlock(key) {
+            if !self.sched.is_finished(w) {
+                self.sched.make_runnable(w);
             }
         }
     }
@@ -871,7 +888,6 @@ impl Kernel {
     /// Invalidate swap backing when a clean page gets dirtied.
     fn dirty_transition(&mut self, key: PageKey) {
         if let Some(slot) = self.mem.backing[key as usize].take() {
-            self.slot_ready.remove(&slot);
             self.swap.release(slot);
         }
     }
@@ -888,8 +904,7 @@ impl Kernel {
         let key = self.mem.space(space).key_of(vpn);
         // 0. Page-lock analog: if another thread's fault on this page is
         //    already in flight, wait for its I/O and retry the access.
-        if let Some(waiters) = self.inflight.get_mut(&key) {
-            waiters.push(tid);
+        if self.locks.wait(key, tid) {
             self.metrics.shared_fault_waits += 1;
             return TouchResult::Starved;
         }
@@ -927,8 +942,8 @@ impl Kernel {
             let slot = pte.swap_slot();
             let vt = self.now + *used;
             // Reads of slots still being written wait for durability.
-            let submit = match slot.and_then(|s| self.slot_ready.get(&s)) {
-                Some(&ready) => vt.max(ready),
+            let submit = match slot {
+                Some(s) => vt.max(self.swap.write_done(s)),
                 None => vt,
             };
             let out = match slot {
@@ -959,8 +974,7 @@ impl Kernel {
                         key: key as u64,
                     }
                 );
-                self.inflight.insert(key, Vec::new());
-                self.io_pinned.insert(frame);
+                self.locks.lock(key, frame);
                 self.events.push(
                     out.done_at,
                     Event::IoDone {
@@ -1054,7 +1068,6 @@ impl Kernel {
         let (space, vpn) = self.mem.locate(key);
         self.mem.space_mut(space).map(vpn, frame);
         if let Some(slot) = slot {
-            self.slot_ready.remove(&slot);
             if write {
                 // Dirtied immediately: the swap copy is stale.
                 self.swap.release(slot);
@@ -1115,17 +1128,18 @@ impl Kernel {
         // and swap-out CPU.
         self.metrics.direct_reclaims += 1;
         for _ in 0..2 {
-            let out = self.policy.reclaim(self.cfg.direct_batch, &mut self.mem);
+            let batch = &mut self.victims[..self.cfg.direct_batch as usize];
+            let out = self.policy.reclaim(batch, &mut self.mem);
             self.metrics.pgscan_direct += out.scanned;
             *used += out.cpu_ns;
             let vt = self.now + *used;
-            *used += self.apply_evictions(&out.victims, vt);
+            *used += self.apply_evictions(out.victims, vt);
             trace_event!(
                 self,
                 (self.now + *used).as_ns(),
                 TraceEvent::ReclaimBatch {
                     direct: true,
-                    victims: out.victims.len() as u32,
+                    victims: out.victims as u32,
                     scanned: out.scanned,
                     cpu_ns: out.cpu_ns,
                 }
@@ -1135,7 +1149,7 @@ impl Kernel {
                 self.maybe_wake_kswapd();
                 return Some(f);
             }
-            if out.victims.is_empty() {
+            if out.victims == 0 {
                 break;
             }
         }
@@ -1147,15 +1161,17 @@ impl Kernel {
     // Eviction and reclaim threads
     // ---------------------------------------------------------------
 
-    /// Unmaps victims and performs swap-out. Returns CPU time charged to
-    /// the reclaiming thread (write submission, compression).
+    /// Unmaps the first `count` victims of the reclaim buffer and performs
+    /// swap-out. Returns CPU time charged to the reclaiming thread (write
+    /// submission, compression).
     ///
     /// A rejected device write (injected error, full ZRAM pool) aborts
     /// that victim's eviction: the page stays resident and is handed back
     /// to the policy. The attempted operation's CPU is still charged.
-    fn apply_evictions(&mut self, victims: &[PageKey], vt: SimTime) -> Nanos {
+    fn apply_evictions(&mut self, count: usize, vt: SimTime) -> Nanos {
         let mut cpu: Nanos = 0;
-        for &key in victims {
+        for i in 0..count {
+            let key = self.victims[i];
             let (space, vpn) = self.mem.locate(key);
             let pte = self.mem.space(space).pte(vpn);
             let Some(frame) = pte.frame() else {
@@ -1196,7 +1212,6 @@ impl Kernel {
                 match self.swap.write(vt + cpu, slot, info.entropy) {
                     Ok(out) => {
                         cpu += out.cpu_ns;
-                        self.slot_ready.insert(slot, out.done_at);
                         self.mem.space_mut(space).set_swapped(vpn, slot);
                         self.metrics.swap_outs += 1;
                         self.pin_until(frame, vt + cpu, out.done_at);
@@ -1309,7 +1324,7 @@ impl Kernel {
                 self.frame_owner[f as usize] = None;
                 continue;
             }
-            if self.io_pinned.contains(&f) {
+            if self.locks.pinned_page(f).is_some() {
                 // An IoDone for this frame is in flight; its handler will
                 // free it (the thread is marked killed by then).
                 continue;
@@ -1327,7 +1342,6 @@ impl Kernel {
                 self.metrics.workingset_nodereclaim += 1;
             }
             if let Some(slot) = self.mem.backing[key as usize].take() {
-                self.slot_ready.remove(&slot);
                 self.swap.release(slot);
             }
             self.frame_owner[f as usize] = None;
@@ -1389,24 +1403,25 @@ impl Kernel {
                 }
                 return (used, SliceOutcome::Blocked);
             }
-            let out = self.policy.reclaim(self.cfg.kswapd_batch, &mut self.mem);
+            let batch = &mut self.victims[..self.cfg.kswapd_batch as usize];
+            let out = self.policy.reclaim(batch, &mut self.mem);
             self.metrics.pgscan_kswapd += out.scanned;
             used += out.cpu_ns;
             let vt = self.now + used;
-            used += self.apply_evictions(&out.victims, vt);
+            used += self.apply_evictions(out.victims, vt);
             self.metrics.kswapd_batches += 1;
             trace_event!(
                 self,
                 (self.now + used).as_ns(),
                 TraceEvent::ReclaimBatch {
                     direct: false,
-                    victims: out.victims.len() as u32,
+                    victims: out.victims as u32,
                     scanned: out.scanned,
                     cpu_ns: out.cpu_ns,
                 }
             );
             self.maybe_wake_aging();
-            if out.victims.is_empty() {
+            if out.victims == 0 {
                 // No progress possible right now (write-backs in flight or
                 // everything recently accessed): retry shortly.
                 self.kswapd_asleep = true;
@@ -1472,7 +1487,7 @@ impl Kernel {
         let tick = self.sanitize_tick.get();
         self.sanitize_tick.set(tick + 1);
         if self.mem.arena.len() > Self::SANITIZE_THROTTLE_PAGES
-            && tick % Self::SANITIZE_THROTTLE_PERIOD != 0
+            && !tick.is_multiple_of(Self::SANITIZE_THROTTLE_PERIOD)
         {
             return;
         }
@@ -1556,6 +1571,15 @@ impl Kernel {
         // pinned by in-flight fault I/O, or held by a pressure balloon.
         let balloon: BTreeSet<FrameId> = self.balloon.iter().flatten().copied().collect();
         for f in 0..self.mem.phys.capacity() as FrameId {
+            let pinned = self.locks.pinned_page(f);
+            if pinned.is_some() {
+                assert_eq!(
+                    self.mem.phys.state(f),
+                    FrameState::InUse,
+                    "sanitize: inflight-io: io-pinned frame {f} in state {:?}",
+                    self.mem.phys.state(f)
+                );
+            }
             match self.mem.phys.owner(f) {
                 Some(BALLOON_KEY) => {
                     assert!(
@@ -1563,9 +1587,10 @@ impl Kernel {
                         "sanitize: rmap-pte: frame {f} owned by the balloon key but not held by a pressure step"
                     );
                 }
-                Some(key) if self.io_pinned.contains(&f) => {
-                    assert!(
-                        self.inflight.contains_key(&key),
+                Some(key) if pinned.is_some() => {
+                    assert_eq!(
+                        pinned,
+                        Some(key),
                         "sanitize: inflight-io: io-pinned frame {f} (page {key}) has no inflight fault"
                     );
                     assert!(
@@ -1587,37 +1612,26 @@ impl Kernel {
                 }
             }
         }
-        for &f in &self.io_pinned {
-            assert_eq!(
-                self.mem.phys.state(f),
-                FrameState::InUse,
-                "sanitize: inflight-io: io-pinned frame {f} in state {:?}",
-                self.mem.phys.state(f)
-            );
-        }
-        assert_eq!(
-            self.inflight.len(),
-            self.io_pinned.len(),
-            "sanitize: inflight-io: {} inflight faults vs {} io-pinned frames",
-            self.inflight.len(),
-            self.io_pinned.len()
-        );
+        // The lock tables: in-flight pages and io-pinned frames pair up
+        // one to one, and each waiter is queued on exactly one page.
+        self.locks.check_invariants();
 
-        // Slot sweep: pending-durability slots must be referenced, every
-        // referenced slot must hold data, and the device's live count must
-        // equal the kernel's reference count.
-        for &slot in self.slot_ready.keys() {
-            assert!(
-                slot_refs.contains(&slot),
-                "sanitize: swap-slot: slot {slot} pending durability is unreferenced"
-            );
-        }
+        // Slot sweep: every referenced slot must hold data, and the
+        // device's live count must equal the kernel's reference count. The
+        // device checks that only live slots hold data or a pending write
+        // time, so a slot pending durability is referenced.
         for &slot in &slot_refs {
             assert!(
                 self.swap.sanitize_slot_stored(slot),
                 "sanitize: swap-slot: referenced slot {slot} holds no data on the device"
             );
         }
+        let (high_water, slots) = self.swap.sanitize_slot_bounds();
+        assert!(
+            high_water <= slots && slots as usize == self.mem.arena.len(),
+            "sanitize: swap-slot: high water {high_water} of {slots} slots for {} pages",
+            self.mem.arena.len()
+        );
         let live = self.swap.sanitize_check();
         assert_eq!(
             live,
@@ -1651,11 +1665,12 @@ mod tests {
     use super::*;
     use crate::config::{AppCosts, FaultConfig, PolicyChoice};
     use pagesim_engine::{FaultPlan, StallPlan, SECOND};
+    use pagesim_mem::EntropyClass;
     use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
     use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
     use pagesim_workloads::{OpBuf, SpaceSpec};
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn cfg(policy: PolicyChoice, swap: SwapChoice, ratio: f64) -> SystemConfig {
         SystemConfig::new(policy, swap)
@@ -1844,6 +1859,101 @@ mod tests {
         // Two batches, then one refill that reports the stream done: the
         // finished thread is never asked again.
         assert_eq!(w.refills.load(Ordering::Relaxed), 3);
+    }
+
+    /// Three threads sharing one page: each computes for its delay, then
+    /// reads page 0. A thread logs its id when it asks for the batch after
+    /// that read, i.e. the first time it runs once the read has resolved.
+    struct PageLockProgram {
+        delays: [Nanos; 3],
+        resumed: Arc<Mutex<Vec<u32>>>,
+    }
+
+    struct PageLockStream {
+        id: u32,
+        delay: Nanos,
+        refills: u32,
+        buf: OpBuf,
+        resumed: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl AccessStream for PageLockStream {
+        fn refill(&mut self) -> bool {
+            self.refills += 1;
+            if self.refills > 1 {
+                self.resumed.lock().expect("log lock").push(self.id);
+                return false;
+            }
+            if self.delay > 0 {
+                self.buf.push(Op::Compute { cpu_ns: self.delay });
+            }
+            self.buf.push(Op::Access {
+                space: AsId(0),
+                vpn: 0,
+                write: false,
+                cpu_ns: 100,
+            });
+            true
+        }
+
+        fn buf(&mut self) -> &mut OpBuf {
+            &mut self.buf
+        }
+    }
+
+    impl Workload for PageLockProgram {
+        fn name(&self) -> String {
+            "page-lock-program".to_owned()
+        }
+
+        fn spaces(&self) -> Vec<SpaceSpec> {
+            vec![SpaceSpec {
+                pages: 8,
+                annotations: Vec::new(),
+            }]
+        }
+
+        fn barriers(&self) -> Vec<usize> {
+            Vec::new()
+        }
+
+        fn streams(&self, _seed: u64) -> Vec<Box<dyn AccessStream>> {
+            (0..3)
+                .map(|id| {
+                    Box::new(PageLockStream {
+                        id,
+                        delay: self.delays[id as usize],
+                        refills: 0,
+                        buf: Default::default(),
+                        resumed: Arc::clone(&self.resumed),
+                    }) as Box<dyn AccessStream>
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn threads_faulting_on_one_ssd_page_resume_in_arrival_order() {
+        // Thread 2 faults first and issues the read; threads 1 and then 0
+        // arrive in later slices while it is in flight. Arrival order is the
+        // reverse of thread order, so a wake in thread order would fail.
+        let w = PageLockProgram {
+            delays: [2 * MILLISECOND + MILLISECOND / 2, MILLISECOND + MILLISECOND / 2, 0],
+            resumed: Default::default(),
+        };
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
+        let mut k = Kernel::build(&c, &w, 1);
+        // Page 0 starts out swapped to the SSD: its 7.5 ms write is still
+        // in flight, so the read queues behind it.
+        let slot = k.swap.allocate_slot();
+        let write = k.swap.write(SimTime::ZERO, slot, EntropyClass::Text).expect("ssd write");
+        k.mem.space_mut(AsId(0)).set_swapped(0, slot);
+        let m = k.run();
+        assert_eq!(m.error, None);
+        assert_eq!(m.major_faults, 1, "one read serves all three threads");
+        assert_eq!(m.shared_fault_waits, 2);
+        assert_eq!(*w.resumed.lock().expect("log lock"), [2, 1, 0]);
+        assert!(m.runtime_ns > write.done_at.as_ns(), "the read waited for the write");
     }
 
     // ------------------------------------------------------------

@@ -43,6 +43,7 @@ mod failure;
 mod kernel;
 mod mem_state;
 mod metrics;
+mod pagelock;
 pub mod report;
 pub mod stablehash;
 pub mod workingset;

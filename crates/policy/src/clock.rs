@@ -132,8 +132,9 @@ impl Policy for ClockLru {
         }
     }
 
-    fn reclaim(&mut self, want: u32, mem: &mut dyn MemView) -> ReclaimOutcome {
+    fn reclaim(&mut self, victims: &mut [PageKey], mem: &mut dyn MemView) -> ReclaimOutcome {
         let mut out = ReclaimOutcome::default();
+        let want = victims.len() as u32;
 
         // Phase 1: balance — demote cold active-tail pages to inactive.
         let balance_cap = (want * 2).max(32);
@@ -157,7 +158,7 @@ impl Policy for ClockLru {
         // Phase 2: evict from the inactive tail with second chances.
         let evict_scan_cap = (want * 8).max(64);
         let mut evict_scanned = 0u32;
-        while (out.victims.len() as u32) < want && evict_scanned < evict_scan_cap {
+        while out.victims < victims.len() && evict_scanned < evict_scan_cap {
             let Some(key) = self.inactive.pop_back(&mut self.nodes) else {
                 break;
             };
@@ -173,7 +174,8 @@ impl Policy for ClockLru {
                 self.stats.promotions += 1;
                 out.cpu_ns += self.costs.list_op_ns;
             } else {
-                out.victims.push(key);
+                victims[out.victims] = key;
+                out.victims += 1;
                 out.cpu_ns += self.costs.evict_fixed_ns;
                 self.stats.evictions += 1;
             }
@@ -276,7 +278,7 @@ impl Policy for ClockLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memview::tests_support::FakeMem;
+    use crate::memview::tests_support::{reclaim_vec, FakeMem};
 
     fn setup(pages: u32, resident: &[PageKey]) -> (ClockLru, FakeMem) {
         let mut mem = FakeMem::new(pages);
@@ -306,9 +308,9 @@ mod tests {
         let (mut clock, mut mem) = setup(8, &[0, 1, 2, 3]);
         // Page 3 is hot.
         mem.set_accessed(3, true);
-        let out = clock.reclaim(2, &mut mem);
-        assert_eq!(out.victims.len(), 2);
-        assert!(!out.victims.contains(&3), "hot page must survive");
+        let (out, victims) = reclaim_vec(&mut clock, 2, &mut mem);
+        assert_eq!(victims.len(), 2);
+        assert!(!victims.contains(&3), "hot page must survive");
         assert!(out.cpu_ns > 0);
         assert!(out.scanned >= 2);
     }
@@ -318,12 +320,12 @@ mod tests {
         let (mut clock, mut mem) = setup(8, &[0, 1]);
         // Force both onto inactive by reclaiming zero... instead do a
         // balance pass: reclaim(0) balances lists.
-        clock.reclaim(0, &mut mem);
+        reclaim_vec(&mut clock, 0, &mut mem);
         // whichever is on inactive, mark accessed, then reclaim
         mem.set_accessed(0, true);
         mem.set_accessed(1, true);
-        let out = clock.reclaim(1, &mut mem);
-        assert!(out.victims.is_empty(), "all pages accessed: second chance");
+        let (out, victims) = reclaim_vec(&mut clock, 1, &mut mem);
+        assert!(victims.is_empty(), "all pages accessed: second chance");
         assert!(out.promoted > 0);
     }
 
@@ -344,15 +346,15 @@ mod tests {
     #[test]
     fn reclaim_on_empty_lists_is_safe() {
         let (mut clock, mut mem) = setup(8, &[]);
-        let out = clock.reclaim(4, &mut mem);
-        assert!(out.victims.is_empty());
+        let (out, victims) = reclaim_vec(&mut clock, 4, &mut mem);
+        assert!(victims.is_empty());
         assert_eq!(out.cpu_ns, 0);
     }
 
     #[test]
     fn costs_scale_with_scanning() {
         let (mut clock, mut mem) = setup(64, &(0..64).collect::<Vec<_>>());
-        let out = clock.reclaim(8, &mut mem);
+        let (out, _) = reclaim_vec(&mut clock, 8, &mut mem);
         let expected_min = out.scanned * CostModel::default().rmap_walk_ns;
         assert!(out.cpu_ns >= expected_min);
     }
@@ -371,7 +373,7 @@ mod tests {
         assert!(dump.starts_with("policy clock hand -1\n"), "{dump}");
         assert!(dump.contains(" active 4 inactive 0\n"), "{dump}");
         // A balance pass populates the inactive list: the hand is its tail.
-        clock.reclaim(0, &mut mem);
+        reclaim_vec(&mut clock, 0, &mut mem);
         dump.clear();
         clock.introspect(&mut dump);
         assert!(dump.contains("hand 0"), "oldest demoted page: {dump}");

@@ -45,11 +45,11 @@ use pagesim_engine::Nanos;
 use pagesim_mem::PageKey;
 
 /// Result of a reclaim request.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReclaimOutcome {
-    /// Pages selected for eviction. The kernel unmaps them and performs
-    /// swap-out; policies never touch devices.
-    pub victims: Vec<PageKey>,
+    /// Victims written to the front of the caller's buffer. The kernel
+    /// unmaps them and performs swap-out; policies never touch devices.
+    pub victims: usize,
     /// CPU time the selection cost (rmap walks, PTE scans, list moves),
     /// charged to the reclaiming thread.
     pub cpu_ns: Nanos,
@@ -116,8 +116,10 @@ pub trait Policy {
     /// I/O does not set PTE accessed bits; MG-LRU's tiers exist for this).
     fn on_fd_access(&mut self, key: PageKey, mem: &mut dyn MemView);
 
-    /// Selects up to `want` eviction victims.
-    fn reclaim(&mut self, want: u32, mem: &mut dyn MemView) -> ReclaimOutcome;
+    /// Selects up to `victims.len()` eviction victims and writes them to
+    /// the front of `victims`, a buffer the kernel allocates once;
+    /// [`ReclaimOutcome::victims`] counts them.
+    fn reclaim(&mut self, victims: &mut [PageKey], mem: &mut dyn MemView) -> ReclaimOutcome;
 
     /// Whether the policy currently has background work (MG-LRU aging).
     fn wants_background(&self, mem: &dyn MemView) -> bool;

@@ -71,7 +71,21 @@ pub fn region_of_vpn(vpn: Vpn) -> RegionIdx {
 #[doc(hidden)]
 pub mod tests_support {
     use super::*;
+    use crate::{Policy, ReclaimOutcome};
     use pagesim_mem::{EntropyClass, PTES_PER_LINE, PTES_PER_REGION, PTES_PER_WORD};
+
+    /// Runs one [`Policy::reclaim`] of up to `want` victims into a fresh
+    /// buffer; returns the outcome and the victims it wrote.
+    pub fn reclaim_vec(
+        policy: &mut dyn Policy,
+        want: usize,
+        mem: &mut dyn MemView,
+    ) -> (ReclaimOutcome, Vec<PageKey>) {
+        let mut victims = vec![0; want];
+        let out = policy.reclaim(&mut victims, mem);
+        victims.truncate(out.victims);
+        (out, victims)
+    }
 
     /// A fake single-space memory with directly settable bits.
     #[derive(Debug)]

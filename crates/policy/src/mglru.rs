@@ -564,12 +564,13 @@ impl Policy for MgLru {
         }
     }
 
-    fn reclaim(&mut self, want: u32, mem: &mut dyn MemView) -> ReclaimOutcome {
+    fn reclaim(&mut self, victims: &mut [PageKey], mem: &mut dyn MemView) -> ReclaimOutcome {
         let mut out = ReclaimOutcome::default();
+        let want = victims.len() as u32;
         let scan_cap = (want as u64 * 16).max(128);
         let mut sync_ages = 0;
 
-        'outer: while (out.victims.len() as u32) < want {
+        'outer: while out.victims < victims.len() {
             self.advance_min_seq();
             if self.gens.front().is_some_and(Gen::is_empty) {
                 // All pages live in the youngest MIN_NR_GENS generations:
@@ -590,7 +591,7 @@ impl Policy for MgLru {
                 continue;
             }
 
-            while (out.victims.len() as u32) < want {
+            while out.victims < victims.len() {
                 if out.scanned >= scan_cap {
                     break 'outer;
                 }
@@ -666,7 +667,8 @@ impl Policy for MgLru {
                     self.tiers.note_eviction(eff_tier as usize);
                     self.meta[key as usize].evicted_tier = eff_tier;
                     self.meta[key as usize].seq = NONE_SEQ;
-                    out.victims.push(key);
+                    victims[out.victims] = key;
+                    out.victims += 1;
                     out.cpu_ns += self.costs.evict_fixed_ns;
                     self.stats.evictions += 1;
                 }
@@ -834,7 +836,7 @@ impl Policy for MgLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memview::tests_support::FakeMem;
+    use crate::memview::tests_support::{reclaim_vec, FakeMem};
 
     fn setup(pages: u32, resident: u32, cfg: MgLruConfig) -> (MgLru, FakeMem) {
         let mut mem = FakeMem::new(pages);
@@ -918,10 +920,10 @@ mod tests {
         for k in 0..4 {
             mem.set_accessed(k, true);
         }
-        let out = lru.reclaim(8, &mut mem);
-        assert!(!out.victims.is_empty());
+        let (out, victims) = reclaim_vec(&mut lru, 8, &mut mem);
+        assert!(!victims.is_empty());
         for k in 0..4u32 {
-            assert!(!out.victims.contains(&k), "hot page {k} evicted");
+            assert!(!victims.contains(&k), "hot page {k} evicted");
         }
         assert!(out.promoted >= 1);
         assert!(out.cpu_ns > 0);
@@ -938,13 +940,13 @@ mod tests {
         for k in 0..8 {
             mem.set_accessed(k, true);
         }
-        let out = lru.reclaim(4, &mut mem);
+        let (out, victims) = reclaim_vec(&mut lru, 4, &mut mem);
         // rmap probe finds one page hot; the line scan promotes its 7
         // neighbours without 7 more rmap walks.
         assert!(out.promoted >= 8, "promoted {}", out.promoted);
         assert!(mem.lines_scanned >= 1);
         for k in 0..8u32 {
-            assert!(!out.victims.contains(&k));
+            assert!(!victims.contains(&k));
         }
     }
 
@@ -958,7 +960,7 @@ mod tests {
         for k in 0..8 {
             mem.set_accessed(k, true);
         }
-        lru.reclaim(4, &mut mem);
+        reclaim_vec(&mut lru, 4, &mut mem);
         assert_eq!(mem.lines_scanned, 0);
     }
 
@@ -1026,17 +1028,17 @@ mod tests {
         lru.age_once(&mut mem);
         // page 5 should now be in the youngest generation: a reclaim of
         // everything must evict it last. Evict 15 pages:
-        let out = lru.reclaim(15, &mut mem);
-        assert_eq!(out.victims.len(), 15);
-        assert!(!out.victims.contains(&5));
+        let (_, victims) = reclaim_vec(&mut lru, 15, &mut mem);
+        assert_eq!(victims.len(), 15);
+        assert!(!victims.contains(&5));
     }
 
     #[test]
     fn sync_aging_kicks_in_when_gens_exhausted() {
         let (mut lru, mut mem) = setup(64, 16, MgLruConfig::kernel_default());
         // No background aging has run; all pages are in gen max_seq.
-        let out = lru.reclaim(4, &mut mem);
-        assert!(!out.victims.is_empty(), "sync aging must unblock eviction");
+        let (_, victims) = reclaim_vec(&mut lru, 4, &mut mem);
+        assert!(!victims.is_empty(), "sync aging must unblock eviction");
         assert!(lru.stats().aging_passes >= 1);
     }
 
@@ -1045,16 +1047,16 @@ mod tests {
         let (mut lru, mut mem) = setup(64, 16, MgLruConfig::scan_none());
         lru.age_once(&mut mem);
         lru.age_once(&mut mem);
-        let out = lru.reclaim(4, &mut mem);
-        let victim = out.victims[0];
+        let (_, victims) = reclaim_vec(&mut lru, 4, &mut mem);
+        let victim = victims[0];
         mem.set_resident(victim, false);
         lru.on_page_evicted(victim, &mut mem);
         // refault it
         mem.set_resident(victim, true);
         lru.on_page_resident(victim, true, &mut mem);
         // no panic + page back in youngest gen
-        let out2 = lru.reclaim(16, &mut mem);
-        assert!(!out2.victims.contains(&victim) || out2.victims.len() >= 12);
+        let (_, victims2) = reclaim_vec(&mut lru, 16, &mut mem);
+        assert!(!victims2.contains(&victim) || victims2.len() >= 12);
     }
 
     #[test]
@@ -1096,14 +1098,14 @@ mod tests {
         for k in 0..4096 {
             mem.set_accessed(k, true);
         }
-        let out = lru.reclaim(32, &mut mem);
+        let (out, _) = reclaim_vec(&mut lru, 32, &mut mem);
         assert!(out.scanned <= 32 * 16 + 1);
     }
 
     #[test]
     fn wants_background_after_pressure() {
         let (mut lru, mut mem) = setup(64, 16, MgLruConfig::kernel_default());
-        lru.reclaim(8, &mut mem);
+        reclaim_vec(&mut lru, 8, &mut mem);
         assert!(lru.wants_background(&mem));
         let bg = lru.background_work(u64::MAX, &mut mem);
         assert!(bg.cpu_ns > 0);
@@ -1114,7 +1116,7 @@ mod tests {
     #[test]
     fn background_walk_is_incremental_under_small_budget() {
         let (mut lru, mut mem) = setup(512 * 8, 512 * 8, MgLruConfig::scan_all());
-        lru.reclaim(8, &mut mem); // sets needs_aging
+        reclaim_vec(&mut lru, 8, &mut mem); // sets needs_aging
         assert!(lru.wants_background(&mem));
         // A tiny budget forces multiple steps before the pass completes.
         let mut steps = 0;

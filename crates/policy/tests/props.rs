@@ -174,9 +174,10 @@ proptest! {
                 }
                 2 => {
                     // reclaim a few
-                    let out = lru.reclaim(4, &mut mem);
+                    let mut victims = [0; 4];
+                    let out = lru.reclaim(&mut victims, &mut mem);
                     let mut seen = std::collections::HashSet::new();
-                    for &v in &out.victims {
+                    for &v in &victims[..out.victims] {
                         prop_assert!(seen.insert(v), "duplicate victim {v}");
                         prop_assert!(resident[v as usize], "victim {v} not resident");
                         resident[v as usize] = false;
@@ -220,9 +221,10 @@ proptest! {
                     }
                 }
                 _ => {
-                    let out = clock.reclaim(4, &mut mem);
+                    let mut victims = [0; 4];
+                    let out = clock.reclaim(&mut victims, &mut mem);
                     let mut seen = std::collections::HashSet::new();
-                    for &v in &out.victims {
+                    for &v in &victims[..out.victims] {
                         prop_assert!(seen.insert(v));
                         prop_assert!(resident[v as usize]);
                         resident[v as usize] = false;
@@ -264,8 +266,9 @@ proptest! {
                 }
             }
             lru.age_once(&mut mem);
-            let out = lru.reclaim(4, &mut mem);
-            for &v in &out.victims {
+            let mut victims = [0; 4];
+            let out = lru.reclaim(&mut victims, &mut mem);
+            for &v in &victims[..out.victims] {
                 if hot.contains(&v) {
                     evicted_hot += 1;
                 } else {
@@ -323,13 +326,15 @@ proptest! {
                     }
                 }
                 2 => {
-                    let out_f = lru_f.reclaim(4, &mut fake);
-                    let out_r = lru_r.reclaim(4, &mut real);
-                    prop_assert_eq!(&out_f.victims, &out_r.victims);
+                    let mut victims_f = [0; 4];
+                    let out_f = lru_f.reclaim(&mut victims_f, &mut fake);
+                    let mut victims_r = [0; 4];
+                    let out_r = lru_r.reclaim(&mut victims_r, &mut real);
+                    prop_assert_eq!(&victims_f[..out_f.victims], &victims_r[..out_r.victims]);
                     prop_assert_eq!(out_f.cpu_ns, out_r.cpu_ns);
                     prop_assert_eq!(out_f.scanned, out_r.scanned);
                     prop_assert_eq!(out_f.promoted, out_r.promoted);
-                    for &v in &out_f.victims {
+                    for &v in &victims_f[..out_f.victims] {
                         resident[v as usize] = false;
                         fake.set_resident(v, false);
                         real.space.set_swapped(v, v);
@@ -387,11 +392,13 @@ proptest! {
                     }
                 }
                 _ => {
-                    let out_f = clock_f.reclaim(4, &mut fake);
-                    let out_r = clock_r.reclaim(4, &mut real);
-                    prop_assert_eq!(&out_f.victims, &out_r.victims);
+                    let mut victims_f = [0; 4];
+                    let out_f = clock_f.reclaim(&mut victims_f, &mut fake);
+                    let mut victims_r = [0; 4];
+                    let out_r = clock_r.reclaim(&mut victims_r, &mut real);
+                    prop_assert_eq!(&victims_f[..out_f.victims], &victims_r[..out_r.victims]);
                     prop_assert_eq!(out_f.cpu_ns, out_r.cpu_ns);
-                    for &v in &out_f.victims {
+                    for &v in &victims_f[..out_f.victims] {
                         resident[v as usize] = false;
                         fake.set_resident(v, false);
                         real.space.clear_mapping(v);

@@ -6,7 +6,7 @@ use pagesim_engine::{Nanos, QueuedDevice, SimTime, MICROSECOND, MILLISECOND};
 use pagesim_mem::{EntropyClass, PAGE_SIZE};
 
 use crate::compress::CompressionModel;
-use crate::slots::{SlotAllocator, SwapSlot};
+use crate::slots::{SlotAllocator, SlotTable, SwapSlot};
 
 /// Which medium a device models.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,6 +82,10 @@ pub trait SwapDevice {
     /// Writes a page (swap-out). The page's entropy class drives
     /// compression accounting on ZRAM.
     fn write(&mut self, now: SimTime, slot: SwapSlot, class: EntropyClass) -> SwapResult;
+    /// When the last write to `slot` completes. A read must not be
+    /// submitted before it. [`SimTime::ZERO`] once a read of the slot has
+    /// been submitted: the data is durable from then on.
+    fn write_done(&self, slot: SwapSlot) -> SimTime;
     /// Reads a page back (swap-in).
     fn read(&mut self, now: SimTime, slot: SwapSlot) -> SwapResult;
     /// Releases a slot after its page is read back in and remapped.
@@ -105,13 +109,18 @@ pub trait SwapDevice {
     #[cfg(feature = "sanitize")]
     fn sanitize_slot_stored(&self, slot: SwapSlot) -> bool;
     /// Sanitize sweep: verifies the device's internal slot/pool accounting
-    /// and returns the live slot count for kernel-side cross-checks.
+    /// and per-slot state, and returns the live slot count for kernel-side
+    /// cross-checks.
     ///
     /// # Panics
     ///
     /// Panics with a `sanitize: swap-slot:` message on any inconsistency.
     #[cfg(feature = "sanitize")]
     fn sanitize_check(&self) -> u64;
+    /// Sanitize probe: the slot high-water mark and the device's slot
+    /// count, which the kernel sizes to the workload's page count.
+    #[cfg(feature = "sanitize")]
+    fn sanitize_slot_bounds(&self) -> (u32, u32);
 }
 
 /// SSD swap: a FIFO request queue in front of `parallelism` flash channels.
@@ -122,7 +131,7 @@ pub trait SwapDevice {
 pub struct SsdDevice {
     queue: QueuedDevice,
     slots: SlotAllocator,
-    stored: std::collections::HashMap<SwapSlot, EntropyClass>,
+    table: SlotTable,
     read_service: Nanos,
     write_service: Nanos,
     submit_cpu: Nanos,
@@ -130,12 +139,13 @@ pub struct SsdDevice {
 }
 
 impl SsdDevice {
-    /// Creates an SSD with explicit service times and parallelism.
-    pub fn new(read_service: Nanos, write_service: Nanos, parallelism: usize) -> Self {
+    /// Creates an SSD of `slots` swap slots with explicit service times
+    /// and parallelism.
+    pub fn new(read_service: Nanos, write_service: Nanos, parallelism: usize, slots: u32) -> Self {
         SsdDevice {
             queue: QueuedDevice::new(parallelism),
-            slots: SlotAllocator::new(),
-            stored: std::collections::HashMap::new(),
+            slots: SlotAllocator::new(slots),
+            table: SlotTable::new(slots),
             read_service,
             write_service,
             submit_cpu: 2 * MICROSECOND,
@@ -143,10 +153,16 @@ impl SsdDevice {
         }
     }
 
-    /// The paper's SSD: ~7.5 ms per 4 KiB read and write under load.
-    /// Modeled as 7.5 ms service at the device with two channels.
-    pub fn with_paper_costs() -> Self {
-        Self::new(7 * MILLISECOND + 500 * MICROSECOND, 7 * MILLISECOND + 500 * MICROSECOND, 2)
+    /// The paper's SSD with `slots` swap slots: ~7.5 ms per 4 KiB read
+    /// and write under load. Modeled as 7.5 ms service at the device with
+    /// two channels.
+    pub fn with_paper_costs(slots: u32) -> Self {
+        Self::new(
+            7 * MILLISECOND + 500 * MICROSECOND,
+            7 * MILLISECOND + 500 * MICROSECOND,
+            2,
+            slots,
+        )
     }
 
     /// Attaches a fault injector to the device queue.
@@ -177,12 +193,12 @@ impl SwapDevice for SsdDevice {
         self.slots.allocate()
     }
 
-    fn write(&mut self, now: SimTime, slot: SwapSlot, class: EntropyClass) -> SwapResult {
+    fn write(&mut self, now: SimTime, slot: SwapSlot, _class: EntropyClass) -> SwapResult {
         let done_at = match self.queue.submit(now, self.write_service) {
             Ok(t) => t,
             Err(e) => return Err(self.fail(e)),
         };
-        self.stored.insert(slot, class);
+        self.table.store(slot, PAGE_SIZE as u32, done_at);
         self.stats.writes += 1;
         self.stats.write_queue_ns += done_at.saturating_since(now) - self.write_service;
         Ok(IoOutcome {
@@ -191,12 +207,17 @@ impl SwapDevice for SsdDevice {
         })
     }
 
+    fn write_done(&self, slot: SwapSlot) -> SimTime {
+        self.table.write_done(slot)
+    }
+
     fn read(&mut self, now: SimTime, slot: SwapSlot) -> SwapResult {
-        debug_assert!(self.stored.contains_key(&slot), "read of empty slot");
+        debug_assert!(self.table.bytes(slot) != 0, "read of empty slot");
         let done_at = match self.queue.submit(now, self.read_service) {
             Ok(t) => t,
             Err(e) => return Err(self.fail(e)),
         };
+        self.table.read_back(slot);
         self.stats.reads += 1;
         self.stats.read_queue_ns += done_at.saturating_since(now) - self.read_service;
         Ok(IoOutcome {
@@ -206,7 +227,7 @@ impl SwapDevice for SsdDevice {
     }
 
     fn release(&mut self, slot: SwapSlot) {
-        self.stored.remove(&slot);
+        self.table.clear(slot);
         self.slots.release(slot);
     }
 
@@ -253,20 +274,24 @@ impl SwapDevice for SsdDevice {
 
     #[cfg(feature = "sanitize")]
     fn sanitize_slot_stored(&self, slot: SwapSlot) -> bool {
-        self.stored.contains_key(&slot)
+        self.table.bytes(slot) != 0
     }
 
     #[cfg(feature = "sanitize")]
     fn sanitize_check(&self) -> u64 {
-        let live = self.slots.check_invariants();
+        let stored = self.table.check_invariants(&self.slots, "ssd");
+        let live = self.slots.live();
         assert_eq!(
-            self.stored.len() as u64,
-            live,
-            "sanitize: swap-slot: ssd stores {} slots but {} are live",
-            self.stored.len(),
-            live
+            stored,
+            live * PAGE_SIZE as u64,
+            "sanitize: swap-slot: ssd stores {stored} bytes but {live} slots are live"
         );
         live
+    }
+
+    #[cfg(feature = "sanitize")]
+    fn sanitize_slot_bounds(&self) -> (u32, u32) {
+        (self.slots.high_water(), self.slots.capacity())
     }
 }
 
@@ -278,7 +303,7 @@ impl SwapDevice for SsdDevice {
 #[derive(Debug)]
 pub struct ZramDevice {
     slots: SlotAllocator,
-    stored: std::collections::HashMap<SwapSlot, usize>,
+    table: SlotTable,
     model: CompressionModel,
     read_cpu: Nanos,
     write_cpu: Nanos,
@@ -290,11 +315,12 @@ pub struct ZramDevice {
 }
 
 impl ZramDevice {
-    /// Creates a ZRAM device with explicit per-op CPU costs.
-    pub fn new(read_cpu: Nanos, write_cpu: Nanos) -> Self {
+    /// Creates a ZRAM device of `slots` swap slots with explicit per-op
+    /// CPU costs.
+    pub fn new(read_cpu: Nanos, write_cpu: Nanos, slots: u32) -> Self {
         ZramDevice {
-            slots: SlotAllocator::new(),
-            stored: std::collections::HashMap::new(),
+            slots: SlotAllocator::new(slots),
+            table: SlotTable::new(slots),
             model: CompressionModel::build(),
             read_cpu,
             write_cpu,
@@ -306,9 +332,10 @@ impl ZramDevice {
         }
     }
 
-    /// The paper's ZRAM with LZO-RLE: 20 µs reads, 35 µs writes.
-    pub fn with_paper_costs() -> Self {
-        Self::new(20 * MICROSECOND, 35 * MICROSECOND)
+    /// The paper's ZRAM with LZO-RLE and `slots` swap slots: 20 µs
+    /// reads, 35 µs writes.
+    pub fn with_paper_costs(slots: u32) -> Self {
+        Self::new(20 * MICROSECOND, 35 * MICROSECOND, slots)
     }
 
     /// Bounds the compressed pool to `bytes`; writes that would exceed the
@@ -366,9 +393,9 @@ impl SwapDevice for ZramDevice {
 
     fn write(&mut self, now: SimTime, slot: SwapSlot, class: EntropyClass) -> SwapResult {
         self.check_faults(now, self.write_cpu)?;
-        let size = self.model.stored_size(class);
-        let replaced = self.stored.get(&slot).copied().unwrap_or(0) as u64;
-        let new_pool = self.pool_bytes - replaced + size as u64;
+        let size = self.model.stored_size(class) as u32;
+        let replaced = u64::from(self.table.bytes(slot));
+        let new_pool = self.pool_bytes - replaced + u64::from(size);
         if let Some(cap) = self.capacity {
             if new_pool > cap {
                 // Pool exhausted: the write is rejected. The compression
@@ -381,19 +408,25 @@ impl SwapDevice for ZramDevice {
                 });
             }
         }
-        self.stored.insert(slot, size);
+        let done_at = now + self.write_cpu;
+        self.table.store(slot, size, done_at);
         self.pool_bytes = new_pool;
         self.pool_high_water = self.pool_high_water.max(self.pool_bytes);
         self.stats.writes += 1;
         Ok(IoOutcome {
             cpu_ns: self.write_cpu,
-            done_at: now + self.write_cpu,
+            done_at,
         })
     }
 
+    fn write_done(&self, slot: SwapSlot) -> SimTime {
+        self.table.write_done(slot)
+    }
+
     fn read(&mut self, now: SimTime, slot: SwapSlot) -> SwapResult {
-        debug_assert!(self.stored.contains_key(&slot), "read of empty slot");
+        debug_assert!(self.table.bytes(slot) != 0, "read of empty slot");
         self.check_faults(now, self.read_cpu)?;
+        self.table.read_back(slot);
         self.stats.reads += 1;
         Ok(IoOutcome {
             cpu_ns: self.read_cpu,
@@ -402,9 +435,7 @@ impl SwapDevice for ZramDevice {
     }
 
     fn release(&mut self, slot: SwapSlot) {
-        if let Some(size) = self.stored.remove(&slot) {
-            self.pool_bytes -= size as u64;
-        }
+        self.pool_bytes -= u64::from(self.table.clear(slot));
         self.slots.release(slot);
     }
 
@@ -442,27 +473,23 @@ impl SwapDevice for ZramDevice {
 
     #[cfg(feature = "sanitize")]
     fn sanitize_slot_stored(&self, slot: SwapSlot) -> bool {
-        self.stored.contains_key(&slot)
+        self.table.bytes(slot) != 0
     }
 
     #[cfg(feature = "sanitize")]
     fn sanitize_check(&self) -> u64 {
-        let live = self.slots.check_invariants();
-        assert_eq!(
-            self.stored.len() as u64,
-            live,
-            "sanitize: swap-slot: zram stores {} slots but {} are live",
-            self.stored.len(),
-            live
-        );
-        // lint: allow(hash-iter) order-independent sum over stored sizes
-        let stored_bytes: u64 = self.stored.values().map(|&s| s as u64).sum();
+        let stored_bytes = self.table.check_invariants(&self.slots, "zram");
         assert_eq!(
             self.pool_bytes, stored_bytes,
             "sanitize: swap-slot: zram pool counter {} vs {} bytes actually stored",
             self.pool_bytes, stored_bytes
         );
-        live
+        self.slots.live()
+    }
+
+    #[cfg(feature = "sanitize")]
+    fn sanitize_slot_bounds(&self) -> (u32, u32) {
+        (self.slots.high_water(), self.slots.capacity())
     }
 }
 
@@ -473,7 +500,7 @@ mod tests {
 
     #[test]
     fn ssd_costs_are_queued() {
-        let mut ssd = SsdDevice::new(100, 100, 1);
+        let mut ssd = SsdDevice::new(100, 100, 1, 16);
         let t0 = SimTime::ZERO;
         let slot_a = ssd.allocate_slot();
         let a = ssd.write(t0, slot_a, EntropyClass::Text).unwrap();
@@ -491,7 +518,7 @@ mod tests {
 
     #[test]
     fn ssd_paper_costs_land_at_7_5ms() {
-        let mut ssd = SsdDevice::with_paper_costs();
+        let mut ssd = SsdDevice::with_paper_costs(16);
         let s = ssd.allocate_slot();
         let w = ssd.write(SimTime::ZERO, s, EntropyClass::Text).unwrap();
         assert_eq!(w.done_at.as_ns(), 7_500_000);
@@ -499,7 +526,7 @@ mod tests {
 
     #[test]
     fn zram_costs_are_cpu_bound() {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(64);
         let s = z.allocate_slot();
         let w = z.write(SimTime::from_ns(1000), s, EntropyClass::Text).unwrap();
         assert_eq!(w.cpu_ns, 35_000);
@@ -511,7 +538,7 @@ mod tests {
 
     #[test]
     fn zram_pool_accounting_tracks_entropy() {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(64);
         let s1 = z.allocate_slot();
         let s2 = z.allocate_slot();
         z.write(SimTime::ZERO, s1, EntropyClass::Random).unwrap();
@@ -528,7 +555,7 @@ mod tests {
 
     #[test]
     fn ssd_used_bytes_counts_slots() {
-        let mut ssd = SsdDevice::new(10, 10, 1);
+        let mut ssd = SsdDevice::new(10, 10, 1, 16);
         let s = ssd.allocate_slot();
         ssd.write(SimTime::ZERO, s, EntropyClass::Random).unwrap();
         assert_eq!(ssd.used_bytes(), PAGE_SIZE as u64);
@@ -538,7 +565,7 @@ mod tests {
 
     #[test]
     fn rewrite_same_slot_replaces_bytes() {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(64);
         let s = z.allocate_slot();
         z.write(SimTime::ZERO, s, EntropyClass::Random).unwrap();
         let big = z.used_bytes();
@@ -548,10 +575,10 @@ mod tests {
 
     #[test]
     fn kinds_and_names() {
-        assert_eq!(SsdDevice::with_paper_costs().kind(), SwapKind::Ssd);
-        assert_eq!(ZramDevice::with_paper_costs().kind(), SwapKind::Zram);
-        assert_eq!(SsdDevice::with_paper_costs().name(), "ssd");
-        assert_eq!(ZramDevice::with_paper_costs().name(), "zram");
+        assert_eq!(SsdDevice::with_paper_costs(16).kind(), SwapKind::Ssd);
+        assert_eq!(ZramDevice::with_paper_costs(64).kind(), SwapKind::Zram);
+        assert_eq!(SsdDevice::with_paper_costs(16).name(), "ssd");
+        assert_eq!(ZramDevice::with_paper_costs(64).name(), "zram");
     }
 
     #[test]
@@ -559,7 +586,7 @@ mod tests {
         // Random pages store PAGE_SIZE + header each; cap the pool at two.
         let per_page = CompressionModel::build().stored_size(EntropyClass::Random) as u64;
         let cap = 2 * per_page;
-        let mut z = ZramDevice::with_paper_costs().with_capacity(cap);
+        let mut z = ZramDevice::with_paper_costs(64).with_capacity(cap);
         let s1 = z.allocate_slot();
         let s2 = z.allocate_slot();
         let s3 = z.allocate_slot();
@@ -581,7 +608,7 @@ mod tests {
 
     #[test]
     fn unbounded_pool_never_rejects() {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(64);
         for _ in 0..64 {
             let s = z.allocate_slot();
             z.write(SimTime::ZERO, s, EntropyClass::Random).unwrap();
@@ -591,7 +618,7 @@ mod tests {
 
     #[test]
     fn ssd_with_permanent_failure_errors_and_counts() {
-        let mut ssd = SsdDevice::new(100, 100, 1).with_faults(FaultInjector::new(
+        let mut ssd = SsdDevice::new(100, 100, 1, 16).with_faults(FaultInjector::new(
             FaultPlan {
                 fail_permanently_at: Some(0),
                 ..FaultPlan::none()
@@ -608,10 +635,10 @@ mod tests {
 
     #[test]
     fn zram_with_error_rate_one_rejects_reads() {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(64);
         let s = z.allocate_slot();
         z.write(SimTime::ZERO, s, EntropyClass::Text).unwrap();
-        let mut z = ZramDevice::with_paper_costs().with_faults(FaultInjector::new(
+        let mut z = ZramDevice::with_paper_costs(64).with_faults(FaultInjector::new(
             FaultPlan {
                 error_rate: 1.0,
                 ..FaultPlan::none()

@@ -13,6 +13,12 @@
 //!   35 µs writes per the paper), there is no queue, and capacity usage
 //!   depends on how well each page compresses.
 //!
+//! Each device has a fixed number of slots, set at construction, and keeps
+//! its per-slot state in one dense table beside its [`SlotAllocator`] (the
+//! analog of Linux's `swap_map`): the bytes a slot stores and when its
+//! write completes ([`SwapDevice::write_done`]). Nothing on the swap-out or
+//! swap-in path allocates or hashes.
+//!
 //! Compression is real: [`compress`]/[`decompress`] implement a byte-RLE
 //! codec (the RLE family is what LZO-RLE degenerates to on the synthetic
 //! page contents we generate), and per-[`EntropyClass`](pagesim_mem::EntropyClass) ratios are derived
@@ -23,7 +29,7 @@
 //! use pagesim_engine::SimTime;
 //! use pagesim_mem::EntropyClass;
 //!
-//! let mut zram = ZramDevice::with_paper_costs();
+//! let mut zram = ZramDevice::with_paper_costs(1024);
 //! let slot = zram.allocate_slot();
 //! let w = zram.write(SimTime::ZERO, slot, EntropyClass::Text).unwrap();
 //! assert!(w.cpu_ns >= 35_000); // paper's 35us write, CPU-bound

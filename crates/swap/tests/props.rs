@@ -30,7 +30,7 @@ proptest! {
     /// The slot allocator never hands out the same live slot twice.
     #[test]
     fn slots_are_unique_while_live(ops in prop::collection::vec(any::<bool>(), 1..500)) {
-        let mut a = SlotAllocator::new();
+        let mut a = SlotAllocator::new(500);
         let mut live = std::collections::HashSet::new();
         for alloc in ops {
             if alloc {
@@ -48,7 +48,7 @@ proptest! {
     /// for any write/release interleaving.
     #[test]
     fn zram_pool_balances(ops in prop::collection::vec((any::<bool>(), 0u8..4), 1..300)) {
-        let mut z = ZramDevice::with_paper_costs();
+        let mut z = ZramDevice::with_paper_costs(300);
         let mut live: Vec<u32> = Vec::new();
         let classes = [
             EntropyClass::Zero,
