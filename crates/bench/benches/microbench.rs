@@ -12,7 +12,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use pagesim::experiments::{figure_cells, Bench, CellSpec, Scale};
 use pagesim::{Experiment, PolicyChoice, SwapChoice, SystemConfig};
+use pagesim_bench::sweep::{cache, journal::Journal};
 use pagesim_engine::{EventQueue, SimTime};
 use pagesim_mem::{AddressSpace, AsId, EntropyClass, PageArena, PTES_PER_REGION, WORDS_PER_REGION};
 use pagesim_policy::memview::tests_support::FakeMem;
@@ -351,6 +353,39 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
+/// The warm-sweep path per trial: decoding one cache entry, and
+/// group-committing a batch of journal lines with one sync.
+fn bench_persistence(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("pagesim-microbench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    c.benchmark_group("cache")
+        .sample_size(500)
+        .bench_function("load_hit", |b| {
+            let bench = Bench::new(Scale::smoke());
+            let query = figure_cells("fig1").into_iter().next().expect("fig1 has cells");
+            let spec = CellSpec { query, trial: 0 };
+            let metrics = bench.run_trial(&spec.query, 0);
+            cache::store(&dir, &bench, &spec, &metrics, 0);
+            b.iter(|| match cache::load(&dir, &bench, &spec) {
+                cache::CacheRead::Hit(m) => m,
+                _ => panic!("the stored entry must read as a hit"),
+            })
+        });
+    c.benchmark_group("journal")
+        .sample_size(100)
+        .bench_function("commit_32", |b| {
+            let mut journal = Journal::open(&dir.join("j.jsonl"), false).expect("journal");
+            let ident = "tpch/clock/Ssd/r0.50 trial 0";
+            b.iter(|| {
+                for i in 0..32u64 {
+                    journal.trial(i, ident, "done", None, 0, 1);
+                }
+                journal.commit();
+            })
+        });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .measurement_time(Duration::from_secs(2))
@@ -362,6 +397,6 @@ criterion_group! {
     config = configured();
     targets = bench_bloom, bench_page_list, bench_zipf, bench_streams, bench_compress,
               bench_histogram, bench_event_queue, bench_scan, bench_reclaim, bench_swap,
-              bench_end_to_end
+              bench_end_to_end, bench_persistence
 }
 criterion_main!(benches);

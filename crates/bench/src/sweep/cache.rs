@@ -30,15 +30,29 @@ use pagesim::RunMetrics;
 /// `CACHE_FORMAT_VERSION`, which is part of the content hash).
 pub const CACHE_ENTRY_VERSION: u32 = 2;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over raw bytes — the same constants the config hash uses, but
 /// untagged: this guards file integrity, not field aliasing.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes: hashing `a` then `b` equals
+/// hashing their concatenation.
+fn fnv64_extend(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= b as u64;
         state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
     state
+}
+
+/// An entry's checksum: FNV-1a over the ident line, `\n` and the body,
+/// hashed in place rather than over a joined copy.
+fn entry_sum(ident_line: &str, body: &str) -> u64 {
+    let state = fnv64_extend(FNV_OFFSET, ident_line.as_bytes());
+    fnv64_extend(fnv64_extend(state, b"\n"), body.as_bytes())
 }
 
 /// What a cache read found.
@@ -105,7 +119,7 @@ fn parse_entry(text: &str, expected_ident: &str) -> Parsed {
     else {
         return Parsed::Corrupt;
     };
-    if fnv64(format!("{ident_line}\n{body}").as_bytes()) != stored_sum {
+    if entry_sum(ident_line, body) != stored_sum {
         return Parsed::Corrupt;
     }
     // Checksum-valid but a different cell: a 64-bit file-name collision
@@ -129,7 +143,7 @@ pub fn store(dir: &Path, bench: &Bench, spec: &CellSpec, metrics: &RunMetrics, t
     let tmp = path.with_extension(format!("tmp{tag}"));
     let ident_line = format!("pagesim-cell v{CACHE_ENTRY_VERSION} {ident}");
     let body = metrics.to_cache_text();
-    let sum = fnv64(format!("{ident_line}\n{body}").as_bytes());
+    let sum = entry_sum(&ident_line, &body);
     let write = || -> std::io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
         writeln!(f, "{ident_line}")?;

@@ -1,7 +1,13 @@
 //! Append-only JSONL run journal: the sweep's checkpoint for resume.
 //!
-//! One line per event, flushed as written, so a killed process loses at
-//! most the trial it was mid-way through:
+//! One line per event. Lines are group-committed: [`Journal::trial`]
+//! appends to a buffer, and [`Journal::commit`] writes the buffer with one
+//! `write_all` and one `sync_data`. The sweep's collector commits before
+//! it next waits for an outcome, so every outcome it has received is
+//! synced by then. A crash loses at most the outcomes received since the
+//! last commit; each of those is re-served from its already-durable cache
+//! entry, or re-run. The run header and the end line commit at once, and
+//! dropping the journal commits what is left:
 //!
 //! ```text
 //! {"v":1,"kind":"run","cells":12,"trials":120,"figs":"fig1 fig2","resume":false}
@@ -30,6 +36,7 @@
 //! [`CellFailure`]: pagesim::CellFailure
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -43,6 +50,8 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// degrade to "no checkpoint", never abort the sweep.
 pub struct Journal {
     file: fs::File,
+    /// Lines appended since the last [`Journal::commit`].
+    pending: String,
 }
 
 impl Journal {
@@ -59,26 +68,37 @@ impl Journal {
         } else {
             fs::File::create(path)
         };
-        file.ok().map(|file| Journal { file })
+        file.ok().map(|file| Journal {
+            file,
+            pending: String::new(),
+        })
     }
 
-    fn line(&mut self, s: &str) {
-        // One write_all per line keeps lines atomic enough for a local
-        // file; sync_data bounds loss to the in-flight trial on a crash.
-        let _ = self.file.write_all(format!("{s}\n").as_bytes());
+    /// Makes every appended line durable: one `write_all` of whole lines
+    /// (atomic enough for a local file), then one `sync_data`. A no-op when
+    /// nothing is pending.
+    pub fn commit(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let _ = self.file.write_all(self.pending.as_bytes());
         let _ = self.file.sync_data();
+        self.pending.clear();
     }
 
-    /// The run header: what was planned.
+    /// The run header: what was planned. Committed at once.
     pub fn run_header(&mut self, cells: usize, trials: usize, figs: &[String], resume: bool) {
-        self.line(&format!(
+        let _ = writeln!(
+            self.pending,
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"run\",\"cells\":{cells},\"trials\":{trials},\
              \"figs\":\"{}\",\"resume\":{resume}}}",
             escape(&figs.join(" "))
-        ));
+        );
+        self.commit();
     }
 
-    /// One trial outcome.
+    /// One trial outcome, appended to the buffer: durable at the next
+    /// [`Journal::commit`].
     pub fn trial(
         &mut self,
         hash: u64,
@@ -88,24 +108,33 @@ impl Journal {
         attempts: u32,
         ms: u64,
     ) {
-        let mut s = format!(
+        let _ = write!(
+            self.pending,
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"trial\",\"hash\":\"{hash:016x}\",\
              \"ident\":\"{}\",\"status\":\"{status}\"",
             escape(ident)
         );
         if let Some(d) = detail {
-            s.push_str(&format!(",\"detail\":\"{}\"", escape(d)));
+            let _ = write!(self.pending, ",\"detail\":\"{}\"", escape(d));
         }
-        s.push_str(&format!(",\"attempts\":{attempts},\"ms\":{ms}}}"));
-        self.line(&s);
+        let _ = writeln!(self.pending, ",\"attempts\":{attempts},\"ms\":{ms}}}");
     }
 
-    /// The run trailer: what actually happened.
+    /// The run trailer: what actually happened. Committed at once, with
+    /// any trial lines still pending.
     pub fn end(&mut self, done: usize, failed: usize, aborted: bool) {
-        self.line(&format!(
+        let _ = writeln!(
+            self.pending,
             "{{\"v\":{JOURNAL_VERSION},\"kind\":\"end\",\"done\":{done},\
              \"failed\":{failed},\"aborted\":{aborted}}}"
-        ));
+        );
+        self.commit();
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        self.commit();
     }
 }
 
@@ -191,6 +220,31 @@ mod tests {
         assert!(prior.is_done(0xB));
         assert!(!prior.is_done(0xC));
         assert_eq!(prior.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trial_lines_are_durable_only_after_a_commit() {
+        let dir = std::env::temp_dir().join(format!("pagesim-journal3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("j.jsonl");
+        let read = || std::fs::read_to_string(&path).expect("journal file");
+        let mut j = Journal::open(&path, false).expect("open");
+        j.run_header(1, 3, &["fig1".to_owned()], false);
+        assert_eq!(read().lines().count(), 1, "the header commits at once");
+        j.trial(0x1, "cell trial 0", "done", None, 0, 1);
+        assert!(!read().contains("\"kind\":\"trial\""), "buffered until commit");
+        j.commit();
+        assert_eq!(read().lines().count(), 2);
+        j.trial(0x2, "cell trial 1", "done", None, 0, 1);
+        j.end(2, 0, false);
+        assert_eq!(read().lines().count(), 4, "end commits the pending line");
+        j.trial(0x3, "cell trial 2", "done", None, 0, 1);
+        assert_eq!(read().lines().count(), 4);
+        drop(j);
+        let text = read();
+        assert_eq!(text.lines().count(), 5, "drop commits what is left");
+        assert!(text.lines().last().is_some_and(|l| l.contains("\"hash\":\"0000000000000003\"")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -29,10 +29,14 @@
 //!    state, and any recovered fault schedule.
 //!
 //! Alongside the cache, an append-only JSONL [`journal`] records every
-//! trial outcome as it completes; `repro --resume` turns it into a
-//! checkpoint, skipping completed trials and re-running failed or missing
-//! ones. The [`chaos`] module injects seeded harness faults so tests and
-//! CI can prove all of the above.
+//! trial outcome as the collector receives it. Lines are group-committed:
+//! every outcome received is synced before the collector next waits, so a
+//! crash loses at most the outcomes received since the last commit, and
+//! each of those is re-served from its already-durable cache entry or
+//! re-run. `repro --resume` turns the journal into a checkpoint, skipping
+//! completed trials and re-running failed or missing ones. The [`chaos`]
+//! module injects seeded harness faults so tests and CI can prove all of
+//! the above.
 //!
 //! Nothing here writes to stdout; progress and the final summary belong to
 //! stderr so `repro`'s figure stream stays byte-comparable.
@@ -422,12 +426,23 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
             // the journal. Workers always send WorkerExit last, so once
             // `live` hits zero every outcome has been received. The
             // collector retains a sender (`tx`), so `rx.recv()` cannot
-            // disconnect before then.
+            // disconnect before then. It drains every ready message, then
+            // commits the journal before it blocks: outcomes that arrive
+            // together share one sync, and none waits unsynced.
             let mut live = workers;
             let mut done = 0usize;
             let mut deaths: BTreeMap<usize, u32> = BTreeMap::new();
             while live > 0 {
-                let Ok(msg) = rx.recv() else { break };
+                let msg = match rx.try_recv() {
+                    Ok(msg) => msg,
+                    Err(_) => {
+                        if let Some(j) = jw.as_mut() {
+                            j.commit();
+                        }
+                        let Ok(msg) = rx.recv() else { break };
+                        msg
+                    }
+                };
                 match msg {
                     Msg::Trial(i, out) => {
                         done += 1;

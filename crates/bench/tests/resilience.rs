@@ -293,6 +293,86 @@ fn aborted_run_resumes_to_byte_identical_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The journal's lines of one kind.
+fn journal_lines(text: &str, kind: &str) -> Vec<String> {
+    let tag = format!("\"kind\":\"{kind}\"");
+    text.lines().filter(|l| l.contains(&tag)).map(str::to_owned).collect()
+}
+
+/// A warm re-run serves every trial from the cache and journals each one
+/// exactly once, as a group-committed `"attempts":0` line, before the end
+/// line.
+#[test]
+fn warm_rerun_journals_every_hit_once() {
+    let dir = scratch_dir("warm-journal");
+    let journal = dir.join("run-journal.jsonl");
+    let opts = SweepOptions {
+        jobs: 2,
+        cache_dir: Some(dir.clone()),
+        journal: Some(journal.clone()),
+        ..SweepOptions::default()
+    };
+    run_sweep_resilient(&tiny_bench(), &figs(), &opts);
+    let bench = tiny_bench();
+    let warm = run_sweep_resilient(&bench, &figs(), &opts);
+    assert_eq!(warm.stats.cache_hits, warm.stats.trials, "every trial hits");
+    assert_clean_recovery(&warm, &bench, "warm re-run");
+
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let hits = text.lines().filter(|l| l.contains("\"attempts\":0")).count();
+    assert_eq!(hits, warm.stats.trials, "one hit line per planned trial");
+    assert_eq!(journal_lines(&text, "trial").len(), warm.stats.trials);
+    let last = text.lines().last().expect("journal has lines");
+    assert!(last.contains("\"kind\":\"end\""), "ends with the end line: {last}");
+    assert!(last.contains(&format!("\"done\":{}", warm.stats.trials)), "{last}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chaos abort loses no buffered line: every outcome the collector
+/// received before the sweep stopped is in the journal, ahead of the
+/// aborted end line.
+#[test]
+fn aborted_journal_holds_every_received_outcome() {
+    let dir = scratch_dir("abort-journal");
+    let journal = dir.join("run-journal.jsonl");
+    let abort_after = 3;
+    let outcome = run_sweep_resilient(
+        &tiny_bench(),
+        &figs(),
+        &SweepOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            journal: Some(journal.clone()),
+            chaos: Some(ChaosPlan {
+                seed: 17,
+                abort_after: Some(abort_after),
+                ..ChaosPlan::default()
+            }),
+            ..SweepOptions::default()
+        },
+    );
+    assert!(outcome.aborted, "abort-after must stop the sweep");
+    let received = outcome.stats.cache_hits + outcome.stats.cache_misses;
+    assert!(received >= abort_after, "received {received} outcomes");
+
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let trials = journal_lines(&text, "trial");
+    assert_eq!(trials.len(), received, "a trial line per received outcome");
+    let mut hashes: Vec<&str> = trials
+        .iter()
+        .filter_map(|l| l.split("\"hash\":\"").nth(1)?.get(..16))
+        .collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(hashes.len(), received, "each outcome journalled once");
+    let last = text.lines().last().expect("journal has lines");
+    assert!(last.contains("\"aborted\":true"), "{last}");
+    assert!(last.contains(&format!("\"done\":{received}")), "{last}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Cache quarantine property
 // ---------------------------------------------------------------------

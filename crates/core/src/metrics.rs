@@ -297,20 +297,41 @@ fn write_histogram(out: &mut String, name: &str, h: &LatencyHistogram) {
 
 fn parse_histogram(line: &str, name: &str) -> Option<LatencyHistogram> {
     let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
-    let mut it = rest.split(' ');
+    let mut it = rest.splitn(4, ' ');
     let sum: u128 = it.next()?.parse().ok()?;
     let min: u64 = it.next()?.parse().ok()?;
     let max: u64 = it.next()?.parse().ok()?;
-    let n: usize = it.next()?.parse().ok()?;
+    let tail = it.next()?;
+    let (n, pairs) = tail.split_at(tail.find(' ').unwrap_or(tail.len()));
+    let n: usize = n.parse().ok()?;
+    // The ` i:c` pairs are most of a cache entry's bytes, so they are read
+    // in one pass over the bytes rather than token by token.
+    let mut pairs = pairs.as_bytes();
     let mut sparse = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let (i, c) = it.next()?.split_once(':')?;
-        sparse.push((i.parse().ok()?, c.parse().ok()?));
+        let (i, rest) = leading_u64(pairs.strip_prefix(b" ")?)?;
+        let (c, rest) = leading_u64(rest.strip_prefix(b":")?)?;
+        sparse.push((u32::try_from(i).ok()?, c));
+        pairs = rest;
     }
-    if it.next().is_some() {
+    if !pairs.is_empty() {
         return None;
     }
     LatencyHistogram::from_parts(&sparse, sum, min, max)
+}
+
+/// Splits the decimal `u64` off the front of `b`: at least one digit, no
+/// sign, `None` on overflow.
+fn leading_u64(b: &[u8]) -> Option<(u64, &[u8])> {
+    let digits = b.iter().take_while(|d| d.is_ascii_digit()).count();
+    if digits == 0 {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for &d in &b[..digits] {
+        v = v.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+    }
+    Some((v, &b[digits..]))
 }
 
 /// Flattens a multi-line introspection dump onto one cache line
@@ -614,6 +635,29 @@ mod tests {
         // An unknown error name.
         let err = text.replacen("error -", "error bogus", 1);
         assert!(RunMetrics::from_cache_text(&err).is_none());
+    }
+
+    #[test]
+    fn histogram_lines_parse_strictly() {
+        let h = |line: &str| parse_histogram(line, "h").map(|h| h.to_parts());
+        assert_eq!(h("h 0 18446744073709551615 0 0"), Some((vec![], 0, u64::MAX, 0)));
+        assert_eq!(h("h 12 5 7 2 5:1 7:1"), Some((vec![(5, 1), (7, 1)], 12, 5, 7)));
+        for bad in [
+            "h 0 0 0 0 ",
+            "h 12 5 7 2 5:1",
+            "h 12 5 7 2 5:1 7:1 ",
+            "h 12 5 7 2 5:1  7:1",
+            "h 12 5 7 1 5:1 7:1",
+            "h 12 5 7 2 5:1 +7:1",
+            "h 12 5 7 2 5:1 7:",
+            "h 12 5 7 2 5:1 :1",
+            "h 12 5 7 2 5:1 7-1",
+            "h 12 5 7 1 4294967296:1",
+            "h 12 5 7 1 5:18446744073709551616",
+            "h 12 5 7 1 3712:1",
+        ] {
+            assert_eq!(h(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! 110 million samples. Storing each sample to compute p99.99 would be
 //! wasteful, so we use an HDR-style histogram: logarithmic major buckets
 //! with linear sub-buckets, giving a bounded relative error (< 1/64 ≈ 1.6%
-//! by default) at any percentile with a few KiB of memory.
+//! by default) at any percentile. Buckets are stored only up to the
+//! highest one in use, so memory follows the largest sample: about 8 KiB
+//! when that is near a millisecond, 29 KiB at most.
 
 
 
 const SUB_BUCKET_BITS: u32 = 6; // 64 linear sub-buckets per power of two
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 
-/// A fixed-memory histogram of `u64` latency samples (nanoseconds).
+/// A bounded-memory histogram of `u64` latency samples (nanoseconds).
 ///
 /// ```rust
 /// use pagesim_stats::LatencyHistogram;
@@ -27,7 +29,8 @@ const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     // buckets[major][sub]: major = floor(log2(v)) - SUB_BUCKET_BITS clamped,
-    // flattened into one Vec.
+    // flattened into one Vec that ends at the highest non-zero bucket (at
+    // most BUCKETS long): an empty histogram allocates nothing.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -36,12 +39,13 @@ pub struct LatencyHistogram {
 }
 
 const MAJORS: usize = 64 - SUB_BUCKET_BITS as usize; // value range up to 2^63
+const BUCKETS: usize = MAJORS * SUB_BUCKETS;
 
 impl LatencyHistogram {
     /// Creates an empty histogram covering `1 ..= 2^63` nanoseconds.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; MAJORS * SUB_BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -77,9 +81,26 @@ impl LatencyHistogram {
         }
     }
 
+    /// Extends `counts` through bucket `idx` and counts one sample there:
+    /// rare after the first samples, so kept out of `record`'s inlined body.
+    #[cold]
+    fn grow_and_count(&mut self, idx: usize) {
+        assert!(idx < BUCKETS, "sample is past the 2^63 range (bucket {idx})");
+        self.counts.resize(idx + 1, 0);
+        self.counts[idx] = 1;
+    }
+
     /// Records one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is at or past 2^63, the top of the bucket range.
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::index_of(value)] += 1;
+        let idx = Self::index_of(value);
+        match self.counts.get_mut(idx) {
+            Some(count) => *count += 1,
+            None => self.grow_and_count(idx),
+        }
         self.total += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
@@ -88,6 +109,9 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -170,9 +194,23 @@ impl LatencyHistogram {
     /// output. Returns `None` if a bucket index is out of range (corrupt
     /// or foreign data).
     pub fn from_parts(sparse: &[(u32, u64)], sum: u128, min: u64, max: u64) -> Option<Self> {
+        if sparse.iter().any(|&(idx, _)| idx as usize >= BUCKETS) {
+            return None;
+        }
+        // Sized once to the highest non-zero bucket, as `record` leaves it:
+        // zero counts grow nothing.
+        let len = sparse
+            .iter()
+            .filter(|&&(_, count)| count != 0)
+            .map(|&(idx, _)| idx as usize + 1)
+            .max()
+            .unwrap_or(0);
         let mut h = LatencyHistogram::new();
+        h.counts = vec![0; len];
         for &(idx, count) in sparse {
-            *h.counts.get_mut(idx as usize)? += count;
+            if count != 0 {
+                h.counts[idx as usize] += count;
+            }
             h.total += count;
         }
         h.sum = sum;
@@ -285,6 +323,12 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^63")]
+    fn record_past_the_range_panics() {
+        LatencyHistogram::new().record(1 << 63);
     }
 
     #[test]

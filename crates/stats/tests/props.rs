@@ -277,3 +277,176 @@ fn percentile_of_singleton_is_the_element() {
         assert_eq!(percentile(&[42.0], p), 42.0, "p{p}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Sized histograms against a fixed-size reference. `LatencyHistogram`
+// stores buckets only up to the highest one in use; this reference keeps
+// all 3,712 buckets and must agree with it on every observable.
+
+/// Bucket count of the full histogram: 58 majors × 64 linear sub-buckets,
+/// covering samples below 2^63.
+const REF_BUCKETS: usize = 3712;
+
+struct RefHistogram {
+    counts: Vec<u64>,
+    total: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+impl RefHistogram {
+    fn new() -> Self {
+        RefHistogram {
+            counts: vec![0; REF_BUCKETS],
+            total: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn index_of(value: u64) -> usize {
+        let v = value.max(1);
+        let msb = 63 - v.leading_zeros();
+        if msb < 6 {
+            v as usize
+        } else {
+            let major = (msb - 5) as usize;
+            major * 64 + ((v >> (msb - 6)) & 63) as usize
+        }
+    }
+
+    fn value_of(idx: usize) -> u64 {
+        let (major, sub) = (idx / 64, (idx % 64) as u64);
+        if major == 0 {
+            sub
+        } else {
+            let width = 1u64 << (major - 1);
+            ((64 + sub) << (major - 1)) + width / 2
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        self.counts[Self::index_of(v)] += 1;
+        self.total += 1;
+        self.sum += v as u128;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    fn merge(&mut self, other: &RefHistogram) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    fn parts(&self) -> (Vec<(u32, u64)>, u128, u64, u64) {
+        let sparse = (0..REF_BUCKETS)
+            .filter(|&i| self.counts[i] != 0)
+            .map(|i| (i as u32, self.counts[i]))
+            .collect();
+        (sparse, self.sum, self.min, self.max)
+    }
+
+    fn percentile(&self, p: f64) -> u64 {
+        if p >= 100.0 {
+            return self.max;
+        }
+        let target = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (idx, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return Self::value_of(idx).clamp(self.min, self.max);
+            }
+        }
+        self.max
+    }
+}
+
+/// Samples spread over every magnitude below 2^63: each is a random word
+/// shifted down to a random bit width.
+fn spread(draws: &[(u64, u32)], widths: std::ops::Range<u32>) -> Vec<u64> {
+    let span = widths.end - widths.start;
+    draws
+        .iter()
+        .map(|&(raw, w)| raw >> (64 - (widths.start + w % span)))
+        .collect()
+}
+
+fn both_of(xs: &[u64]) -> (LatencyHistogram, RefHistogram) {
+    let mut r = RefHistogram::new();
+    for &x in xs {
+        r.record(x);
+    }
+    (hist_of(xs), r)
+}
+
+fn agrees(h: &LatencyHistogram, r: &RefHistogram) -> Result<(), String> {
+    prop_assert_eq!(h.to_parts(), r.parts());
+    prop_assert_eq!(h.count(), r.total);
+    if r.total == 0 {
+        prop_assert_eq!((h.min(), h.max(), h.mean()), (0, 0, 0.0));
+        return Ok(());
+    }
+    prop_assert_eq!(h.min(), r.min);
+    prop_assert_eq!(h.max(), r.max);
+    prop_assert_eq!(h.mean().to_bits(), (r.sum as f64 / r.total as f64).to_bits());
+    for (p, v) in h.tail_profile() {
+        prop_assert_eq!(v, r.percentile(p), "p{}", p);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Recording, merging in either order, and a parts round trip all
+    /// agree with the fixed-size reference, for samples up to 2^63 and
+    /// for histograms whose bucket ranges do not overlap.
+    #[test]
+    fn sized_histogram_matches_fixed_reference(
+        low in prop::collection::vec((any::<u64>(), any::<u32>()), 0..120),
+        high in prop::collection::vec((any::<u64>(), any::<u32>()), 0..120),
+    ) {
+        let (lo, hi) = (spread(&low, 1..24), spread(&high, 40..64));
+        let (h_lo, r_lo) = both_of(&lo);
+        let (h_hi, r_hi) = both_of(&hi);
+        agrees(&h_lo, &r_lo)?;
+        agrees(&h_hi, &r_hi)?;
+
+        let mut r_all = RefHistogram::new();
+        r_all.merge(&r_lo);
+        r_all.merge(&r_hi);
+        let mut lo_hi = h_lo.clone();
+        lo_hi.merge(&h_hi);
+        agrees(&lo_hi, &r_all)?;
+        let mut hi_lo = h_hi.clone();
+        hi_lo.merge(&h_lo);
+        agrees(&hi_lo, &r_all)?;
+
+        let (sparse, sum, min, max) = lo_hi.to_parts();
+        let back = LatencyHistogram::from_parts(&sparse, sum, min, max)
+            .expect("reachable parts decode");
+        agrees(&back, &r_all)?;
+    }
+}
+
+#[test]
+fn from_parts_rejects_the_first_index_past_the_range() {
+    let top = REF_BUCKETS as u32 - 1;
+    assert!(LatencyHistogram::from_parts(&[(top, 1)], 0, 0, 0).is_some());
+    assert!(LatencyHistogram::from_parts(&[(top + 1, 1)], 0, 0, 0).is_none());
+    assert!(LatencyHistogram::from_parts(&[(0, 1), (top + 1, 0)], 0, 0, 0).is_none());
+}
+
+#[test]
+fn the_largest_sample_lands_in_the_last_bucket() {
+    let mut h = LatencyHistogram::new();
+    h.record((1 << 63) - 1);
+    let (sparse, ..) = h.to_parts();
+    assert_eq!(sparse, vec![(REF_BUCKETS as u32 - 1, 1)]);
+}
