@@ -23,6 +23,7 @@ use pagesim_stats::LatencyHistogram;
 use pagesim_swap::{compress, page_for_class, SsdDevice, SwapDevice, SwapSlot, ZramDevice};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
+use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
 use pagesim_workloads::zipf::ScrambledZipfian;
 use pagesim_workloads::{Op, Workload};
 
@@ -75,6 +76,32 @@ fn bench_zipf(c: &mut Criterion) {
     c.bench_function("zipf/scrambled_draw", |b| {
         let mut z = ScrambledZipfian::new(1_000_000, 7);
         b.iter(|| black_box(z.next_item()));
+    });
+}
+
+/// YCSB request generation: one paper-scale YCSB-A stream (40 k items,
+/// 100 k requests) drained to the end through `next_batch`. The request
+/// table is built before the timed loop, and each iteration's stream is
+/// built untimed. Divide the time per iteration by 100 k for ns per
+/// request.
+fn bench_ycsb_request(c: &mut Criterion) {
+    let workload = YcsbWorkload::new(YcsbConfig::with_mix(YcsbMix::A), 0xD00D);
+    workload.requests();
+    c.bench_function("workloads/ycsb_request", |b| {
+        let mut batch = Vec::new();
+        b.iter_batched(
+            || workload.streams(1).swap_remove(0),
+            |mut stream| {
+                let mut requests = 0u64;
+                stream.next_batch(&mut batch);
+                while batch != [Op::Done] {
+                    requests += 1;
+                    stream.next_batch(&mut batch);
+                }
+                requests
+            },
+            BatchSize::LargeInput,
+        );
     });
 }
 
@@ -395,8 +422,8 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_bloom, bench_page_list, bench_zipf, bench_streams, bench_compress,
-              bench_histogram, bench_event_queue, bench_scan, bench_reclaim, bench_swap,
-              bench_end_to_end, bench_persistence
+    targets = bench_bloom, bench_page_list, bench_zipf, bench_ycsb_request, bench_streams,
+              bench_compress, bench_histogram, bench_event_queue, bench_scan, bench_reclaim,
+              bench_swap, bench_end_to_end, bench_persistence
 }
 criterion_main!(benches);

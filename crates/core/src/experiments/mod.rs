@@ -252,19 +252,19 @@ impl Bench {
     /// Builds all workloads at the given scale.
     pub fn new(scale: Scale) -> Bench {
         let f = scale.footprint;
-        let ycsb = |mix| {
-            let mut cfg = YcsbConfig::with_mix(mix);
-            cfg.items = ((cfg.items as f64 * f) as u32).max(1_000);
-            cfg.requests = ((cfg.requests as f64 * f) as u64).max(10_000);
-            YcsbWorkload::new(cfg, 0xD00D)
-        };
+        let mut ycsb = YcsbConfig::with_mix(YcsbMix::A);
+        ycsb.items = ((ycsb.items as f64 * f) as u32).max(1_000);
+        ycsb.requests = ((ycsb.requests as f64 * f) as u64).max(10_000);
+        // B and C share A's store and request table: they differ only in
+        // the update share.
+        let ycsb_a = YcsbWorkload::new(ycsb, 0xD00D);
         Bench {
             scale,
             tpch: TpchWorkload::new(TpchConfig::default().scaled(f)),
             pagerank: PageRankWorkload::new(PageRankConfig::default().scaled(f), 0xD00D),
-            ycsb_a: ycsb(YcsbMix::A),
-            ycsb_b: ycsb(YcsbMix::B),
-            ycsb_c: ycsb(YcsbMix::C),
+            ycsb_b: ycsb_a.with_mix(YcsbMix::B),
+            ycsb_c: ycsb_a.with_mix(YcsbMix::C),
+            ycsb_a,
             buffered: BufferedIoWorkload::new(BufferedIoConfig::default()),
             cells: parking_lot::Mutex::new(BTreeMap::new()),
         }

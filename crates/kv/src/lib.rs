@@ -17,17 +17,18 @@
 //! A GET touches the key's bucket page, then each item page along the
 //! collision chain until the key matches. An UPDATE does the same and
 //! writes the item's page(s). [`KvStore::plan_into`] writes a request's
-//! touches into a caller's buffer, so a request stream allocates nothing;
-//! [`KvStore::get_plan`]/[`KvStore::update_plan`] wrap it. Values default
-//! to ~1.2 KiB, the per-item footprint implied by the paper's setup (11 M
-//! items in 12–16 GB).
+//! touches into a caller's buffer; it is the one definition of a request's
+//! touches, which the YCSB generator tabulates once per item. Values
+//! default to ~1.2 KiB, the per-item footprint implied by the paper's
+//! setup (11 M items in 12–16 GB).
 //!
 //! ```rust
 //! use pagesim_kv::{KvConfig, KvStore};
 //! let store = KvStore::build(KvConfig { items: 1000, value_size: 1200, ..KvConfig::default() });
-//! let plan = store.get_plan(42);
-//! assert!(plan.touches.len() >= 2); // bucket page + item page(s)
-//! assert!(!plan.touches[0].write);
+//! let mut touches = Vec::new();
+//! store.plan_into(42, false, &mut touches);
+//! assert!(touches.len() >= 2); // bucket page + item page(s)
+//! assert!(!touches[0].write);
 //! ```
 
 
@@ -57,23 +58,13 @@ impl Default for KvConfig {
     }
 }
 
-/// One page touch in an access plan.
+/// One page touch of a request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Touch {
     /// Virtual page touched.
     pub vpn: Vpn,
     /// Whether the touch is a store.
     pub write: bool,
-}
-
-/// The page touches and CPU work of one request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AccessPlan {
-    /// Ordered page touches.
-    pub touches: Vec<Touch>,
-    /// Base CPU cost in nanoseconds (hashing, memcmp, protocol work),
-    /// excluding memory-access costs the simulator charges per touch.
-    pub cpu_ns: u64,
 }
 
 /// Base CPU cost of serving one request (protocol parse + hash).
@@ -202,9 +193,9 @@ impl KvStore {
 
     /// Writes the ordered page touches of a GET (`write == false`) or an
     /// UPDATE (`write == true`) of `item` into `touches`, replacing its
-    /// contents, and returns the request's base CPU cost in nanoseconds
-    /// (as [`AccessPlan::cpu_ns`]). Reusing one `touches` buffer makes a
-    /// request allocation-free.
+    /// contents, and returns the request's base CPU cost in nanoseconds:
+    /// hashing, key compares and protocol work, excluding the memory-access
+    /// costs the simulator charges per touch.
     pub fn plan_into(&self, item: u32, write: bool, touches: &mut Vec<Touch>) -> u64 {
         debug_assert!(item < self.cfg.items, "unknown item {item}");
         let bucket = self.bucket_of(item);
@@ -236,22 +227,6 @@ impl KvStore {
         cpu_ns
     }
 
-    fn plan(&self, item: u32, write: bool) -> AccessPlan {
-        let mut touches = Vec::new();
-        let cpu_ns = self.plan_into(item, write, &mut touches);
-        AccessPlan { touches, cpu_ns }
-    }
-
-    /// Page touches for a GET of `item`.
-    pub fn get_plan(&self, item: u32) -> AccessPlan {
-        self.plan(item, false)
-    }
-
-    /// Page touches for an UPDATE of `item` (read-modify-write).
-    pub fn update_plan(&self, item: u32) -> AccessPlan {
-        self.plan(item, true)
-    }
-
     /// Mean collision-chain length (diagnostics; should be ≈ load factor).
     pub fn mean_chain_len(&self) -> f64 {
         self.cfg.items as f64 / self.buckets() as f64
@@ -270,6 +245,13 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `item`'s touches and base CPU: a GET, or an UPDATE if `write`.
+    fn plan(s: &KvStore, item: u32, write: bool) -> (Vec<Touch>, u64) {
+        let mut touches = Vec::new();
+        let cpu_ns = s.plan_into(item, write, &mut touches);
+        (touches, cpu_ns)
+    }
 
     fn small() -> KvStore {
         KvStore::build(KvConfig {
@@ -292,23 +274,23 @@ mod tests {
     #[test]
     fn get_touches_bucket_then_item() {
         let s = small();
-        let plan = s.get_plan(123);
-        assert!(plan.touches.len() >= 2);
-        assert!(plan.touches[0].vpn < s.bucket_pages(), "bucket page first");
-        let last = plan.touches.last().unwrap();
+        let (touches, cpu_ns) = plan(&s, 123, false);
+        assert!(touches.len() >= 2);
+        assert!(touches[0].vpn < s.bucket_pages(), "bucket page first");
+        let last = touches.last().unwrap();
         assert_eq!(last.vpn, s.item_page(123));
         assert!(!last.write);
-        assert!(plan.cpu_ns >= REQUEST_CPU_NS);
+        assert!(cpu_ns >= REQUEST_CPU_NS);
     }
 
     #[test]
     fn update_writes_item_page_only() {
         let s = small();
-        let plan = s.update_plan(7);
-        let writes: Vec<_> = plan.touches.iter().filter(|t| t.write).collect();
+        let (touches, _) = plan(&s, 7, true);
+        let writes: Vec<_> = touches.iter().filter(|t| t.write).collect();
         assert_eq!(writes.len(), 1);
         assert_eq!(writes[0].vpn, s.item_page(7));
-        assert!(!plan.touches[0].write, "bucket page is never written");
+        assert!(!touches[0].write, "bucket page is never written");
     }
 
     #[test]
@@ -329,13 +311,13 @@ mod tests {
             .expect("10k items must collide somewhere");
         let first = chain[0];
         let second = chain[1];
-        let p1 = s.get_plan(first);
-        let p2 = s.get_plan(second);
-        assert_eq!(p1.touches.len(), 2);
-        assert_eq!(p2.touches.len(), 3);
-        assert_eq!(p2.touches[1].vpn, s.item_page(first));
+        let (t1, cpu1) = plan(&s, first, false);
+        let (t2, cpu2) = plan(&s, second, false);
+        assert_eq!(t1.len(), 2);
+        assert_eq!(t2.len(), 3);
+        assert_eq!(t2[1].vpn, s.item_page(first));
         assert_eq!(s.bucket_of(second), bucket);
-        assert!(p2.cpu_ns > p1.cpu_ns);
+        assert!(cpu2 > cpu1);
     }
 
     #[test]
@@ -383,9 +365,8 @@ mod tests {
             load_factor: 1.0,
             seed: 1,
         });
-        let plan = s.get_plan(50);
-        let item_touches = plan
-            .touches
+        let (touches, _) = plan(&s, 50, false);
+        let item_touches = touches
             .iter()
             .filter(|t| t.vpn >= s.item_page(50) && t.vpn < s.item_page(50) + 3)
             .count();
@@ -398,7 +379,7 @@ mod tests {
         let a = small();
         let b = small();
         for item in (0..10_000).step_by(997) {
-            assert_eq!(a.get_plan(item), b.get_plan(item));
+            assert_eq!(plan(&a, item, false), plan(&b, item, false));
         }
     }
 
@@ -406,8 +387,7 @@ mod tests {
     fn all_items_fit_inside_declared_pages() {
         let s = small();
         for item in 0..s.items() {
-            let plan = s.get_plan(item);
-            for t in &plan.touches {
+            for t in &plan(&s, item, false).0 {
                 assert!(t.vpn < s.total_pages(), "touch outside space");
             }
         }

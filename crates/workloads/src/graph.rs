@@ -23,6 +23,45 @@ use pagesim_engine::rng::splitmix64;
 /// 64-bit hash, the mantissa width of an `f64`, so `draw / DRAWS` is exact.
 pub const DRAWS: u64 = 1 << 53;
 
+/// The least draw `m` above `floor` with `pred(m)`, for `pred` monotone
+/// over `floor..DRAWS` with `pred(floor)` false and `pred(DRAWS - 1)`
+/// true: gallops out from `guess` until the answer is bracketed, then
+/// bisects. Threshold tables over draws find their thresholds with it.
+pub(crate) fn least_draw(floor: u64, guess: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    let guess = guess.clamp(floor + 1, DRAWS - 1);
+    // Invariant: !pred(lo) && pred(hi).
+    let (mut lo, mut hi);
+    let mut step = 1;
+    if pred(guess) {
+        hi = guess;
+        lo = guess.saturating_sub(step).max(floor);
+        while pred(lo) {
+            assert!(lo > floor, "predicate true on the floor");
+            hi = lo;
+            step *= 2;
+            lo = lo.saturating_sub(step).max(floor);
+        }
+    } else {
+        lo = guess;
+        hi = (guess + step).min(DRAWS - 1);
+        while !pred(hi) {
+            assert!(hi < DRAWS - 1, "predicate false on the last draw");
+            lo = hi;
+            step *= 2;
+            hi = (hi + step).min(DRAWS - 1);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// A synthetic scale-free graph with hash-generated adjacency.
 ///
 /// Vertex 0 is the biggest hub (degrees descend with vertex id); neighbor

@@ -190,6 +190,11 @@ impl OpBuf {
         self.ops.push(op);
     }
 
+    /// Appends ops to the batch.
+    pub fn extend(&mut self, ops: impl IntoIterator<Item = Op>) {
+        self.ops.extend(ops);
+    }
+
     /// The next buffered op, or `None` (leaving the buffer empty) once
     /// every op has been handed out.
     fn pop(&mut self) -> Option<Op> {

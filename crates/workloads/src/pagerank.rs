@@ -46,7 +46,7 @@ use std::sync::Arc;
 use pagesim_engine::rng::derive_seed;
 use pagesim_mem::{AsId, EntropyClass, Vpn, PAGE_SIZE};
 
-use crate::graph::{PowerLawGraph, DRAWS};
+use crate::graph::{least_draw, PowerLawGraph, DRAWS};
 use crate::{AccessStream, Annotation, Op, OpBuf, SpaceSpec, Workload};
 
 /// Configuration of the PageRank model.
@@ -139,7 +139,7 @@ impl RankPageTable {
             // (n / V)^(1 - skew) · DRAWS. Start there, then search exactly.
             let frac = (k * RANKS_PER_PAGE) as f64 / graph.vertices() as f64;
             let guess = (frac.powf(1.0 - graph.skew()) * DRAWS as f64) as u64;
-            thresholds.push(least_draw(guess, |m| page_of(m) >= k));
+            thresholds.push(least_draw(0, guess, |m| page_of(m) >= k));
         }
         thresholds.push(u64::MAX);
         let nbuckets = (4 * pages as usize).next_power_of_two();
@@ -171,43 +171,6 @@ impl RankPageTable {
     pub fn thresholds(&self) -> &[u64] {
         &self.thresholds[1..self.thresholds.len() - 1]
     }
-}
-
-/// The least draw `m` with `pred(m)`, for `pred` monotone over
-/// `0..DRAWS` with `pred(0)` false and `pred(DRAWS - 1)` true: gallops
-/// out from `guess` until the answer is bracketed, then bisects.
-fn least_draw(guess: u64, pred: impl Fn(u64) -> bool) -> u64 {
-    let guess = guess.clamp(1, DRAWS - 1);
-    // Invariant: !pred(lo) && pred(hi).
-    let (mut lo, mut hi);
-    let mut step = 1;
-    if pred(guess) {
-        hi = guess;
-        lo = guess.saturating_sub(step);
-        while pred(lo) {
-            hi = lo;
-            step *= 2;
-            lo = lo.saturating_sub(step);
-        }
-    } else {
-        lo = guess;
-        hi = (guess + step).min(DRAWS - 1);
-        while !pred(hi) {
-            assert!(hi < DRAWS - 1, "predicate false on the last draw");
-            lo = hi;
-            step *= 2;
-            hi = (hi + step).min(DRAWS - 1);
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
 }
 
 /// The PageRank workload (see module docs).

@@ -10,16 +10,16 @@
 //! the page faults its bucket/item touches incur, which is precisely the
 //! tail mechanism §V-A/§V-D analyses.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 
 use pagesim_engine::rng::derive_seed;
 use pagesim_kv::{KvConfig, KvStore, Touch};
-use pagesim_mem::{AsId, EntropyClass};
+use pagesim_mem::{AsId, EntropyClass, Vpn};
 
-use crate::zipf::{ScrambledZipfian, ZipfianDist, YCSB_THETA};
+use crate::zipf::{item_of_rank, ZipfianDist, ZipfianTable, YCSB_THETA};
 use crate::{AccessStream, Annotation, Op, OpBuf, ReqClass, SpaceSpec, Workload};
 
 /// Which YCSB core workload to run.
@@ -97,6 +97,101 @@ impl YcsbConfig {
     }
 }
 
+/// Every request a YCSB stream can make, tabulated by zipfian rank.
+///
+/// A request draws a rank from [`ZipfianTable`] and replays that rank's
+/// plan: the touches [`KvStore::plan_into`] gives for the rank's scrambled
+/// item ([`item_of_rank`]). Plans are stored in rank order, so the hot
+/// ranks' plans share a few cache lines. A GET and an UPDATE of an item
+/// differ only in the `write` flag of the item's own pages, the last
+/// [`RequestPlan::own_pages`] touches of its plan, so one plan serves
+/// both.
+#[derive(Debug)]
+pub struct RequestTable {
+    ranks: ZipfianTable,
+    /// `plans[r]` locates rank `r`'s plan; `plans[n]` is a sentinel whose
+    /// `start` ends the last plan.
+    plans: Vec<PlanEntry>,
+    /// Every plan's pages, back to back in rank order.
+    pages: Vec<Vpn>,
+    /// The trailing touches of every plan that are the item's own pages.
+    own_pages: usize,
+}
+
+/// Where one rank's plan lives in [`RequestTable::pages`], and its CPU.
+#[derive(Clone, Copy, Debug)]
+struct PlanEntry {
+    /// First page of the plan; the plan ends at the next entry's start.
+    start: u32,
+    /// The request's base CPU divided evenly over its touches.
+    cpu_per_touch: u32,
+}
+
+/// One rank's request plan.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestPlan<'a> {
+    /// The pages touched, in order.
+    pub pages: &'a [Vpn],
+    /// How many trailing pages are the item's own (written by an UPDATE).
+    pub own_pages: usize,
+    /// CPU charged before each touch, in nanoseconds.
+    pub cpu_per_touch: u32,
+}
+
+impl RequestPlan<'_> {
+    /// The plan's touches for a GET (`write == false`) or an UPDATE.
+    pub fn touches(&self, write: bool) -> impl Iterator<Item = Touch> + '_ {
+        let (shared, own) = self.pages.split_at(self.pages.len() - self.own_pages);
+        let touch = |write| move |&vpn| Touch { vpn, write };
+        shared
+            .iter()
+            .map(touch(false))
+            .chain(own.iter().map(touch(write)))
+    }
+}
+
+impl RequestTable {
+    /// Tabulates the ranks of `zipf` and the plans of their items in
+    /// `store`.
+    pub fn new(store: &KvStore, zipf: &ZipfianDist) -> Self {
+        let n = zipf.n();
+        assert_eq!(n, store.items() as u64, "one rank per item");
+        let mut touches = Vec::new();
+        store.plan_into(item_of_rank(0, n) as u32, true, &mut touches);
+        let own_pages = touches.iter().filter(|t| t.write).count();
+        let mut plans = Vec::with_capacity(n as usize + 1);
+        let mut pages = Vec::new();
+        for rank in 0..n {
+            let cpu_ns = store.plan_into(item_of_rank(rank, n) as u32, false, &mut touches);
+            plans.push(PlanEntry {
+                start: pages.len() as u32,
+                cpu_per_touch: (cpu_ns / touches.len() as u64) as u32,
+            });
+            pages.extend(touches.iter().map(|t| t.vpn));
+        }
+        plans.push(PlanEntry {
+            start: u32::try_from(pages.len()).expect("plan pages overflow u32"),
+            cpu_per_touch: 0,
+        });
+        RequestTable {
+            ranks: ZipfianTable::new(zipf),
+            plans,
+            pages,
+            own_pages,
+        }
+    }
+
+    /// The plan of the item at zipfian rank `rank`.
+    pub fn plan(&self, rank: u32) -> RequestPlan<'_> {
+        let [entry, next] = [self.plans[rank as usize], self.plans[rank as usize + 1]];
+        RequestPlan {
+            pages: &self.pages[entry.start as usize..next.start as usize],
+            own_pages: self.own_pages,
+            cpu_per_touch: entry.cpu_per_touch,
+        }
+    }
+}
+
 /// The YCSB workload (see module docs).
 #[derive(Clone, Debug)]
 pub struct YcsbWorkload {
@@ -104,6 +199,9 @@ pub struct YcsbWorkload {
     store: Arc<KvStore>,
     /// Item popularity, computed once and shared by every stream.
     zipf: ZipfianDist,
+    /// The request table, built by the first [`Workload::streams`] call
+    /// and shared by every workload [`with_mix`](Self::with_mix) derives.
+    requests: Arc<OnceLock<Arc<RequestTable>>>,
 }
 
 impl YcsbWorkload {
@@ -121,12 +219,28 @@ impl YcsbWorkload {
             cfg,
             store: Arc::new(store),
             zipf: ZipfianDist::new(cfg.items as u64, YCSB_THETA),
+            requests: Arc::default(),
+        }
+    }
+
+    /// The same workload with another mix: it shares this one's store and
+    /// request table.
+    pub fn with_mix(&self, mix: YcsbMix) -> Self {
+        YcsbWorkload {
+            cfg: YcsbConfig { mix, ..self.cfg },
+            ..self.clone()
         }
     }
 
     /// The underlying store.
     pub fn store(&self) -> &KvStore {
         &self.store
+    }
+
+    /// The request table, built on first use.
+    pub fn requests(&self) -> &Arc<RequestTable> {
+        self.requests
+            .get_or_init(|| Arc::new(RequestTable::new(&self.store, &self.zipf)))
     }
 }
 
@@ -161,17 +275,20 @@ impl Workload for YcsbWorkload {
 
     fn streams(&self, seed: u64) -> Vec<Box<dyn AccessStream>> {
         let per_thread = self.cfg.requests / self.cfg.threads as u64;
+        // A request is warmup while `served < warmup_fraction · total`;
+        // `served` is an integer, so that is `served < ceil(..)`.
+        let warmup = (self.cfg.warmup_fraction * per_thread as f64).ceil() as u64;
         (0..self.cfg.threads)
             .map(|t| {
                 let s = derive_seed(seed, &format!("ycsb-{t}"));
                 Box::new(YcsbStream {
-                    cfg: self.cfg,
-                    store: Arc::clone(&self.store),
-                    zipf: ScrambledZipfian::from_dist(self.zipf, s),
+                    requests: Arc::clone(self.requests()),
+                    update_fraction: self.cfg.mix.update_fraction(),
+                    draws: SmallRng::seed_from_u64(s),
                     rng: SmallRng::seed_from_u64(s ^ 0xFACE),
                     remaining: per_thread,
                     total: per_thread,
-                    touches: Vec::new(),
+                    warmup,
                     buf: OpBuf::default(),
                 }) as Box<dyn AccessStream>
             })
@@ -181,14 +298,18 @@ impl Workload for YcsbWorkload {
 
 /// One server thread: a closed loop of zipfian requests.
 struct YcsbStream {
-    cfg: YcsbConfig,
-    store: Arc<KvStore>,
-    zipf: ScrambledZipfian,
+    requests: Arc<RequestTable>,
+    update_fraction: f64,
+    /// The zipfian draws, one word per request: the RNG a
+    /// [`ScrambledZipfian`](crate::zipf::ScrambledZipfian) seeded alike
+    /// would draw from.
+    draws: SmallRng,
+    /// The update coins.
     rng: SmallRng,
     remaining: u64,
     total: u64,
-    /// Scratch for one request's page touches, reused across requests.
-    touches: Vec<Touch>,
+    /// Requests served before this count are warmup.
+    warmup: u64,
     buf: OpBuf,
 }
 
@@ -200,27 +321,26 @@ impl AccessStream for YcsbStream {
             return false;
         }
         let served = self.total - self.remaining;
-        let warmup = (served as f64) < self.cfg.warmup_fraction * self.total as f64;
         self.remaining -= 1;
 
-        let item = self.zipf.next_item() as u32;
-        let is_update = self.rng.random_bool(self.cfg.mix.update_fraction());
-        let cpu_ns = self.store.plan_into(item, is_update, &mut self.touches);
+        let rank = self.requests.ranks.rank(self.draws.next_u64() >> 11);
+        let is_update = self.rng.random_bool(self.update_fraction);
+        let plan = self.requests.plan(rank);
         let class = if is_update {
             ReqClass::Write
         } else {
             ReqClass::Read
         };
-        self.buf.push(Op::RequestStart { class, warmup });
-        let cpu_per_touch = (cpu_ns / self.touches.len() as u64) as u32;
-        for t in &self.touches {
-            self.buf.push(Op::Access {
-                space: AsId(0),
-                vpn: t.vpn,
-                write: t.write,
-                cpu_ns: cpu_per_touch,
-            });
-        }
+        self.buf.push(Op::RequestStart {
+            class,
+            warmup: served < self.warmup,
+        });
+        self.buf.extend(plan.touches(is_update).map(|t| Op::Access {
+            space: AsId(0),
+            vpn: t.vpn,
+            write: t.write,
+            cpu_ns: plan.cpu_per_touch,
+        }));
         self.buf.push(Op::RequestEnd);
         true
     }

@@ -3,11 +3,46 @@
 //! Implements the Gray et al. zipfian generator used by YCSB (constant
 //! θ = 0.99) plus the *scrambled* variant YCSB applies so popular items
 //! are spread across the keyspace instead of clustered at low ids.
+//! [`Zipfian`] and [`ScrambledZipfian`] are the definitions; the YCSB
+//! streams draw from [`ZipfianTable`], which gives the same ranks without
+//! a `pow` per draw.
+//!
+//! ## Ranks without a `pow` per draw
+//!
+//! A rank is a function of one 53-bit draw `m` (`random::<f64>()` is
+//! `m / 2^53` for `m = next_u64() >> 11`): [`ZipfianDist::rank_of_draw`].
+//! With `u = m / 2^53` and `uz = u · zeta(n)` it has three branches:
+//! rank 0 while `uz < 1`, rank 1 while `uz < 1 + 0.5^θ`, and otherwise
+//! `min(n · (η·u − η + 1)^α, n − 1)` truncated, with `α = 1/(1 − θ)`.
+//!
+//! `uz` rounds monotonically in `m`, so the two early branches are the
+//! draws below two fixed draws, `m1` and `m2`, and become integer
+//! compares. On the `pow` branch, `m >= m2`, the rank never decreases as
+//! `m` grows:
+//!
+//! * `u` is exact, and `η·u`, `− η` and `+ 1` each round monotonically
+//!   (η > 0 for `n > 2`; at `n = 2` it is NaN and the branch is constant);
+//! * with α ≈ 100, one input ULP moves `pow`'s true result by about 100
+//!   output ULPs, and libm's error is under one ULP, so rounding cannot
+//!   reorder neighbouring inputs;
+//! * `n ·`, the truncation and the `min` are monotone.
+//!
+//! So on that branch the rank is a step function of `m`, fixed by its
+//! thresholds `T_k`, the least draw of rank `>= k`. [`ZipfianTable::new`]
+//! finds each one from the analytic inverse of the warp, then gallops and
+//! bisects against `rank_of_draw` itself; the search makes no
+//! approximation, so every threshold, and the table, is exact. At small
+//! `n` the `pow` branch can start below rank 2, which is why the early
+//! branches stay compares rather than table entries.
+//! `tests/zipf_table.rs` checks every threshold, and every draw within 64
+//! of one, at the item counts the scales use.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use pagesim_engine::rng::splitmix64;
+
+use crate::graph::{least_draw, DRAWS};
 
 /// YCSB's default skew constant.
 pub const YCSB_THETA: f64 = 0.99;
@@ -58,13 +93,36 @@ impl ZipfianDist {
 
     /// The rank of a uniform draw `u` in `[0, 1)`: 0 is the most popular.
     fn rank(&self, u: f64) -> u64 {
-        let uz = u * self.zetan;
-        if uz < 1.0 {
+        if self.below_one(u) {
             return 0;
         }
-        if uz < 1.0 + self.half_pow_theta {
+        if self.below_two(u) {
             return 1;
         }
+        self.pow_rank(u)
+    }
+
+    /// The rank of the 53-bit draw `m` in `0..DRAWS`: the rank of the
+    /// uniform draw `m / 2^53`, which is what `random::<f64>()` returns for
+    /// `m = next_u64() >> 11`. This is the definition [`ZipfianTable`]
+    /// tabulates.
+    pub fn rank_of_draw(&self, m: u64) -> u64 {
+        debug_assert!(m < DRAWS);
+        self.rank(m as f64 / DRAWS as f64)
+    }
+
+    /// Whether `u` takes the rank-0 branch.
+    fn below_one(&self, u: f64) -> bool {
+        u * self.zetan < 1.0
+    }
+
+    /// Whether `u` takes the rank-0 or the rank-1 branch.
+    fn below_two(&self, u: f64) -> bool {
+        u * self.zetan < 1.0 + self.half_pow_theta
+    }
+
+    /// The rank of `u` on the `pow` branch.
+    fn pow_rank(&self, u: f64) -> u64 {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
@@ -73,6 +131,132 @@ impl ZipfianDist {
     pub fn n(&self) -> u64 {
         self.n
     }
+}
+
+/// Buckets of [`ZipfianTable`] per item. The thresholds crowd toward the
+/// top of the draw range; 1, 2 and 4 buckets per item drained
+/// `workloads/ycsb_request` at about the same speed.
+const BUCKETS_PER_ITEM: u64 = 2;
+
+/// The rank of every draw, as two compares and a table lookup.
+///
+/// `rank(m)` equals [`ZipfianDist::rank_of_draw`]`(m)` for every draw `m`
+/// (see the module docs for why the table is exact).
+#[derive(Clone, Debug)]
+pub struct ZipfianTable {
+    /// The least draw of the rank-1 branch (`DRAWS` if there is none).
+    m1: u64,
+    /// The least draw of the `pow` branch (`DRAWS` if there is none).
+    m2: u64,
+    /// `thresholds[k]` is the least draw `>= m2` whose rank is `>= k`, for
+    /// `k in 0..=n`; `u64::MAX` when no draw reaches rank `k`, so
+    /// `thresholds[n]` is a sentinel.
+    thresholds: Vec<u64>,
+    /// `buckets[b]` is the greatest `k` with `thresholds[k] <= b << shift`,
+    /// or 0: no higher than the rank of any `pow`-branch draw in bucket
+    /// `b`, the draws `b << shift ..`.
+    buckets: Vec<u32>,
+    shift: u32,
+}
+
+impl ZipfianTable {
+    /// Tabulates `dist`'s ranks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the domain does not fit in a `u32`.
+    pub fn new(dist: &ZipfianDist) -> Self {
+        let n = dist.n;
+        assert!(n <= u32::MAX as u64, "domain too large for a table");
+        // The least draw leaving an early branch: draw 0 is rank 0, so
+        // `pred(0)` is false.
+        let least = |pred: &dyn Fn(u64) -> bool, guess: f64| {
+            if pred(DRAWS - 1) {
+                least_draw(0, (guess * DRAWS as f64) as u64, pred)
+            } else {
+                DRAWS
+            }
+        };
+        let u = |m: u64| m as f64 / DRAWS as f64;
+        let m1 = least(&|m| !dist.below_one(u(m)), 1.0 / dist.zetan);
+        let m2 = least(
+            &|m| !dist.below_two(u(m)),
+            (1.0 + dist.half_pow_theta) / dist.zetan,
+        );
+
+        let mut thresholds = vec![u64::MAX; n as usize + 1];
+        if m2 < DRAWS {
+            let first = dist.rank_of_draw(m2);
+            let last = dist.rank_of_draw(DRAWS - 1);
+            thresholds[..=first as usize].fill(m2);
+            for k in first + 1..=last {
+                // Inverse of the warp: rank k starts where
+                // (η·u − η + 1)^α = k / n, that is at
+                // u = 1 − (1 − (k/n)^(1−θ)) / η. Start there, then search
+                // exactly.
+                let below = -((k as f64 / n as f64).ln() / dist.alpha).exp_m1();
+                let guess = ((1.0 - below / dist.eta) * DRAWS as f64) as u64;
+                thresholds[k as usize] = least_draw(m2, guess, |m| dist.rank_of_draw(m) >= k);
+            }
+        }
+
+        let nbuckets = (BUCKETS_PER_ITEM * n).next_power_of_two();
+        let shift = DRAWS.trailing_zeros() - nbuckets.trailing_zeros();
+        let buckets = (0..nbuckets)
+            .map(|b| {
+                thresholds
+                    .partition_point(|&t| t <= b << shift)
+                    .saturating_sub(1) as u32
+            })
+            .collect();
+        ZipfianTable {
+            m1,
+            m2,
+            thresholds,
+            buckets,
+            shift,
+        }
+    }
+
+    /// The rank of draw `m` in `0..DRAWS`. Past the two early branches it
+    /// starts at the rank of `m`'s bucket, then steps over the thresholds
+    /// at or below `m`.
+    pub fn rank(&self, m: u64) -> u32 {
+        debug_assert!(m < DRAWS);
+        if m < self.m1 {
+            return 0;
+        }
+        if m < self.m2 {
+            return 1;
+        }
+        let mut r = self.buckets[(m >> self.shift) as usize] as usize;
+        while m >= self.thresholds[r + 1] {
+            r += 1;
+        }
+        r as u32
+    }
+
+    /// The least draw of the rank-1 branch, `DRAWS` if there is none.
+    pub fn m1(&self) -> u64 {
+        self.m1
+    }
+
+    /// The least draw of the `pow` branch, `DRAWS` if there is none.
+    pub fn m2(&self) -> u64 {
+        self.m2
+    }
+
+    /// Entry `k` is the least draw `>= m2` of rank `>= k`, for `k` in
+    /// `0..=n`, or `u64::MAX` when no draw reaches rank `k`.
+    pub fn thresholds(&self) -> &[u64] {
+        &self.thresholds
+    }
+}
+
+/// The item scrambled zipfian rank `rank` selects in `0..n`: YCSB's
+/// scramble, a hash of the rank folded onto the keyspace.
+pub fn item_of_rank(rank: u64, n: u64) -> u64 {
+    splitmix64(rank) % n
 }
 
 /// A zipfian generator over `0..n` with parameter θ.
@@ -140,8 +324,7 @@ impl ScrambledZipfian {
 
     /// Draws an item id in `0..n`.
     pub fn next_item(&mut self) -> u64 {
-        let rank = self.inner.next_rank();
-        splitmix64(rank) % self.inner.n()
+        item_of_rank(self.inner.next_rank(), self.inner.n())
     }
 
     /// Domain size.
