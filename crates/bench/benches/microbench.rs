@@ -217,8 +217,18 @@ fn bench_histogram(c: &mut Criterion) {
     g.finish();
 }
 
+/// A payload the size of the kernel's events: a slice end or an I/O
+/// completion. The fields are never read; they only give it that size.
+#[allow(dead_code)]
+#[derive(Clone, Copy)]
+enum DispatchEv {
+    SliceEnd { core: usize, used: u64 },
+    IoDone { tid: u32, key: u64, frame: u32 },
+}
+
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/push_pop", |b| {
+    let mut g = c.benchmark_group("event_queue");
+    g.bench_function("push_pop", |b| {
         let mut q = EventQueue::new();
         for i in 0..1024u64 {
             q.push(SimTime::from_ns(i * 7 % 911), i);
@@ -230,6 +240,42 @@ fn bench_event_queue(c: &mut Criterion) {
             q.push(at + 13, black_box(t));
         });
     });
+    // PageRank's steady state: 12 cores, each with one pending slice end,
+    // staggered over a 1 ms quantum, beside 12 I/O completions spread
+    // over 12 ms. Each cycle pops the earliest event and re-pushes it as
+    // the kernel would: a slice end one quantum later, an I/O completion
+    // 12 ms later. Divide the time per iteration by 100 k for ns per
+    // cycle.
+    g.bench_function("dispatch_cycle", |b| {
+        const CORES: u64 = 12;
+        const QUANTUM: u64 = 1_000_000;
+        let mut q = EventQueue::with_cores(CORES as usize);
+        for core in 0..CORES {
+            let ev = DispatchEv::SliceEnd {
+                core: core as usize,
+                used: QUANTUM,
+            };
+            q.push_slice_end(SimTime::from_ns(core * QUANTUM / CORES), ev);
+        }
+        for i in 0..12u32 {
+            let ev = DispatchEv::IoDone {
+                tid: i,
+                key: i as u64,
+                frame: i,
+            };
+            q.push(SimTime::from_ns(i as u64 * QUANTUM + QUANTUM / 3), ev);
+        }
+        b.iter(|| {
+            for _ in 0..100_000 {
+                let (at, ev) = q.pop().unwrap();
+                match black_box(ev) {
+                    DispatchEv::SliceEnd { used, .. } => q.push_slice_end(at + used, ev),
+                    DispatchEv::IoDone { .. } => q.push(at + 12 * QUANTUM, ev),
+                }
+            }
+        });
+    });
+    g.finish();
 }
 
 /// The two policies' reclaim paths on a half-hot page pool.

@@ -12,6 +12,10 @@
 //! at dispatch using the slice's *virtual* timestamps (`now + used`);
 //! cross-thread interleaving is therefore accurate to within one quantum,
 //! which is far below every latency of interest (SSD ops are 7.5 ms).
+//! The slice's end is an event at `now + used`. When it ends a preemption
+//! and no other thread waits for a core, the thread is dispatched again on
+//! the same core at that event, without a round trip through the run
+//! queue.
 //!
 //! ## Fault path fidelity
 //!
@@ -215,22 +219,6 @@ enum ThreadBody {
     Aging,
 }
 
-enum SliceOutcome {
-    Preempted,
-    Blocked,
-    Finished,
-}
-
-impl From<&SliceOutcome> for DispatchDecision {
-    fn from(o: &SliceOutcome) -> DispatchDecision {
-        match o {
-            SliceOutcome::Preempted => DispatchDecision::Preempted,
-            SliceOutcome::Blocked => DispatchDecision::Blocked,
-            SliceOutcome::Finished => DispatchDecision::Finished,
-        }
-    }
-}
-
 /// The simulated system. One [`run`](Kernel::run) = one workload execution.
 pub struct Kernel {
     cfg: SystemConfig,
@@ -390,7 +378,7 @@ impl Kernel {
             ..RunMetrics::default()
         };
 
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::with_cores(config.cores);
         let pressure = &config.faults.plan.pressure;
         for (idx, step) in pressure.iter().enumerate() {
             events.push(SimTime::from_ns(step.at), Event::PressureOn { idx });
@@ -463,17 +451,7 @@ impl Kernel {
     fn run_loop(&mut self) {
         loop {
             while let Some((core, tid)) = self.sched.try_dispatch() {
-                let (used, outcome) = self.run_slice(tid);
-                let decision = DispatchDecision::from(&outcome);
-                self.events.push(
-                    self.now + used,
-                    Event::SliceEnd {
-                        core,
-                        tid,
-                        used,
-                        decision,
-                    },
-                );
+                self.run_dispatched(core, tid);
             }
             let Some((t, ev)) = self.events.pop() else {
                 if self.app_live != 0 {
@@ -498,6 +476,21 @@ impl Kernel {
                 break;
             }
         }
+    }
+
+    /// Runs the slice `tid` was just dispatched for on `core` and schedules
+    /// its end.
+    fn run_dispatched(&mut self, core: usize, tid: ThreadId) {
+        let (used, decision) = self.run_slice(tid);
+        self.events.push_slice_end(
+            self.now + used,
+            Event::SliceEnd {
+                core,
+                tid,
+                used,
+                decision,
+            },
+        );
     }
 
     /// Drains sample boundaries at or before `upto_ns`, snapshotting the
@@ -589,6 +582,13 @@ impl Kernel {
                             dur_ns: used,
                         }
                     );
+                }
+                // A preempted thread that nobody waits behind keeps its
+                // core: run its next slice now, as the dispatch loop would.
+                if decision == DispatchDecision::Preempted && self.sched.redispatch(core, tid, used)
+                {
+                    self.run_dispatched(core, tid);
+                    return;
                 }
                 self.sched.slice_done(core, tid, decision, used);
                 if decision == DispatchDecision::Finished
@@ -698,7 +698,7 @@ impl Kernel {
     // Slice execution
     // ---------------------------------------------------------------
 
-    fn run_slice(&mut self, tid: ThreadId) -> (Nanos, SliceOutcome) {
+    fn run_slice(&mut self, tid: ThreadId) -> (Nanos, DispatchDecision) {
         match &self.bodies[tid.0 as usize] {
             ThreadBody::App { .. } => self.run_app_slice(tid),
             ThreadBody::Kswapd => self.run_kswapd_slice(),
@@ -706,11 +706,11 @@ impl Kernel {
         }
     }
 
-    fn run_app_slice(&mut self, tid: ThreadId) -> (Nanos, SliceOutcome) {
+    fn run_app_slice(&mut self, tid: ThreadId) -> (Nanos, DispatchDecision) {
         if self.killed[tid.0 as usize] {
             // Killed by the OOM killer or an unrecoverable I/O error:
             // retire without consuming further ops.
-            return (0, SliceOutcome::Finished);
+            return (0, DispatchDecision::Finished);
         }
         // The batch leaves the thread's body for the slice, so the op loop
         // can borrow the kernel freely.
@@ -734,7 +734,7 @@ impl Kernel {
         tid: ThreadId,
         ops: &mut Vec<Op>,
         pos: &mut usize,
-    ) -> (Nanos, SliceOutcome) {
+    ) -> (Nanos, DispatchDecision) {
         let budget = self.sched.quantum();
         let mut used: Nanos = 0;
         loop {
@@ -758,7 +758,7 @@ impl Kernel {
                         ops[*pos] = Op::Compute {
                             cpu_ns: cpu_ns - room,
                         };
-                        return (budget, SliceOutcome::Preempted);
+                        return (budget, DispatchDecision::Preempted);
                     }
                     used += cpu_ns;
                     None
@@ -776,16 +776,16 @@ impl Kernel {
                     cpu_ns,
                 } => {
                     if used + cpu_ns as u64 > budget {
-                        return (budget, SliceOutcome::Preempted);
+                        return (budget, DispatchDecision::Preempted);
                     }
                     used += cpu_ns as u64;
                     let fd = matches!(op, Op::FdAccess { .. });
                     match self.touch(tid, space, vpn, write, fd, &mut used) {
                         TouchResult::Hit => None,
-                        TouchResult::BlockedIo => Some(SliceOutcome::Blocked),
+                        TouchResult::BlockedIo => Some(DispatchDecision::Blocked),
                         // Retry the whole access once frames free up.
-                        TouchResult::Starved => return (used, SliceOutcome::Blocked),
-                        TouchResult::Killed => Some(SliceOutcome::Finished),
+                        TouchResult::Starved => return (used, DispatchDecision::Blocked),
+                        TouchResult::Killed => Some(DispatchDecision::Finished),
                     }
                 }
                 Op::Barrier { id } => {
@@ -797,7 +797,7 @@ impl Kernel {
                             }
                             None
                         }
-                        None => Some(SliceOutcome::Blocked),
+                        None => Some(DispatchDecision::Blocked),
                     }
                 }
                 Op::RequestStart { class, warmup } => {
@@ -837,14 +837,14 @@ impl Kernel {
                     None
                 }
                 // Not consumed: a finished stream stays finished.
-                Op::Done => return (used, SliceOutcome::Finished),
+                Op::Done => return (used, DispatchDecision::Finished),
             };
             *pos += 1;
             if let Some(outcome) = stop {
                 return (used, outcome);
             }
             if used >= budget {
-                return (used, SliceOutcome::Preempted);
+                return (used, DispatchDecision::Preempted);
             }
         }
     }
@@ -1376,13 +1376,13 @@ impl Kernel {
         }
     }
 
-    fn run_kswapd_slice(&mut self) -> (Nanos, SliceOutcome) {
+    fn run_kswapd_slice(&mut self) -> (Nanos, DispatchDecision) {
         let budget = self.sched.quantum();
         let mut used: Nanos = 0;
         loop {
             if self.mem.phys.above_high() {
                 self.kswapd_asleep = true;
-                return (used, SliceOutcome::Blocked);
+                return (used, DispatchDecision::Blocked);
             }
             // Write-back throttling: stop feeding the device while its
             // queue is deep, or swap-out storms starve demand reads.
@@ -1401,7 +1401,7 @@ impl Kernel {
                     self.events
                         .push(self.now + used + 10 * MILLISECOND, Event::KswapdRetry);
                 }
-                return (used, SliceOutcome::Blocked);
+                return (used, DispatchDecision::Blocked);
             }
             let batch = &mut self.victims[..self.cfg.kswapd_batch as usize];
             let out = self.policy.reclaim(batch, &mut self.mem);
@@ -1430,18 +1430,18 @@ impl Kernel {
                     self.events
                         .push(self.now + used + 2 * MILLISECOND, Event::KswapdRetry);
                 }
-                return (used, SliceOutcome::Blocked);
+                return (used, DispatchDecision::Blocked);
             }
             if used >= budget {
-                return (used, SliceOutcome::Preempted);
+                return (used, DispatchDecision::Preempted);
             }
         }
     }
 
-    fn run_aging_slice(&mut self) -> (Nanos, SliceOutcome) {
+    fn run_aging_slice(&mut self) -> (Nanos, DispatchDecision) {
         if !self.policy.wants_background(&self.mem) {
             self.aging_asleep = true;
-            return (0, SliceOutcome::Blocked);
+            return (0, DispatchDecision::Blocked);
         }
         let bg = self
             .policy
@@ -1453,10 +1453,10 @@ impl Kernel {
             TraceEvent::AgingPass { cpu_ns: bg.cpu_ns }
         );
         if self.policy.wants_background(&self.mem) {
-            (bg.cpu_ns, SliceOutcome::Preempted)
+            (bg.cpu_ns, DispatchDecision::Preempted)
         } else {
             self.aging_asleep = true;
-            (bg.cpu_ns, SliceOutcome::Blocked)
+            (bg.cpu_ns, DispatchDecision::Blocked)
         }
     }
 

@@ -1,7 +1,7 @@
 //! The pending-event set.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -36,57 +36,121 @@ impl<T> Ord for Entry<T> {
 
 /// A time-ordered queue of future events.
 ///
-/// Events scheduled for the same instant are delivered in insertion order,
-/// which keeps simulations deterministic without requiring globally unique
-/// timestamps.
+/// Events are delivered by time, and events scheduled for the same instant
+/// in insertion order, which keeps simulations deterministic without
+/// requiring globally unique timestamps.
+///
+/// Slice ends have a home of their own beside the heap: a small sorted set
+/// holding at most one pending slice end per core. A new slice end is
+/// almost always the latest pending one, so it is inserted by a short scan
+/// back from the end of the set, and the earliest is taken from its front.
+/// Both structures draw their insertion sequence from one counter, and
+/// [`pop`](Self::pop) compares their earliest entries on the same
+/// `(time, sequence)` key, so the delivery order is exactly the one a
+/// single heap would give.
 ///
 /// ```rust
 /// use pagesim_engine::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
+/// let mut q = EventQueue::with_cores(2);
 /// q.push(SimTime::from_ns(5), 'x');
-/// assert_eq!(q.peek_time(), Some(SimTime::from_ns(5)));
+/// q.push_slice_end(SimTime::from_ns(5), 'y');
+/// q.push(SimTime::from_ns(3), 'w');
+/// assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
+/// assert_eq!(q.pop(), Some((SimTime::from_ns(3), 'w')));
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(5), 'x')));
+/// assert_eq!(q.pop(), Some((SimTime::from_ns(5), 'y')));
 /// assert!(q.is_empty());
 /// ```
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// Pending slice ends in delivery order: earliest at the front.
+    slice_ends: VecDeque<Entry<T>>,
     next_seq: u64,
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
+        Self::with_cores(0)
+    }
+
+    /// Creates an empty queue whose slice-end set is preallocated for
+    /// `cores` cores.
+    pub fn with_cores(cores: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slice_ends: VecDeque::with_capacity(cores),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` for delivery at `at`.
-    pub fn push(&mut self, at: SimTime, payload: T) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` for delivery at `at`.
+    pub fn push(&mut self, at: SimTime, payload: T) {
+        let seq = self.next_seq();
         self.heap.push(Entry { at, seq, payload });
+    }
+
+    /// Schedules a core's slice end for delivery at `at`. Each core has at
+    /// most one slice end pending, so the set stays as small as the core
+    /// count. Delivery order is the same as [`push`](Self::push)'s.
+    pub fn push_slice_end(&mut self, at: SimTime, payload: T) {
+        let seq = self.next_seq();
+        let entry = Entry { at, seq, payload };
+        // The new entry has the highest sequence, so it goes after every
+        // entry that is not later: almost always at the back.
+        let mut i = self.slice_ends.len();
+        while i > 0 && self.slice_ends[i - 1].at > at {
+            i -= 1;
+        }
+        if i == self.slice_ends.len() {
+            self.slice_ends.push_back(entry);
+        } else {
+            self.slice_ends.insert(i, entry);
+        }
+    }
+
+    /// Whether the slice-end set holds the earliest pending event.
+    fn slice_end_first(&self) -> bool {
+        match (self.slice_ends.front(), self.heap.peek()) {
+            (Some(s), Some(h)) => (s.at, s.seq) < (h.at, h.seq),
+            (s, _) => s.is_some(),
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
+        let e = if self.slice_end_first() {
+            self.slice_ends.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
+        Some((e.at, e.payload))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        let first = if self.slice_end_first() {
+            self.slice_ends.front()
+        } else {
+            self.heap.peek()
+        };
+        first.map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.slice_ends.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -99,7 +163,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }

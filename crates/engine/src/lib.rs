@@ -10,12 +10,16 @@
 //! ## Components
 //!
 //! * [`SimTime`] / [`Nanos`] — virtual time in nanoseconds.
-//! * [`EventQueue`] — a stable-order pending-event set. Ties at equal
-//!   timestamps are broken by insertion sequence so simulations are
-//!   bit-for-bit reproducible.
+//! * [`EventQueue`] — a stable-order pending-event set. Events are
+//!   delivered by time, and ties at equal timestamps in insertion order,
+//!   so simulations are bit-for-bit reproducible. Slice ends, at most one
+//!   per core, live in a small sorted set beside the heap and share its
+//!   insertion counter, so the order is the same as one heap's.
 //! * [`Scheduler`] — a preemptive round-robin CPU scheduler over a fixed
 //!   number of hardware threads ("cores"), with priority for bound kernel
-//!   threads.
+//!   threads. A preempted thread with nobody waiting is redispatched on
+//!   its core without a run-queue round trip
+//!   ([`Scheduler::redispatch`]).
 //! * [`QueuedDevice`] — an analytic FIFO queue with `k` servers used to model
 //!   I/O devices; computes completion times at submit time, so no internal
 //!   events are needed.

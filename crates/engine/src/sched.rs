@@ -200,17 +200,8 @@ impl Scheduler {
         decision: DispatchDecision,
         used: Nanos,
     ) {
+        self.charge(core, tid, used);
         let t = &mut self.threads[tid.0 as usize];
-        assert_eq!(
-            t.state,
-            ThreadState::Running(core),
-            "slice_done for thread not running on core {core}"
-        );
-        t.cpu_consumed += used;
-        match t.class {
-            ThreadClass::App => self.stats.app_cpu += used,
-            ThreadClass::Kernel => self.stats.kernel_cpu += used,
-        }
         self.idle_cores.push(core);
         match decision {
             DispatchDecision::Preempted => {
@@ -237,6 +228,47 @@ impl Scheduler {
                 t.state = ThreadState::Finished;
                 self.live_threads -= 1;
             }
+        }
+    }
+
+    /// Ends a preempted slice of `tid` on `core` and hands `tid` the same
+    /// core again, if no other thread is waiting for one. This is exactly
+    /// what [`slice_done`](Self::slice_done) with
+    /// [`DispatchDecision::Preempted`] followed by
+    /// [`try_dispatch`](Self::try_dispatch) would do, with the same
+    /// accounting, but without the round trip through the run queue.
+    ///
+    /// Returns `false` and changes nothing if either run queue is
+    /// non-empty: another thread is then due for the core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is not running on `core`.
+    pub fn redispatch(&mut self, core: CoreId, tid: ThreadId, used: Nanos) -> bool {
+        if self.has_runnable() {
+            return false;
+        }
+        self.charge(core, tid, used);
+        let t = &mut self.threads[tid.0 as usize];
+        t.wake_pending = false;
+        t.switches += 1;
+        self.stats.dispatches += 1;
+        true
+    }
+
+    /// Charges `used` nanoseconds of CPU to `tid` at the end of its slice
+    /// on `core`.
+    fn charge(&mut self, core: CoreId, tid: ThreadId, used: Nanos) {
+        let t = &mut self.threads[tid.0 as usize];
+        assert_eq!(
+            t.state,
+            ThreadState::Running(core),
+            "slice end for thread not running on core {core}"
+        );
+        t.cpu_consumed += used;
+        match t.class {
+            ThreadClass::App => self.stats.app_cpu += used,
+            ThreadClass::Kernel => self.stats.kernel_cpu += used,
         }
     }
 
@@ -426,6 +458,28 @@ mod tests {
         assert_eq!(s.running_on(c2), Some(t2));
         assert_eq!(s.class_of(a), ThreadClass::App);
         assert_eq!(s.class_of(k), ThreadClass::Kernel);
+    }
+
+    #[test]
+    fn redispatch_keeps_the_core_when_nobody_waits() {
+        let mut s = sched2();
+        let a = s.spawn(ThreadClass::App);
+        let b = s.spawn(ThreadClass::App);
+        s.make_runnable(a);
+        let (core, tid) = s.try_dispatch().unwrap();
+        s.make_runnable(a); // a pending wake is dropped, as by preemption
+        assert!(s.redispatch(core, tid, 1000));
+        assert_eq!(s.running_on(core), Some(a));
+        assert_eq!((s.switches(a), s.cpu_consumed(a)), (2, 1000));
+        assert_eq!(s.stats().dispatches, 2);
+        s.slice_done(core, a, DispatchDecision::Blocked, 10);
+        assert!(s.try_dispatch().is_none(), "the pending wake was cleared");
+        // With a thread waiting, the core is not kept.
+        s.make_runnable(a);
+        let (core, _) = s.try_dispatch().unwrap();
+        s.make_runnable(b);
+        assert!(!s.redispatch(core, a, 1000));
+        assert_eq!(s.cpu_consumed(a), 1010);
     }
 
     #[test]

@@ -4,8 +4,29 @@ use proptest::prelude::*;
 
 use pagesim_engine::{
     DispatchDecision, EventQueue, FaultInjector, FaultPlan, QueuedDevice, Scheduler, SimTime,
-    StallPlan, ThreadClass,
+    StallPlan, ThreadClass, ThreadId,
 };
+
+/// A test event: its id and, for a slice end, its core.
+type Ev = (usize, Option<usize>);
+
+/// The reference queue: (time, insertion, event) of every pending event.
+type Pending = Vec<(u64, usize, Ev)>;
+
+/// Pops `q` and the reference's earliest entry by (time, insertion), and
+/// fails unless they agree.
+fn pop_both(q: &mut EventQueue<Ev>, pending: &mut Pending) -> Result<Option<(u64, Ev)>, String> {
+    let expect = pending
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, &(t, seq, _))| (t, seq))
+        .map(|(i, _)| i)
+        .map(|i| pending.remove(i))
+        .map(|(t, _, ev)| (t, ev));
+    let got = q.pop().map(|(t, ev)| (t.as_ns(), ev));
+    prop_assert_eq!(got, expect);
+    Ok(got)
+}
 
 proptest! {
     /// The event queue delivers in (time, insertion) order for any input.
@@ -21,6 +42,136 @@ proptest! {
         let got: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop().map(|(t, p)| (t.as_ns(), p))).collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// Interleaved pushes, slice ends (at most one pending per core) and
+    /// pops, with many equal times, deliver in the order of a stable sort
+    /// by (time, insertion) over whatever is pending at each pop.
+    #[test]
+    fn event_queue_with_slice_ends_matches_stable_sort(
+        cores in 1usize..13,
+        ops in prop::collection::vec((0u8..3, 0u64..4, 0usize..12), 1..300),
+    ) {
+        let mut q = EventQueue::with_cores(cores);
+        let mut pending = Pending::new();
+        let mut busy = vec![false; cores];
+        let mut now = 0u64;
+        let mut inserted = 0usize;
+        for (kind, delta, core) in ops {
+            let at = now + delta;
+            match kind {
+                0 => {
+                    q.push(SimTime::from_ns(at), (inserted, None));
+                    pending.push((at, inserted, (inserted, None)));
+                    inserted += 1;
+                }
+                1 => {
+                    let core = core % cores;
+                    if !busy[core] {
+                        busy[core] = true;
+                        q.push_slice_end(SimTime::from_ns(at), (inserted, Some(core)));
+                        pending.push((at, inserted, (inserted, Some(core))));
+                        inserted += 1;
+                    }
+                }
+                _ => {
+                    let expect_peek = pending.iter().map(|&(t, seq, _)| (t, seq)).min();
+                    prop_assert_eq!(
+                        q.peek_time().map(|t| t.as_ns()),
+                        expect_peek.map(|(t, _)| t)
+                    );
+                    if let Some((t, (_, core))) = pop_both(&mut q, &mut pending)? {
+                        now = t;
+                        if let Some(c) = core {
+                            busy[c] = false;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), pending.len());
+        }
+        while pop_both(&mut q, &mut pending)?.is_some() {}
+        prop_assert!(q.is_empty());
+    }
+
+    /// Ending a preempted slice through `redispatch` leaves the scheduler
+    /// exactly as `slice_done` followed by `try_dispatch` does, and it
+    /// refuses whenever a run queue holds a thread.
+    #[test]
+    fn redispatch_matches_slice_done_then_try_dispatch(
+        cores in 1usize..5,
+        classes in prop::collection::vec(any::<bool>(), 1..8),
+        ops in prop::collection::vec((0u8..5, 0usize..8), 0..60),
+        pick in 0usize..8,
+        used in 0u64..2000,
+    ) {
+        // Builds the same random state twice, returning the scheduler and
+        // the threads running on it.
+        let build = || {
+            let mut s = Scheduler::new(cores, 1000);
+            let tids: Vec<_> = classes
+                .iter()
+                .map(|&k| s.spawn(if k { ThreadClass::Kernel } else { ThreadClass::App }))
+                .collect();
+            for &t in &tids {
+                s.make_runnable(t);
+            }
+            let mut running: Vec<(usize, ThreadId)> = Vec::new();
+            for &(op, arg) in &ops {
+                match op {
+                    0 | 1 => {
+                        if let Some(r) = s.try_dispatch() {
+                            running.push(r);
+                        }
+                    }
+                    2 | 3 if !running.is_empty() => {
+                        let (core, tid) = running.remove(arg % running.len());
+                        let d = if op == 2 {
+                            DispatchDecision::Preempted
+                        } else {
+                            DispatchDecision::Blocked
+                        };
+                        s.slice_done(core, tid, d, 7);
+                    }
+                    // Wakes any live thread: a running one gets a
+                    // pending wake.
+                    _ => {
+                        let t = tids[arg % tids.len()];
+                        if !s.is_finished(t) {
+                            s.make_runnable(t);
+                        }
+                    }
+                }
+            }
+            (s, tids, running)
+        };
+        let (mut a, tids, running) = build();
+        let (mut b, _, _) = build();
+        prop_assume!(!running.is_empty());
+        let (core, tid) = running[pick % running.len()];
+        let waiting = a.has_runnable();
+        let before = a.stats();
+        if a.redispatch(core, tid, used) {
+            prop_assert!(!waiting, "redispatched past a waiting thread");
+            b.slice_done(core, tid, DispatchDecision::Preempted, used);
+            prop_assert_eq!(b.try_dispatch(), Some((core, tid)));
+        } else {
+            prop_assert!(waiting, "refused with both run queues empty");
+            prop_assert_eq!(a.stats(), before);
+        }
+        prop_assert_eq!(a.stats(), b.stats());
+        for &t in &tids {
+            prop_assert_eq!(a.switches(t), b.switches(t));
+            prop_assert_eq!(a.cpu_consumed(t), b.cpu_consumed(t));
+        }
+        prop_assert_eq!(a.try_dispatch(), b.try_dispatch());
+        // A pending wake was cleared the same way: blocking sticks alike.
+        if a.running_on(core) == Some(tid) && b.running_on(core) == Some(tid) {
+            a.slice_done(core, tid, DispatchDecision::Blocked, 1);
+            b.slice_done(core, tid, DispatchDecision::Blocked, 1);
+            prop_assert_eq!(a.has_runnable(), b.has_runnable());
+            prop_assert_eq!(a.try_dispatch(), b.try_dispatch());
+        }
     }
 
     /// A single-server device is strictly FIFO; with any server count a

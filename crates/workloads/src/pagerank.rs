@@ -160,6 +160,9 @@ impl RankPageTable {
     pub fn page(&self, m: u64) -> u32 {
         debug_assert!(m < DRAWS);
         let mut p = self.buckets[(m >> self.shift) as usize] as usize;
+        // The first step is branch-free: a bucket rarely spans more than
+        // one threshold, so the loop below almost never runs.
+        p += (m >= self.thresholds[p + 1]) as usize;
         while m >= self.thresholds[p + 1] {
             p += 1;
         }
