@@ -18,7 +18,9 @@ use pagesim_bench::sweep::{cache, journal::Journal};
 use pagesim_engine::{EventQueue, SimTime};
 use pagesim_mem::{AddressSpace, AsId, EntropyClass, PageArena, PTES_PER_REGION, WORDS_PER_REGION};
 use pagesim_policy::memview::tests_support::FakeMem;
-use pagesim_policy::{BloomFilter, ClockLru, CostModel, Links, MgLru, MgLruConfig, PageList, Policy};
+use pagesim_policy::{
+    BloomFilter, ClockLru, CostModel, Links, MgLru, MgLruConfig, PageList, Policy,
+};
 use pagesim_stats::LatencyHistogram;
 use pagesim_swap::{compress, page_for_class, SsdDevice, SwapDevice, SwapSlot, ZramDevice};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
@@ -166,7 +168,8 @@ const CYCLE_SLOTS: u32 = 8192;
 fn slot_cycle(dev: &mut dyn SwapDevice, now: &mut SimTime, slots: &mut Vec<SwapSlot>) {
     for _ in 0..CYCLE_SLOTS {
         let slot = dev.allocate_slot();
-        dev.write(*now, slot, EntropyClass::Text).expect("fault-free write");
+        dev.write(*now, slot, EntropyClass::Text)
+            .expect("fault-free write");
         slots.push(slot);
     }
     for &slot in slots.iter() {
@@ -182,8 +185,14 @@ fn slot_cycle(dev: &mut dyn SwapDevice, now: &mut SimTime, slots: &mut Vec<SwapS
 fn bench_swap(c: &mut Criterion) {
     let mut g = c.benchmark_group("swap");
     let devices: [(&str, Box<dyn SwapDevice>); 2] = [
-        ("slot_cycle/ssd", Box::new(SsdDevice::with_paper_costs(CYCLE_SLOTS))),
-        ("slot_cycle/zram", Box::new(ZramDevice::with_paper_costs(CYCLE_SLOTS))),
+        (
+            "slot_cycle/ssd",
+            Box::new(SsdDevice::with_paper_costs(CYCLE_SLOTS)),
+        ),
+        (
+            "slot_cycle/zram",
+            Box::new(ZramDevice::with_paper_costs(CYCLE_SLOTS)),
+        ),
     ];
     for (name, mut dev) in devices {
         let mut now = SimTime::ZERO;
@@ -435,7 +444,10 @@ fn bench_persistence(c: &mut Criterion) {
         .sample_size(500)
         .bench_function("load_hit", |b| {
             let bench = Bench::new(Scale::smoke());
-            let query = figure_cells("fig1").into_iter().next().expect("fig1 has cells");
+            let query = figure_cells("fig1")
+                .into_iter()
+                .next()
+                .expect("fig1 has cells");
             let spec = CellSpec { query, trial: 0 };
             let metrics = bench.run_trial(&spec.query, 0);
             cache::store(&dir, &bench, &spec, &metrics, 0);

@@ -134,11 +134,19 @@ fn print_header(bench: &Bench, scale: Scale) {
         scale.trials, scale.footprint, scale.seed
     );
     for wl in Wl::all() {
-        println!("#   {} footprint: {} pages", wl.label(), bench.footprint(wl));
+        println!(
+            "#   {} footprint: {} pages",
+            wl.label(),
+            bench.footprint(wl)
+        );
     }
     println!();
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host wall time for the `took` lines and the stderr sweep summary; never part of a figure"
+)]
 fn main() {
     let mut scale = Scale::default_scale();
     let mut figs: Vec<String> = Vec::new();
@@ -291,7 +299,10 @@ fn main() {
     let t0 = std::time::Instant::now();
     let outcome = run_sweep_resilient(&bench, &figs, &opts);
     let stats = outcome.stats;
-    eprintln!("# {stats} jobs={jobs} total_s={:.1}", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "# {stats} jobs={jobs} total_s={:.1}",
+        t0.elapsed().as_secs_f64()
+    );
 
     if outcome.aborted {
         eprintln!("# sweep aborted before merging; journal records partial progress (--resume to continue)");
@@ -381,6 +392,10 @@ fn print_failure_report(outcome: &SweepOutcome) {
 /// `/proc/vmstat`-analog observability report on stdout. The report is a
 /// pure function of scale and figure — no timing lines — so it can be
 /// golden-diffed exactly like the figures themselves.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host wall time for the stderr sweep summary; the report itself carries no timing"
+)]
 fn run_vmstat(fig: &str, scale: Scale, jobs: usize, cache_dir: Option<std::path::PathBuf>) {
     if experiments::figure_cells(fig).is_empty() {
         eprintln!("repro vmstat: figure '{fig}' has no cell grid");
@@ -411,6 +426,10 @@ fn run_vmstat(fig: &str, scale: Scale, jobs: usize, cache_dir: Option<std::path:
 /// The `trace` subcommand: render one figure with telemetry attached to a
 /// single trial, then export the trace.
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host wall time for the stderr sweep summary; the trace is timed in simulated ns"
+)]
 fn run_trace(
     fig: &str,
     scale: Scale,
@@ -457,7 +476,10 @@ fn run_trace(
     };
     let t0 = std::time::Instant::now();
     let (stats, trace) = run_sweep_traced(&bench, &[fig.to_owned()], &opts);
-    eprintln!("# {stats} jobs={jobs} total_s={:.1}", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "# {stats} jobs={jobs} total_s={:.1}",
+        t0.elapsed().as_secs_f64()
+    );
     let Some(trace) = trace else {
         eprintln!("repro trace: no trace captured (internal error)");
         std::process::exit(1);
@@ -491,7 +513,11 @@ fn run_trace(
         eprintln!(
             "# trace written: {} ({})",
             out.display(),
-            if is_jsonl { "jsonl" } else { "chrome trace_event" }
+            if is_jsonl {
+                "jsonl"
+            } else {
+                "chrome trace_event"
+            }
         );
     }
 }

@@ -83,7 +83,13 @@ fn mix(mut z: u64) -> u64 {
 /// Draws `count` distinct indices in `0..n` from the seed, disjoint from
 /// `taken` (and extending it), so the different injection kinds never
 /// overlap on one trial.
-fn pick(seed: u64, tag: u64, count: usize, n: usize, taken: &mut BTreeSet<usize>) -> BTreeSet<usize> {
+fn pick(
+    seed: u64,
+    tag: u64,
+    count: usize,
+    n: usize,
+    taken: &mut BTreeSet<usize>,
+) -> BTreeSet<usize> {
     let mut set = BTreeSet::new();
     if n == 0 {
         return set;
@@ -114,7 +120,13 @@ impl ChaosState {
     pub(super) fn new(plan: ChaosPlan, n_specs: usize) -> ChaosState {
         let mut taken = BTreeSet::new();
         let panic_set = pick(plan.seed, 1, plan.panic_trials, n_specs, &mut taken);
-        let permanent_set = pick(plan.seed, 2, plan.permanent_panic_trials, n_specs, &mut taken);
+        let permanent_set = pick(
+            plan.seed,
+            2,
+            plan.permanent_panic_trials,
+            n_specs,
+            &mut taken,
+        );
         let slow_set = pick(plan.seed, 3, plan.slow_trials, n_specs, &mut taken);
         let kill_set = pick(plan.seed, 4, plan.kill_workers, n_specs, &mut taken);
         ChaosState {
@@ -163,10 +175,18 @@ impl ChaosState {
             .collect();
         files.sort();
         let mut taken = BTreeSet::new();
-        let chosen = pick(self.plan.seed, 5, self.plan.corrupt_entries, files.len(), &mut taken);
+        let chosen = pick(
+            self.plan.seed,
+            5,
+            self.plan.corrupt_entries,
+            files.len(),
+            &mut taken,
+        );
         let mut corrupted = 0;
         for i in chosen {
-            let Ok(mut bytes) = fs::read(&files[i]) else { continue };
+            let Ok(mut bytes) = fs::read(&files[i]) else {
+                continue;
+            };
             if bytes.len() < 2 {
                 continue;
             }

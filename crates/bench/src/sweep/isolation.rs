@@ -3,8 +3,8 @@
 //! Per-trial isolation is the heart of the sweep's fault tolerance: a
 //! panicking trial must cost exactly one trial, never the sweep. All unwind
 //! catching funnels through this module so the policy is auditable in one
-//! place — pagesim-lint rule L6 (`catch-unwind`) forbids `catch_unwind`
-//! anywhere else in the workspace.
+//! place — clippy.toml bans `catch_unwind` (rule L6) everywhere else in
+//! the workspace, and this module's `expect` is its one waiver.
 //!
 //! Two layers:
 //!
@@ -18,6 +18,11 @@
 //! Both use `AssertUnwindSafe`: the shared state a worker touches is either
 //! non-poisoning (`parking_lot` locks), atomic, or owned per-trial, so an
 //! unwind cannot leave it torn in a way a later observer could see.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned catch_unwind site: a panicking trial costs one attempt, not the sweep"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -233,7 +233,10 @@ mod tests {
         j.run_header(1, 3, &["fig1".to_owned()], false);
         assert_eq!(read().lines().count(), 1, "the header commits at once");
         j.trial(0x1, "cell trial 0", "done", None, 0, 1);
-        assert!(!read().contains("\"kind\":\"trial\""), "buffered until commit");
+        assert!(
+            !read().contains("\"kind\":\"trial\""),
+            "buffered until commit"
+        );
         j.commit();
         assert_eq!(read().lines().count(), 2);
         j.trial(0x2, "cell trial 1", "done", None, 0, 1);
@@ -244,7 +247,10 @@ mod tests {
         drop(j);
         let text = read();
         assert_eq!(text.lines().count(), 5, "drop commits what is left");
-        assert!(text.lines().last().is_some_and(|l| l.contains("\"hash\":\"0000000000000003\"")));
+        assert!(text
+            .lines()
+            .last()
+            .is_some_and(|l| l.contains("\"hash\":\"0000000000000003\"")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -254,7 +260,14 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("j.jsonl");
         let mut j = Journal::open(&path, false).expect("open");
-        j.trial(0x1, "cell", "done-degraded", Some("sim error: deadlock"), 1, 5);
+        j.trial(
+            0x1,
+            "cell",
+            "done-degraded",
+            Some("sim error: deadlock"),
+            1,
+            5,
+        );
         drop(j);
         assert!(load_prior(&path).is_done(0x1));
         std::fs::remove_dir_all(&dir).ok();

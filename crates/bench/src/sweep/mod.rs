@@ -52,7 +52,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 // Wall-clock phase timing for the stderr summary only — never visible to
-// the simulation (this crate is outside pagesim-lint's sim-crate set).
+// the simulation (the two timing fns carry the clippy.toml waiver).
 use std::time::Instant;
 
 use pagesim::experiments::{figure_cells, Bench, CellQuery, CellSpec};
@@ -245,7 +245,7 @@ pub struct SweepOutcome {
 /// occurrence wins. Cells already resident in `bench` are excluded.
 pub fn plan_cells(bench: &Bench, figs: &[String]) -> Vec<CellQuery> {
     // Ordered set: dedup order must be a pure function of the figure list
-    // (pagesim-lint rule L1 forbids hash-ordered state on sim paths).
+    // (clippy.toml bans the hash containers workspace-wide).
     let mut seen = std::collections::BTreeSet::new();
     let mut plan = Vec::new();
     for fig in figs {
@@ -301,7 +301,10 @@ enum Msg {
     Trial(usize, Box<TrialOutcome>),
     /// A worker exited. `died` means a panic escaped per-trial isolation;
     /// `in_flight` names the spec it was processing, if any.
-    WorkerExit { died: bool, in_flight: Option<usize> },
+    WorkerExit {
+        died: bool,
+        in_flight: Option<usize>,
+    },
 }
 
 /// Everything one trial's processing produced.
@@ -349,6 +352,10 @@ fn spec_identity(bench: &Bench, spec: &CellSpec) -> (u64, String) {
 /// [`run_sweep`] with the full fault-tolerance outcome: typed per-cell
 /// failures, degraded-cell notes, and the abort flag. This is the
 /// authoritative entry point; the narrower signatures delegate here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sweep executor is the one place that spawns workers; its phase timings go to the stderr summary only"
+)]
 pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) -> SweepOutcome {
     let t0 = Instant::now();
     let plan = plan_cells(bench, figs);
@@ -542,7 +549,8 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
         for (ci, q) in plan.iter().enumerate() {
             let cell_slots = &mut slots[ci * trials..(ci + 1) * trials];
             if cell_slots.iter().all(|s| s.is_some()) {
-                let runs: Vec<RunMetrics> = cell_slots.iter_mut().filter_map(|s| s.take()).collect();
+                let runs: Vec<RunMetrics> =
+                    cell_slots.iter_mut().filter_map(|s| s.take()).collect();
                 for m in &runs {
                     stats.shadow += m.shadow_entries;
                     stats.ws_refault += m.workingset_refault;
@@ -638,6 +646,10 @@ fn worker_thread(ctx: &WorkerCtx<'_>, tx: &mpsc::Sender<Msg>) {
 
 /// Resolves one trial: resume/cache read, then isolated simulation
 /// attempts with retry and failure classification.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-trial host time for the stderr summary; never visible to the simulation"
+)]
 fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
     let t = Instant::now();
     let spec = &ctx.specs[i];
@@ -691,7 +703,9 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
                     *ctx.trace_slot.lock() = Some(data);
                     m
                 }
-                _ => ctx.bench.run_trial_budgeted(&spec.query, spec.trial, budget),
+                _ => ctx
+                    .bench
+                    .run_trial_budgeted(&spec.query, spec.trial, budget),
             }
         });
         match run {

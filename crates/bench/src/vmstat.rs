@@ -80,7 +80,11 @@ mod tests {
     fn report_covers_every_cell_and_counter() {
         let report = fig1_report();
         for q in figure_cells("fig1") {
-            assert!(report.contains(&format!("cell {}\n", q.ident())), "{}", q.ident());
+            assert!(
+                report.contains(&format!("cell {}\n", q.ident())),
+                "{}",
+                q.ident()
+            );
         }
         for counter in [
             "pgmajfault",

@@ -166,8 +166,14 @@ fn repro_binary_output_is_byte_identical_across_jobs_and_cache() {
 /// With enough cores, a 4-worker sweep must beat the serial one clearly.
 /// Skipped on small machines where the comparison is meaningless.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the speedup check compares host wall times"
+)]
 fn parallel_sweep_is_faster_with_enough_cores() {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     if cores < 4 {
         eprintln!("skipping speedup check: only {cores} core(s) available");
         return;

@@ -9,9 +9,7 @@ use std::sync::OnceLock;
 
 use pagesim::experiments::{self, Bench, CellSpec, Scale};
 use pagesim::FailureKind;
-use pagesim_bench::sweep::{
-    cache, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome,
-};
+use pagesim_bench::sweep::{cache, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome};
 use proptest::prelude::*;
 
 fn tiny_bench() -> Bench {
@@ -47,8 +45,7 @@ fn render(bench: &Bench) -> String {
 
 /// A unique scratch directory per test (no tempfile crate offline).
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("pagesim-resilience-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pagesim-resilience-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -189,7 +186,10 @@ fn corrupt_cache_entries_are_quarantined_and_recomputed() {
         ..warm.clone()
     };
     let outcome = run_sweep_resilient(&bench, &figs(), &opts);
-    assert_eq!(outcome.stats.quarantined, 1, "the bad entry was quarantined");
+    assert_eq!(
+        outcome.stats.quarantined, 1,
+        "the bad entry was quarantined"
+    );
     assert_eq!(
         outcome.stats.cache_hits,
         outcome.stats.trials - 1,
@@ -201,7 +201,10 @@ fn corrupt_cache_entries_are_quarantined_and_recomputed() {
         .flatten()
         .filter(|e| e.path().to_string_lossy().ends_with(".quarantine"))
         .count();
-    assert_eq!(quarantined, 1, "the corrupt bytes are preserved for inspection");
+    assert_eq!(
+        quarantined, 1,
+        "the corrupt bytes are preserved for inspection"
+    );
 
     // Third run: the recomputed entry is valid again.
     let bench = tiny_bench();
@@ -296,7 +299,10 @@ fn aborted_run_resumes_to_byte_identical_output() {
 /// The journal's lines of one kind.
 fn journal_lines(text: &str, kind: &str) -> Vec<String> {
     let tag = format!("\"kind\":\"{kind}\"");
-    text.lines().filter(|l| l.contains(&tag)).map(str::to_owned).collect()
+    text.lines()
+        .filter(|l| l.contains(&tag))
+        .map(str::to_owned)
+        .collect()
 }
 
 /// A warm re-run serves every trial from the cache and journals each one
@@ -319,12 +325,21 @@ fn warm_rerun_journals_every_hit_once() {
     assert_clean_recovery(&warm, &bench, "warm re-run");
 
     let text = std::fs::read_to_string(&journal).expect("journal written");
-    let hits = text.lines().filter(|l| l.contains("\"attempts\":0")).count();
+    let hits = text
+        .lines()
+        .filter(|l| l.contains("\"attempts\":0"))
+        .count();
     assert_eq!(hits, warm.stats.trials, "one hit line per planned trial");
     assert_eq!(journal_lines(&text, "trial").len(), warm.stats.trials);
     let last = text.lines().last().expect("journal has lines");
-    assert!(last.contains("\"kind\":\"end\""), "ends with the end line: {last}");
-    assert!(last.contains(&format!("\"done\":{}", warm.stats.trials)), "{last}");
+    assert!(
+        last.contains("\"kind\":\"end\""),
+        "ends with the end line: {last}"
+    );
+    assert!(
+        last.contains(&format!("\"done\":{}", warm.stats.trials)),
+        "{last}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

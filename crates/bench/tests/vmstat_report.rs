@@ -70,7 +70,10 @@ fn vmstat_report_is_identical_across_jobs_and_warm_resume() {
     assert_eq!(warm.cache_hits, warm.trials, "warm cache");
     assert!(warm.resumed > 0, "journal must mark trials resumed");
     // The observability counters flow through the cache codec unchanged.
-    assert_eq!((warm.shadow, warm.ws_refault), (cold.shadow, cold.ws_refault));
+    assert_eq!(
+        (warm.shadow, warm.ws_refault),
+        (cold.shadow, cold.ws_refault)
+    );
     assert_eq!(vmstat_report(&bench, fig), golden, "warm resume jobs=1");
 
     let _ = std::fs::remove_dir_all(&dir);

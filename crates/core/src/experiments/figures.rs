@@ -87,7 +87,11 @@ impl fmt::Display for Fig1 {
                 format!("{:.3}", r.faults_vs_clock),
             ]);
         }
-        write!(f, "Fig 1: MG-LRU normalized to Clock (SSD, 50% ratio)\n{}", t.render())
+        write!(
+            f,
+            "Fig 1: MG-LRU normalized to Clock (SSD, 50% ratio)\n{}",
+            t.render()
+        )
     }
 }
 
@@ -181,7 +185,13 @@ impl fmt::Display for JointFigure {
             self.id
         )?;
         let mut t = Table::new(&[
-            "workload", "policy", "trials", "rt mean", "rt spread", "r2", "s/fault",
+            "workload",
+            "policy",
+            "trials",
+            "rt mean",
+            "rt spread",
+            "r2",
+            "s/fault",
         ]);
         for c in &self.cells {
             let rt: Vec<f64> = c.points.iter().map(|p| p.0).collect();
@@ -567,7 +577,9 @@ pub fn fig7(bench: &Bench) -> Fig7 {
 
 impl fmt::Display for Fig7 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut t = Table::new(&["ratio", "workload", "policy", "min", "q1", "med", "q3", "max"]);
+        let mut t = Table::new(&[
+            "ratio", "workload", "policy", "min", "q1", "med", "q3", "max",
+        ]);
         for r in &self.rows {
             let mut cells = vec![
                 format!("{:.0}%", r.ratio * 100.0),
@@ -668,7 +680,11 @@ impl ZramFigure {
 
 impl fmt::Display for ZramFigure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let what = if self.id == "fig9" { "performance" } else { "faults" };
+        let what = if self.id == "fig9" {
+            "performance"
+        } else {
+            "faults"
+        };
         let mut t = Table::new(&["workload", "policy", "norm to mglru"]);
         for r in &self.rows {
             t.row(&[

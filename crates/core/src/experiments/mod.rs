@@ -22,7 +22,7 @@ mod figures;
 pub use faults::*;
 pub use figures::*;
 
-// Ordered containers only (pagesim-lint rule L1): the cell table is never
+// Ordered containers only (rule L1, clippy.toml): the cell table is never
 // iterated today, but a `BTreeMap` keeps any future walk deterministic.
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -69,8 +69,12 @@
 //! With the default empty plan none of these paths execute and the
 //! simulation is bit-identical to the fault-free model.
 
+// L5: the SimError hot path propagates typed errors instead of panicking,
+// so one bad cell cannot abort a figure sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 // Ordered containers only: kernel state must never expose hash-iteration
-// order to the simulation (enforced by `pagesim-lint` rule L1).
+// order to the simulation (clippy.toml bans the hash containers).
 #[cfg(feature = "sanitize")]
 use std::collections::BTreeSet;
 
@@ -316,11 +320,12 @@ impl Kernel {
         // Devices carry a fault injector only when the plan can touch
         // them: a plain device stays on the branch-free fast path and the
         // simulation is bit-identical to the fault-free build.
-        let device_faults = config
-            .faults
-            .plan
-            .has_device_faults()
-            .then(|| FaultInjector::new(config.faults.plan.clone(), derive_seed(seed, "fault-injection")));
+        let device_faults = config.faults.plan.has_device_faults().then(|| {
+            FaultInjector::new(
+                config.faults.plan.clone(),
+                derive_seed(seed, "fault-injection"),
+            )
+        });
         // Each live slot backs exactly one page, so a slot per page is
         // enough and the devices never grow their slot state.
         let swap: Box<dyn SwapDevice> = match config.swap {
@@ -802,8 +807,7 @@ impl Kernel {
                 }
                 Op::RequestStart { class, warmup } => {
                     let at = self.now + used;
-                    let ThreadBody::App { request, .. } = &mut self.bodies[tid.0 as usize]
-                    else {
+                    let ThreadBody::App { request, .. } = &mut self.bodies[tid.0 as usize] else {
                         unreachable!()
                     };
                     if request.is_some() {
@@ -814,8 +818,7 @@ impl Kernel {
                 }
                 Op::RequestEnd => {
                     let at = self.now + used;
-                    let ThreadBody::App { request, .. } = &mut self.bodies[tid.0 as usize]
-                    else {
+                    let ThreadBody::App { request, .. } = &mut self.bodies[tid.0 as usize] else {
                         unreachable!()
                     };
                     match request.take() {
@@ -925,10 +928,8 @@ impl Kernel {
                 }
                 // All frames pinned by in-flight write-back (or everything
                 // looked accessed): retry shortly.
-                self.events.push(
-                    self.now + *used + 300 * MICROSECOND,
-                    Event::Wake { tid },
-                );
+                self.events
+                    .push(self.now + *used + 300 * MICROSECOND, Event::Wake { tid });
                 return TouchResult::Starved;
             }
         };
@@ -1745,13 +1746,19 @@ mod tests {
         let m = Kernel::build(&cfg(PolicyChoice::Clock, SwapChoice::Zram, 0.5), &w, 2).run();
         assert!(m.read_latency.count() > 1000);
         assert!(m.write_latency.count() > 1000);
-        assert!(m.read_latency.value_at_percentile(99.0) >= m.read_latency.value_at_percentile(50.0));
+        assert!(
+            m.read_latency.value_at_percentile(99.0) >= m.read_latency.value_at_percentile(50.0)
+        );
     }
 
     #[test]
     fn frames_never_exceed_capacity() {
         let w = TpchWorkload::new(TpchConfig::tiny());
-        let k = Kernel::build(&cfg(PolicyChoice::MgLruDefault, SwapChoice::Zram, 0.5), &w, 1);
+        let k = Kernel::build(
+            &cfg(PolicyChoice::MgLruDefault, SwapChoice::Zram, 0.5),
+            &w,
+            1,
+        );
         let cap = k.mem.phys.capacity();
         let m = k.run();
         assert!(m.footprint_pages as usize > cap, "pressure sanity");
@@ -1938,7 +1945,11 @@ mod tests {
         // arrive in later slices while it is in flight. Arrival order is the
         // reverse of thread order, so a wake in thread order would fail.
         let w = PageLockProgram {
-            delays: [2 * MILLISECOND + MILLISECOND / 2, MILLISECOND + MILLISECOND / 2, 0],
+            delays: [
+                2 * MILLISECOND + MILLISECOND / 2,
+                MILLISECOND + MILLISECOND / 2,
+                0,
+            ],
             resumed: Default::default(),
         };
         let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
@@ -1946,14 +1957,20 @@ mod tests {
         // Page 0 starts out swapped to the SSD: its 7.5 ms write is still
         // in flight, so the read queues behind it.
         let slot = k.swap.allocate_slot();
-        let write = k.swap.write(SimTime::ZERO, slot, EntropyClass::Text).expect("ssd write");
+        let write = k
+            .swap
+            .write(SimTime::ZERO, slot, EntropyClass::Text)
+            .expect("ssd write");
         k.mem.space_mut(AsId(0)).set_swapped(0, slot);
         let m = k.run();
         assert_eq!(m.error, None);
         assert_eq!(m.major_faults, 1, "one read serves all three threads");
         assert_eq!(m.shared_fault_waits, 2);
         assert_eq!(*w.resumed.lock().expect("log lock"), [2, 1, 0]);
-        assert!(m.runtime_ns > write.done_at.as_ns(), "the read waited for the write");
+        assert!(
+            m.runtime_ns > write.done_at.as_ns(),
+            "the read waited for the write"
+        );
     }
 
     // ------------------------------------------------------------

@@ -36,7 +36,6 @@
 //! assert!(metrics.major_faults > 0); // 50% ratio forces paging
 //! ```
 
-
 mod config;
 pub mod experiments;
 mod failure;

@@ -640,8 +640,14 @@ mod tests {
     #[test]
     fn histogram_lines_parse_strictly() {
         let h = |line: &str| parse_histogram(line, "h").map(|h| h.to_parts());
-        assert_eq!(h("h 0 18446744073709551615 0 0"), Some((vec![], 0, u64::MAX, 0)));
-        assert_eq!(h("h 12 5 7 2 5:1 7:1"), Some((vec![(5, 1), (7, 1)], 12, 5, 7)));
+        assert_eq!(
+            h("h 0 18446744073709551615 0 0"),
+            Some((vec![], 0, u64::MAX, 0))
+        );
+        assert_eq!(
+            h("h 12 5 7 2 5:1 7:1"),
+            Some((vec![(5, 1), (7, 1)], 12, 5, 7))
+        );
         for bad in [
             "h 0 0 0 0 ",
             "h 12 5 7 2 5:1",

@@ -72,10 +72,7 @@ pub fn ratio(x: f64) -> String {
 
 /// Formats a summary as `mean ± std [min, max]`.
 pub fn summary_line(s: &Summary) -> String {
-    format!(
-        "{:.3} ± {:.3} [{:.3}, {:.3}]",
-        s.mean, s.std, s.min, s.max
-    )
+    format!("{:.3} ± {:.3} [{:.3}, {:.3}]", s.mean, s.std, s.min, s.max)
 }
 
 /// Formats nanoseconds as a human latency.

@@ -126,7 +126,10 @@ impl QueuedDevice {
 
     /// Fault-injection counters (zero if no injector is attached).
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(FaultInjector::stats).unwrap_or_default()
+        self.faults
+            .as_ref()
+            .map(FaultInjector::stats)
+            .unwrap_or_default()
     }
 }
 
@@ -247,7 +250,10 @@ mod tests {
         assert_eq!(d.fault_stats().stalled_ops, 1);
         assert_eq!(d.fault_stats().stall_delay_ns, 1_500);
         // After the window: unaffected again.
-        assert_eq!(d.submit(SimTime::from_ns(8_000), 50).unwrap().as_ns(), 8_050);
+        assert_eq!(
+            d.submit(SimTime::from_ns(8_000), 50).unwrap().as_ns(),
+            8_050
+        );
     }
 
     #[test]

@@ -281,7 +281,10 @@ mod tests {
         let mut inj = FaultInjector::new(plan, 1);
         assert_eq!(inj.check(SimTime::from_ns(4_999)), Ok(()));
         assert_eq!(inj.check(SimTime::from_ns(5_000)), Err(IoError::Permanent));
-        assert_eq!(inj.check(SimTime::from_ns(9_999_999)), Err(IoError::Permanent));
+        assert_eq!(
+            inj.check(SimTime::from_ns(9_999_999)),
+            Err(IoError::Permanent)
+        );
         assert_eq!(inj.stats().injected_errors, 2);
     }
 
@@ -312,7 +315,9 @@ mod tests {
         let mut b = FaultInjector::new(plan.clone(), 77);
         let mut c = FaultInjector::new(plan, 78);
         let seq = |inj: &mut FaultInjector| -> Vec<bool> {
-            (0..200).map(|_| inj.check(SimTime::ZERO).is_err()).collect()
+            (0..200)
+                .map(|_| inj.check(SimTime::ZERO).is_err())
+                .collect()
         };
         let sa = seq(&mut a);
         assert_eq!(sa, seq(&mut b), "same seed must replay");

@@ -43,7 +43,6 @@
 //! assert_eq!(order, vec!["a", "b", "c"]);
 //! ```
 
-
 mod barrier;
 mod device;
 mod event;
@@ -54,7 +53,9 @@ mod time;
 
 pub use barrier::{BarrierId, BarrierSet};
 pub use device::{DeviceStats, QueuedDevice};
-pub use faults::{FaultInjector, FaultPlan, FaultStats, IoError, IoResult, PressureStep, StallPlan};
 pub use event::EventQueue;
+pub use faults::{
+    FaultInjector, FaultPlan, FaultStats, IoError, IoResult, PressureStep, StallPlan,
+};
 pub use sched::{CoreId, DispatchDecision, SchedStats, Scheduler, ThreadClass, ThreadId};
 pub use time::{Nanos, SimTime, MICROSECOND, MILLISECOND, SECOND};

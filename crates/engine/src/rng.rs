@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn trial_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             assert!(seen.insert(trial_seed(99, i)), "collision at trial {i}");
         }

@@ -31,7 +31,6 @@
 //! assert!(!touches[0].write);
 //! ```
 
-
 use pagesim_mem::{Vpn, PAGE_SIZE};
 
 /// Configuration of a [`KvStore`].

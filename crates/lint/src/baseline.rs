@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 /// One baselined finding group.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Entry {
-    /// Rule code (`H1`, `L2`, …).
+    /// Rule code (`H1`, `H4`, …).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -81,7 +81,9 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             return Err(format!("line {lineno}: unsupported section `{line}`"));
         }
         let Some((k, v)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `key = value`, got `{line}`"));
+            return Err(format!(
+                "line {lineno}: expected `key = value`, got `{line}`"
+            ));
         };
         let (k, v) = (k.trim(), v.trim());
         match (&mut cur, k) {
@@ -116,7 +118,9 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
 
 fn finish_entry(e: Entry, lineno: usize, baseline: &mut Baseline) -> Result<(), String> {
     if e.rule.is_empty() || e.file.is_empty() {
-        return Err(format!("entry ending near line {lineno}: rule and file are required"));
+        return Err(format!(
+            "entry ending near line {lineno}: rule and file are required"
+        ));
     }
     if e.reason.trim().is_empty() {
         return Err(format!(
@@ -134,7 +138,9 @@ fn unquote(v: &str, lineno: usize) -> Result<String, String> {
     if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
         Ok(v[1..v.len() - 1].to_owned())
     } else {
-        Err(format!("line {lineno}: expected a quoted string, got `{v}`"))
+        Err(format!(
+            "line {lineno}: expected a quoted string, got `{v}`"
+        ))
     }
 }
 
@@ -188,12 +194,12 @@ pub fn screen(findings: Vec<Finding>, baseline: &Baseline) -> Screened {
     for (_, found) in groups {
         screened.errors.extend(found);
     }
-    screened.errors.sort_by(|a, b| {
-        (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule))
-    });
-    screened.warnings.sort_by(|a, b| {
-        (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule))
-    });
+    screened
+        .errors
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    screened
+        .warnings
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     screened
 }
 
@@ -270,8 +276,18 @@ reason = \"page-lock insert\"
     fn matched_findings_become_warnings() {
         let b = parse(BASE).unwrap();
         let fs = vec![
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 10),
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 20),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                10,
+            ),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                20,
+            ),
         ];
         let s = screen(fs, &b);
         assert!(s.errors.is_empty());
@@ -283,9 +299,24 @@ reason = \"page-lock insert\"
     fn unmatched_findings_are_errors() {
         let b = parse(BASE).unwrap();
         let fs = vec![
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 10),
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 20),
-            finding(Rule::HotClone, "crates/policy/src/clock.rs", "Clock::reclaim", 5),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                10,
+            ),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                20,
+            ),
+            finding(
+                Rule::HotClone,
+                "crates/policy/src/clock.rs",
+                "Clock::reclaim",
+                5,
+            ),
         ];
         let s = screen(fs, &b);
         assert_eq!(s.errors.len(), 1);
@@ -308,12 +339,31 @@ reason = \"page-lock insert\"
         )];
         let s = screen(fs, &b);
         assert_eq!(s.stale.len(), 1);
-        assert!(s.stale[0].contains("ratchet the count down"), "{}", s.stale[0]);
+        assert!(
+            s.stale[0].contains("ratchet the count down"),
+            "{}",
+            s.stale[0]
+        );
         // A third finding under a pinned-at-2 key → exceeded.
         let fs = vec![
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 10),
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 20),
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 30),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                10,
+            ),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                20,
+            ),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                30,
+            ),
         ];
         let s = screen(fs, &b);
         assert_eq!(s.stale.len(), 1);
@@ -332,8 +382,18 @@ reason = \"page-lock insert\"
     fn render_round_trips_and_preserves_reasons() {
         let b = parse(BASE).unwrap();
         let fs = vec![
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 10),
-            finding(Rule::HotAlloc, "crates/core/src/kernel.rs", "Kernel::fault", 20),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                10,
+            ),
+            finding(
+                Rule::HotAlloc,
+                "crates/core/src/kernel.rs",
+                "Kernel::fault",
+                20,
+            ),
         ];
         let text = render(&fs, &b);
         let again = parse(&text).unwrap();

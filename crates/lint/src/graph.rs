@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Hot-path root functions: the fault/touch entry points and the reclaim
 /// and aging slices. Any function transitively reachable from these (or
-/// from a `Policy` impl's hot methods) is in the *cone* the L-rule chain
-/// findings and the H-series hygiene rules apply to.
+/// from a `Policy` impl's hot methods) is in the *cone* the H-series
+/// hygiene rules apply to.
 pub const HOT_ROOTS: &[&str] = &[
     "Kernel::fault",
     "Kernel::touch",
@@ -46,21 +46,81 @@ pub const POLICY_HOT_METHODS: &[&str] = &[
 /// on an untyped receiver to the one workspace type with a `push` method
 /// would fabricate edges.
 const COMMON_METHODS: &[&str] = &[
-    "new", "default", "len", "is_empty", "get", "get_mut", "insert", "remove", "push", "pop",
-    "clear", "contains", "contains_key", "iter", "next", "clone", "fmt", "eq", "cmp",
-    "partial_cmp", "hash", "drop", "from", "into", "as_ref", "as_mut", "take", "min", "max",
-    "expect", "unwrap", "unwrap_or", "unwrap_or_else", "unwrap_or_default", "map", "and_then",
-    "or_else", "ok", "err", "filter", "find", "any", "all", "fold", "count", "last", "first",
-    "extend", "entry", "append", "retain", "drain", "front", "back", "push_back", "push_front",
-    "pop_back", "pop_front", "sort", "sort_unstable", "binary_search", "split_off", "write",
-    "read", "flush", "abs", "sum", "rev",
+    "new",
+    "default",
+    "len",
+    "is_empty",
+    "get",
+    "get_mut",
+    "insert",
+    "remove",
+    "push",
+    "pop",
+    "clear",
+    "contains",
+    "contains_key",
+    "iter",
+    "next",
+    "clone",
+    "fmt",
+    "eq",
+    "cmp",
+    "partial_cmp",
+    "hash",
+    "drop",
+    "from",
+    "into",
+    "as_ref",
+    "as_mut",
+    "take",
+    "min",
+    "max",
+    "expect",
+    "unwrap",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "map",
+    "and_then",
+    "or_else",
+    "ok",
+    "err",
+    "filter",
+    "find",
+    "any",
+    "all",
+    "fold",
+    "count",
+    "last",
+    "first",
+    "extend",
+    "entry",
+    "append",
+    "retain",
+    "drain",
+    "front",
+    "back",
+    "push_back",
+    "push_front",
+    "pop_back",
+    "pop_front",
+    "sort",
+    "sort_unstable",
+    "binary_search",
+    "split_off",
+    "write",
+    "read",
+    "flush",
+    "abs",
+    "sum",
+    "rev",
 ];
 
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "match", "return", "loop", "fn", "move", "in", "as", "let",
-    "unsafe", "ref", "mut", "box", "dyn", "impl", "where", "use", "pub", "enum", "struct",
-    "trait", "type", "const", "static", "break", "continue", "crate", "super", "Self", "self",
-    "async", "await", "true", "false",
+    "unsafe", "ref", "mut", "box", "dyn", "impl", "where", "use", "pub", "enum", "struct", "trait",
+    "type", "const", "static", "break", "continue", "crate", "super", "Self", "self", "async",
+    "await", "true", "false",
 ];
 
 /// A function node in the graph.
@@ -103,8 +163,8 @@ impl Graph {
     /// Whether `ty` is a known `Copy` type (workspace derive or primitive).
     pub fn is_copy(&self, ty: &str) -> bool {
         const PRIMITIVES: &[&str] = &[
-            "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",
-            "isize", "bool", "char", "f32", "f64",
+            "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
+            "bool", "char", "f32", "f64",
         ];
         PRIMITIVES.contains(&ty) || self.copy_types.contains(ty)
     }
@@ -141,9 +201,10 @@ impl Graph {
         };
         for pf in files {
             for (name, fields) in &pf.structs {
-                g.structs.entry(name.clone()).or_default().extend(
-                    fields.iter().map(|(k, v)| (k.clone(), v.clone())),
-                );
+                g.structs
+                    .entry(name.clone())
+                    .or_default()
+                    .extend(fields.iter().map(|(k, v)| (k.clone(), v.clone())));
             }
             g.copy_types.extend(pf.copy_types.iter().cloned());
             g.traits.extend(pf.traits_declared.iter().cloned());
@@ -168,10 +229,7 @@ impl Graph {
                     }
                 }
                 None => {
-                    g.free_index
-                        .entry(fd.name.clone())
-                        .or_default()
-                        .push(ni);
+                    g.free_index.entry(fd.name.clone()).or_default().push(ni);
                 }
             }
         }
@@ -476,7 +534,11 @@ impl Graph {
                     let Some((_, qual)) = word_ending_before(text, p - 1) else {
                         continue;
                     };
-                    if qual.chars().next().is_some_and(|ch| ch.is_ascii_uppercase()) {
+                    if qual
+                        .chars()
+                        .next()
+                        .is_some_and(|ch| ch.is_ascii_uppercase())
+                    {
                         let t = if qual == "Self" {
                             fd.owner.clone().unwrap_or_default()
                         } else {
@@ -491,7 +553,11 @@ impl Graph {
                 }
                 _ => {
                     // Bare call: free fn (skip Uppercase constructors).
-                    if word.chars().next().is_some_and(|ch| ch.is_ascii_lowercase() || ch == '_') {
+                    if word
+                        .chars()
+                        .next()
+                        .is_some_and(|ch| ch.is_ascii_lowercase() || ch == '_')
+                    {
                         let real = pf.uses.get(&word).cloned().unwrap_or(word.clone());
                         out.extend(self.free_edges(files, node.file, &real));
                     }
@@ -581,7 +647,10 @@ fn candidate_owners(
 }
 
 fn resolve_alias(pf: &ParsedFile, name: &str) -> String {
-    pf.uses.get(name).cloned().unwrap_or_else(|| name.to_owned())
+    pf.uses
+        .get(name)
+        .cloned()
+        .unwrap_or_else(|| name.to_owned())
 }
 
 /// One step of a postfix receiver chain, front-to-back.
@@ -743,7 +812,10 @@ fn eq_at_depth0(body: &[u8], from: usize, end: usize) -> Option<usize> {
             b')' | b']' | b'>' => depth -= 1,
             b'=' if depth <= 0 => {
                 let prev_op = i > from
-                    && matches!(body[i - 1], b'=' | b'!' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/');
+                    && matches!(
+                        body[i - 1],
+                        b'=' | b'!' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/'
+                    );
                 let next_eq = body.get(i + 1) == Some(&b'=');
                 if !prev_op && !next_eq {
                     return Some(i);

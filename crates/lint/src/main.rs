@@ -1,12 +1,11 @@
-//! `pagesim-lint` CLI: the workspace determinism/soundness gate.
+//! `pagesim-lint` CLI: the workspace's L4 manifest and H1–H4 hot-cone
+//! gate. The file-scoped determinism rules are clippy's (`clippy.toml`).
 //!
 //! ```text
-//! pagesim-lint --workspace [--root DIR] [--format text|sarif]
-//!              [--baseline FILE | --no-baseline] [--write-baseline]
-//! pagesim-lint --check-file F [--as-crate C] [--hot]   # lint one file
+//! pagesim-lint [--root DIR] [--baseline FILE | --no-baseline] [--write-baseline]
 //! ```
 //!
-//! Workspace mode screens findings against the ratchet baseline
+//! Findings are screened against the ratchet baseline
 //! (`<root>/lint-baseline.toml` when present): baselined findings warn,
 //! new findings and stale entries fail. `--write-baseline` regenerates
 //! the baseline from the current findings, preserving existing reasons.
@@ -17,23 +16,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pagesim_lint::{baseline, lint_source, lint_workspace, rules_for, sarif, RuleSet};
+use pagesim_lint::{baseline, lint_workspace};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pagesim-lint --workspace [--root DIR] [--format text|sarif]\n\
-         \x20                 [--baseline FILE | --no-baseline] [--write-baseline]\n\
-         \x20      pagesim-lint --check-file FILE [--as-crate CRATE] [--hot]\n\
+        "usage: pagesim-lint [--root DIR] [--baseline FILE | --no-baseline] [--write-baseline]\n\
          \n\
-         --workspace        scan crates/* and src/ under the workspace root\n\
+         scans crates/* and src/ under the workspace root\n\
+         \n\
          --root DIR         workspace root (default: current directory)\n\
-         --format FMT       output format: text (default) or sarif\n\
          --baseline FILE    ratchet baseline (default: ROOT/lint-baseline.toml if present)\n\
          --no-baseline      ignore any baseline; all findings are errors\n\
-         --write-baseline   regenerate the baseline file from current findings\n\
-         --check-file FILE  lint a single source file\n\
-         --as-crate CRATE   crate dir name FILE should be judged as (default: core)\n\
-         --hot              additionally apply the hot-path unwrap rule (L5)"
+         --write-baseline   regenerate the baseline file from current findings"
     );
     ExitCode::from(2)
 }
@@ -41,11 +35,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = PathBuf::from(".");
-    let mut workspace = false;
-    let mut check_file: Option<PathBuf> = None;
-    let mut as_crate = String::from("core");
-    let mut hot = false;
-    let mut format = String::from("text");
     let mut baseline_path: Option<PathBuf> = None;
     let mut no_baseline = false;
     let mut write_baseline = false;
@@ -53,14 +42,9 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workspace" => workspace = true,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage(),
-            },
-            "--format" => match it.next() {
-                Some(f) if f == "text" || f == "sarif" => format = f.clone(),
-                _ => return usage(),
             },
             "--baseline" => match it.next() {
                 Some(f) => baseline_path = Some(PathBuf::from(f)),
@@ -68,15 +52,6 @@ fn main() -> ExitCode {
             },
             "--no-baseline" => no_baseline = true,
             "--write-baseline" => write_baseline = true,
-            "--check-file" => match it.next() {
-                Some(f) => check_file = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--as-crate" => match it.next() {
-                Some(c) => as_crate = c.clone(),
-                None => return usage(),
-            },
-            "--hot" => hot = true,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -84,41 +59,8 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-
-    if workspace == check_file.is_some() {
-        // Exactly one mode must be selected.
-        return usage();
-    }
     if no_baseline && baseline_path.is_some() {
         return usage();
-    }
-
-    if !workspace {
-        let path = check_file.expect("mode checked above");
-        let source = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("pagesim-lint: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let rel = path.to_string_lossy().replace('\\', "/");
-        let mut rules = rules_for(&as_crate, &rel);
-        if hot {
-            rules = RuleSet {
-                hot_unwrap: true,
-                ..rules
-            };
-        }
-        let findings = lint_source(rules, &rel, &source);
-        for f in &findings {
-            println!("{f}");
-        }
-        return if findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
     }
 
     let report = match lint_workspace(&root) {
@@ -180,19 +122,14 @@ fn main() -> ExitCode {
     }
 
     let screened = baseline::screen(report.findings, &base);
-    match format.as_str() {
-        "sarif" => print!("{}", sarif::render(&screened.errors, &screened.warnings)),
-        _ => {
-            for f in &screened.errors {
-                println!("{f}");
-            }
-            for f in &screened.warnings {
-                println!("warning: {f}");
-            }
-            for s in &screened.stale {
-                println!("{s}");
-            }
-        }
+    for f in &screened.errors {
+        println!("{f}");
+    }
+    for f in &screened.warnings {
+        println!("warning: {f}");
+    }
+    for s in &screened.stale {
+        println!("{s}");
     }
     eprintln!(
         "pagesim-lint: scanned {} files ({} fns, {} hot), {} error(s), \

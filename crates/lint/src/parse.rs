@@ -409,7 +409,10 @@ pub fn parse_file(rel: &str, crate_dir: &str, text: Vec<u8>) -> ParsedFile {
                             (&fd.owner, ctxs.last())
                         {
                             debug_assert_eq!(owner, name);
-                            pf.traits.entry(name.clone()).or_default().push(fd.name.clone());
+                            pf.traits
+                                .entry(name.clone())
+                                .or_default()
+                                .push(fd.name.clone());
                         }
                         // Record decl-only trait methods too (body=None).
                         pf.fns.push(fd);
@@ -807,7 +810,11 @@ fn free_helper(x: u32) -> u32 { x }
         assert_eq!(fault.params, vec![("vpn".to_owned(), "u64".to_owned())]);
         assert_eq!(fault.ret, "Result");
         assert!(fault.body.is_some());
-        let clock = pf.fns.iter().find(|f| f.symbol() == "Clock::reclaim").unwrap();
+        let clock = pf
+            .fns
+            .iter()
+            .find(|f| f.symbol() == "Clock::reclaim")
+            .unwrap();
         assert_eq!(clock.trait_impl.as_deref(), Some("Policy"));
         assert_eq!(
             pf.structs["Kernel"]["policy"], "Policy",

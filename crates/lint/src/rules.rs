@@ -1,16 +1,10 @@
-//! Rule passes: the construct detectors behind L1–L6, the graph-scoped
-//! H-series hot-path hygiene rules, and U1 safety-comment enforcement.
-//!
-//! Detectors emit [`Construct`]s — `(rule, byte offset, message)` — so the
-//! same detection logic serves both the per-file pass (offsets → lines)
-//! and the call-graph pass (offsets → enclosing function → chain).
+//! The H-series hot-path hygiene rules, applied to one cone function at a
+//! time. Detectors emit [`Construct`]s — `(rule, byte offset, message)` —
+//! that the workspace pass maps to a line and the function's call chain.
 
 use crate::graph::Graph;
 use crate::parse::ParsedFile;
-use crate::scrub::{
-    find_from, ident_before, is_ident_byte, next_nonws, prev_nonws, skip_path_prefix,
-    word_occurrences, LineIndex,
-};
+use crate::scrub::{ident_before, is_ident_byte, next_nonws, prev_nonws, word_occurrences};
 use crate::Rule;
 
 /// One detected forbidden construct, positioned by byte offset into the
@@ -24,229 +18,6 @@ pub struct Construct {
     /// Human-readable explanation.
     pub message: String,
 }
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-/// L1: collect names bound to `HashMap`/`HashSet`, then flag iteration
-/// through them.
-pub fn detect_hash_iter(text: &[u8]) -> Vec<Construct> {
-    let mut out = Vec::new();
-    let mut hash_names: Vec<String> = Vec::new();
-    for ty in ["HashMap", "HashSet"] {
-        for pos in word_occurrences(text, ty) {
-            let before = skip_path_prefix(text, pos);
-            if before == 0 {
-                continue;
-            }
-            let name = match text[before - 1] {
-                // `name: HashMap<…>` (field, param, or annotated let) —
-                // but not a path separator, which skip_path_prefix already
-                // consumed.
-                b':' if before < 2 || text[before - 2] != b':' => ident_before(text, before - 1),
-                // `name = HashMap::new()` / `let name = HashMap::new()`.
-                b'=' => ident_before(text, before - 1),
-                _ => None,
-            };
-            if let Some(name) = name {
-                if name != "let" && !hash_names.contains(&name) {
-                    hash_names.push(name);
-                }
-            }
-        }
-    }
-    if hash_names.is_empty() {
-        return out;
-    }
-    // `name.iter()` and friends.
-    for method in ITER_METHODS {
-        for pos in word_occurrences(text, method) {
-            let after = pos + method.len();
-            let mut a = after;
-            while a < text.len() && text[a].is_ascii_whitespace() {
-                a += 1;
-            }
-            if a >= text.len() || text[a] != b'(' {
-                continue;
-            }
-            let mut j = pos;
-            while j > 0 && text[j - 1].is_ascii_whitespace() {
-                j -= 1;
-            }
-            if j == 0 || text[j - 1] != b'.' {
-                continue;
-            }
-            let Some(receiver) = ident_before(text, j - 1) else {
-                continue;
-            };
-            if hash_names.contains(&receiver) {
-                out.push(Construct {
-                    rule: Rule::HashIter,
-                    offset: pos,
-                    message: format!(
-                        "`{receiver}.{method}()` iterates a hash-ordered container; \
-                         use BTreeMap/BTreeSet or sort before iterating"
-                    ),
-                });
-            }
-        }
-    }
-    // `for … in <expr ending in a hash name> {`.
-    for pos in word_occurrences(text, "for") {
-        let Some(in_pos) = word_occurrences(&text[pos..], "in")
-            .first()
-            .map(|p| p + pos)
-        else {
-            continue;
-        };
-        let Some(brace) = find_from(text, b"{", in_pos) else {
-            continue;
-        };
-        let expr = &text[in_pos + 2..brace];
-        if expr.contains(&b'(') || expr.contains(&b'\n') && brace - in_pos > 200 {
-            continue;
-        }
-        let Some(last) = ident_before(text, brace) else {
-            continue;
-        };
-        if hash_names.contains(&last) {
-            out.push(Construct {
-                rule: Rule::HashIter,
-                offset: pos,
-                message: format!(
-                    "`for … in {last}` iterates a hash-ordered container; \
-                     use BTreeMap/BTreeSet or sort before iterating"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// L2: ambient time/entropy tokens.
-pub fn detect_wall_clock(text: &[u8]) -> Vec<Construct> {
-    let mut out = Vec::new();
-    let banned: &[(&str, &str)] = &[
-        ("SystemTime", "`std::time::SystemTime` is wall-clock state"),
-        ("thread_rng", "`thread_rng` draws OS entropy"),
-        ("RandomState", "`RandomState` seeds from OS entropy per process"),
-        ("OsRng", "`OsRng` draws OS entropy"),
-    ];
-    for (word, why) in banned {
-        for pos in word_occurrences(text, word) {
-            out.push(Construct {
-                rule: Rule::WallClock,
-                offset: pos,
-                message: format!("{why}; sim results must be a pure function of the seed"),
-            });
-        }
-    }
-    // `Instant` only when it is std::time's: `Instant::now`, or a
-    // `std::time::Instant` path/import.
-    for pos in word_occurrences(text, "Instant") {
-        let after = pos + "Instant".len();
-        let is_now = text.get(after) == Some(&b':')
-            && find_from(text, b"now", after).is_some_and(|p| p <= after + 4);
-        let before = skip_path_prefix(text, pos);
-        let is_std_path =
-            before < pos && String::from_utf8_lossy(&text[before..pos]).contains("time");
-        if is_now || is_std_path {
-            out.push(Construct {
-                rule: Rule::WallClock,
-                offset: pos,
-                message: "`std::time::Instant` is wall-clock state; use SimTime".to_owned(),
-            });
-        }
-    }
-    out
-}
-
-/// L3: thread creation.
-pub fn detect_thread_spawn(text: &[u8]) -> Vec<Construct> {
-    let mut out = Vec::new();
-    for api in ["spawn", "scope", "Builder"] {
-        for pos in word_occurrences(text, api) {
-            let before = skip_path_prefix(text, pos);
-            if before >= pos {
-                continue; // bare `spawn`, not `thread::spawn`
-            }
-            let path = String::from_utf8_lossy(&text[before..pos]);
-            if path.contains("thread") {
-                out.push(Construct {
-                    rule: Rule::ThreadSpawn,
-                    offset: pos,
-                    message: format!(
-                        "`thread::{api}` outside pagesim-bench::sweep; all parallelism \
-                         must go through the deterministic sweep executor"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// L5: `.unwrap()`/`.expect()` on hot-path files.
-pub fn detect_hot_unwrap(text: &[u8]) -> Vec<Construct> {
-    let mut out = Vec::new();
-    for method in ["unwrap", "expect"] {
-        for pos in word_occurrences(text, method) {
-            let mut j = pos;
-            while j > 0 && text[j - 1].is_ascii_whitespace() {
-                j -= 1;
-            }
-            if j == 0 || text[j - 1] != b'.' {
-                continue;
-            }
-            let mut a = pos + method.len();
-            while a < text.len() && text[a].is_ascii_whitespace() {
-                a += 1;
-            }
-            if a >= text.len() || text[a] != b'(' {
-                continue;
-            }
-            out.push(Construct {
-                rule: Rule::HotUnwrap,
-                offset: pos,
-                message: format!(
-                    "`.{method}()` on a SimError hot path; propagate a typed error \
-                     so one bad cell cannot abort a figure sweep"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// L6: `catch_unwind` outside the sanctioned isolation module. Matches the
-/// bare identifier, so imports (`use std::panic::catch_unwind`), qualified
-/// paths, and calls all fire.
-pub fn detect_catch_unwind(text: &[u8]) -> Vec<Construct> {
-    word_occurrences(text, "catch_unwind")
-        .into_iter()
-        .map(|pos| Construct {
-            rule: Rule::CatchUnwind,
-            offset: pos,
-            message: "`catch_unwind` outside the sweep executor's isolation module; \
-                      panic recovery must go through the one audited site"
-                .to_owned(),
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// H-series: hot-path hygiene, scoped to the fault/reclaim cone
-// ---------------------------------------------------------------------
 
 /// Std containers whose growth methods allocate.
 const STD_GROWABLE: &[&str] = &[
@@ -430,54 +201,6 @@ pub fn detect_hot_constructs(g: &Graph, files: &[ParsedFile], ni: usize) -> Vec<
                     ),
                 });
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// U1: SAFETY comments on unsafe blocks
-// ---------------------------------------------------------------------
-
-/// U1: every `unsafe` block needs a `// SAFETY:` comment on the same line
-/// or in the comment run immediately above. Detection runs on scrubbed
-/// text (so `unsafe` in strings/comments never fires); the SAFETY lookup
-/// reads the *original* source, where comments still exist.
-pub(crate) fn detect_missing_safety(text: &[u8], lines: &LineIndex, src: &str) -> Vec<Construct> {
-    let src_lines: Vec<&str> = src.lines().collect();
-    let mut out = Vec::new();
-    for pos in word_occurrences(text, "unsafe") {
-        let Some((_, nc)) = next_nonws(text, pos + "unsafe".len()) else {
-            continue;
-        };
-        if nc != b'{' {
-            continue; // `unsafe fn`/`unsafe impl` signatures are L4's domain
-        }
-        let line = lines.line_of(pos); // 1-based
-        let mut justified = src_lines
-            .get(line as usize - 1)
-            .is_some_and(|l| l.contains("SAFETY:"));
-        // Walk up through the immediately-preceding comment/attribute run.
-        let mut k = line as usize - 1; // index of the unsafe line
-        while !justified && k > 0 {
-            let above = src_lines[k - 1].trim();
-            if above.starts_with("//") || above.starts_with("#[") || above.is_empty() {
-                if above.contains("SAFETY:") {
-                    justified = true;
-                }
-                k -= 1;
-            } else {
-                break;
-            }
-        }
-        if !justified {
-            out.push(Construct {
-                rule: Rule::SafetyComment,
-                offset: pos,
-                message: "`unsafe` block without a preceding `// SAFETY:` comment \
-                          stating the invariant that makes it sound"
-                    .to_owned(),
-            });
         }
     }
     out

@@ -1,8 +1,8 @@
 //! Source preparation: comment/string scrubbing, stripping of test- and
 //! sanitize-gated items, line mapping, and shared token helpers.
 //!
-//! Everything downstream — the per-file rule passes, the item parser, and
-//! the call graph — operates on *scrubbed* text: comments and string/char
+//! Everything downstream — the item parser, the call graph, and the
+//! H-series detectors — operates on *scrubbed* text: comments and string/char
 //! literals blanked byte-for-byte, with newlines preserved so offsets map
 //! back to the original lines. The scrubber understands every literal
 //! shape the workspace uses: line and nested block comments, raw strings
@@ -166,7 +166,7 @@ pub(crate) fn prev_is_ident(out: &[u8]) -> bool {
 
 /// Attribute forms whose annotated items are stripped before linting:
 /// test-gated and sanitizer-gated code never feeds figure output, so it
-/// may iterate hashes, allocate on hot paths, or unwrap freely.
+/// may allocate, clone, or use floats on hot paths freely.
 const STRIPPED_CFG_MARKERS: [&str; 3] = [
     "#[cfg(test)]",
     "#[cfg(feature = \"sanitize\")]",
@@ -307,29 +307,6 @@ pub(crate) fn ident_before(text: &[u8], end: usize) -> Option<String> {
     (j < stop).then(|| String::from_utf8_lossy(&text[j..stop]).into_owned())
 }
 
-/// Position just before any leading path prefix (`std::collections::`)
-/// ending at `pos`.
-pub(crate) fn skip_path_prefix(text: &[u8], mut pos: usize) -> usize {
-    loop {
-        let mut j = pos;
-        while j > 0 && text[j - 1].is_ascii_whitespace() {
-            j -= 1;
-        }
-        if j >= 2 && text[j - 1] == b':' && text[j - 2] == b':' {
-            let mut k = j - 2;
-            while k > 0 && text[k - 1].is_ascii_whitespace() {
-                k -= 1;
-            }
-            while k > 0 && is_ident_byte(text[k - 1]) {
-                k -= 1;
-            }
-            pos = k;
-        } else {
-            return j;
-        }
-    }
-}
-
 /// First non-whitespace byte at or after `pos`.
 pub(crate) fn next_nonws(text: &[u8], mut pos: usize) -> Option<(usize, u8)> {
     while pos < text.len() {
@@ -401,7 +378,10 @@ mod tests {
         let src = "let a = r##\"inner \"# fence\"##; thread_rng();";
         let text = s(src);
         assert!(!text.contains("fence"), "{text}");
-        assert!(text.contains("thread_rng"), "code after must survive: {text}");
+        assert!(
+            text.contains("thread_rng"),
+            "code after must survive: {text}"
+        );
     }
 
     #[test]

@@ -24,10 +24,7 @@ fn run_cli(args: &[&str]) -> (i32, String, String) {
 }
 
 fn temp_file(tag: &str, contents: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "pagesim-lint-{tag}-{}.toml",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("pagesim-lint-{tag}-{}.toml", std::process::id()));
     std::fs::write(&path, contents).expect("write temp baseline");
     path
 }
@@ -71,7 +68,7 @@ reason = "ratio uses f64 until fixed-point lands"
 fn no_baseline_fails_with_errors() {
     let root = fixture("hot_ws");
     let (code, stdout, stderr) =
-        run_cli(&["--workspace", "--root", root.to_str().expect("utf8"), "--no-baseline"]);
+        run_cli(&["--root", root.to_str().expect("utf8"), "--no-baseline"]);
     assert_eq!(code, 1, "stderr: {stderr}");
     assert!(stdout.contains("H1[hot-alloc]"), "stdout: {stdout}");
     assert!(!stdout.contains("warning:"), "stdout: {stdout}");
@@ -82,7 +79,6 @@ fn full_baseline_demotes_everything_to_warnings_and_passes() {
     let root = fixture("hot_ws");
     let base = temp_file("full", FULL_BASELINE);
     let (code, stdout, stderr) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -92,7 +88,10 @@ fn full_baseline_demotes_everything_to_warnings_and_passes() {
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
     // All five findings still visible, demoted to warnings with chains.
     assert_eq!(stdout.matches("warning: ").count(), 5, "stdout: {stdout}");
-    assert!(stdout.contains("[chain: Kernel::fault]"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("[chain: Kernel::fault]"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]
@@ -106,7 +105,6 @@ fn partial_baseline_fails_on_the_uncovered_finding() {
         .join("\n[[entry]]");
     let base = temp_file("partial", &partial);
     let (code, stdout, _) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -128,7 +126,6 @@ fn stale_entry_fails_until_removed() {
     );
     let base = temp_file("stale", &stale);
     let (code, stdout, _) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -146,7 +143,6 @@ fn count_ratchet_fails_in_both_directions() {
     let over = FULL_BASELINE.replace("count = 1", "count = 2");
     let base = temp_file("over", &over);
     let (code, stdout, _) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -154,15 +150,20 @@ fn count_ratchet_fails_in_both_directions() {
     ]);
     std::fs::remove_file(&base).ok();
     assert_eq!(code, 1);
-    assert!(stdout.contains("ratchet the count down"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("ratchet the count down"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]
 fn bad_baseline_is_a_usage_error() {
     let root = fixture("hot_ws");
-    let base = temp_file("bad", "schema = 1\n[[entry]]\nrule = \"H1\"\nfile = \"x.rs\"\n");
+    let base = temp_file(
+        "bad",
+        "schema = 1\n[[entry]]\nrule = \"H1\"\nfile = \"x.rs\"\n",
+    );
     let (code, _, stderr) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -181,7 +182,6 @@ fn write_baseline_round_trips_to_a_passing_run() {
         std::process::id()
     ));
     let (code, _, stderr) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",
@@ -195,7 +195,6 @@ fn write_baseline_round_trips_to_a_passing_run() {
     assert!(text.contains("TODO: justify or fix"), "placeholder reasons");
     // The generated baseline screens the same findings to warnings.
     let (code, stdout, stderr) = run_cli(&[
-        "--workspace",
         "--root",
         root.to_str().expect("utf8"),
         "--baseline",

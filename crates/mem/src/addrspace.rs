@@ -4,8 +4,8 @@ use crate::arena::{PageArena, PageKey};
 use crate::phys::FrameId;
 use crate::pte::Pte;
 use crate::{
-    line_of, region_of, word_bit_of, AsId, LineIdx, RegionIdx, Vpn, PTES_PER_LINE,
-    PTES_PER_REGION, PTES_PER_WORD, WORDS_PER_REGION,
+    line_of, region_of, word_bit_of, AsId, LineIdx, RegionIdx, Vpn, PTES_PER_LINE, PTES_PER_REGION,
+    PTES_PER_WORD, WORDS_PER_REGION,
 };
 
 /// First mismatch found by [`AddressSpace::check_bitmap_coherence`].
@@ -78,11 +78,19 @@ impl std::fmt::Display for CoherenceError {
             CoherenceKind::TailBits => {
                 write!(f, "space {space:?}: bitmap bits set beyond the last page")
             }
-            CoherenceKind::RegionPresent { region, bits, count } => write!(
+            CoherenceKind::RegionPresent {
+                region,
+                bits,
+                count,
+            } => write!(
                 f,
                 "space {space:?} region {region}: {bits} present bits but count {count}"
             ),
-            CoherenceKind::RegionYoung { region, bits, count } => write!(
+            CoherenceKind::RegionYoung {
+                region,
+                bits,
+                count,
+            } => write!(
                 f,
                 "space {space:?} region {region}: {bits} accessed bits but count {count}"
             ),
@@ -373,11 +381,17 @@ impl AddressSpace {
             let (w, b) = word_bit_of(vpn);
             let bit = self.present[w] & b != 0;
             if bit != pte.present() {
-                return Err(CoherenceError { space: self.id, kind: CoherenceKind::PresentBit { vpn, bitmap: bit } });
+                return Err(CoherenceError {
+                    space: self.id,
+                    kind: CoherenceKind::PresentBit { vpn, bitmap: bit },
+                });
             }
             let bit = self.accessed[w] & b != 0;
             if bit != pte.accessed() {
-                return Err(CoherenceError { space: self.id, kind: CoherenceKind::AccessedBit { vpn, bitmap: bit } });
+                return Err(CoherenceError {
+                    space: self.id,
+                    kind: CoherenceKind::AccessedBit { vpn, bitmap: bit },
+                });
             }
         }
         let tail = self.pages() as usize % PTES_PER_WORD;
@@ -385,22 +399,41 @@ impl AddressSpace {
             let last = self.present.len() - 1;
             let beyond = !((1u64 << tail) - 1);
             if self.present[last] & beyond != 0 || self.accessed[last] & beyond != 0 {
-                return Err(CoherenceError { space: self.id, kind: CoherenceKind::TailBits });
+                return Err(CoherenceError {
+                    space: self.id,
+                    kind: CoherenceKind::TailBits,
+                });
             }
         }
         for region in 0..self.regions() {
             let first_word = region as usize * WORDS_PER_REGION;
-            let words = &self.present[first_word..self.present.len().min(first_word + WORDS_PER_REGION)];
+            let words =
+                &self.present[first_word..self.present.len().min(first_word + WORDS_PER_REGION)];
             let bits: u32 = words.iter().map(|w| w.count_ones()).sum();
             let count = self.region_present[region as usize];
             if bits != count {
-                return Err(CoherenceError { space: self.id, kind: CoherenceKind::RegionPresent { region, bits, count } });
+                return Err(CoherenceError {
+                    space: self.id,
+                    kind: CoherenceKind::RegionPresent {
+                        region,
+                        bits,
+                        count,
+                    },
+                });
             }
-            let words = &self.accessed[first_word..self.accessed.len().min(first_word + WORDS_PER_REGION)];
+            let words =
+                &self.accessed[first_word..self.accessed.len().min(first_word + WORDS_PER_REGION)];
             let bits: u32 = words.iter().map(|w| w.count_ones()).sum();
             let count = self.region_young[region as usize];
             if bits != count {
-                return Err(CoherenceError { space: self.id, kind: CoherenceKind::RegionYoung { region, bits, count } });
+                return Err(CoherenceError {
+                    space: self.id,
+                    kind: CoherenceKind::RegionYoung {
+                        region,
+                        bits,
+                        count,
+                    },
+                });
             }
         }
         Ok(())

@@ -28,7 +28,6 @@
 //! assert!(space.pte(3).accessed());
 //! ```
 
-
 mod addrspace;
 mod arena;
 mod phys;

@@ -305,7 +305,14 @@ mod tests {
     use super::*;
 
     fn pool(cap: usize) -> PhysMem {
-        PhysMem::new(cap, Watermarks { min: 2, low: 4, high: 8, })
+        PhysMem::new(
+            cap,
+            Watermarks {
+                min: 2,
+                low: 4,
+                high: 8,
+            },
+        )
     }
 
     #[test]

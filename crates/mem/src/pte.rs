@@ -58,7 +58,8 @@ impl Pte {
 
     /// The backing frame if present.
     pub fn frame(self) -> Option<FrameId> {
-        self.present().then_some(((self.0 & PAYLOAD_MASK) >> PAYLOAD_SHIFT) as FrameId)
+        self.present()
+            .then_some(((self.0 & PAYLOAD_MASK) >> PAYLOAD_SHIFT) as FrameId)
     }
 
     /// The swap slot if swapped out.

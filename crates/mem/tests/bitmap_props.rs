@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 
 use pagesim_mem::{
-    AddressSpace, AsId, PageArena, PTES_PER_LINE, PTES_PER_REGION, PTES_PER_WORD,
-    WORDS_PER_REGION,
+    AddressSpace, AsId, PageArena, PTES_PER_LINE, PTES_PER_REGION, PTES_PER_WORD, WORDS_PER_REGION,
 };
 
 /// Reference model: one (present, accessed) pair per page, mutated with
@@ -30,7 +29,12 @@ fn check_mirror(space: &AddressSpace, model: &[ModelPte]) -> Result<(), String> 
     for (vpn, m) in model.iter().enumerate() {
         let pte = space.pte(vpn as u32);
         prop_assert_eq!(pte.present(), m.present, "present mismatch at vpn {}", vpn);
-        prop_assert_eq!(pte.accessed(), m.accessed, "accessed mismatch at vpn {}", vpn);
+        prop_assert_eq!(
+            pte.accessed(),
+            m.accessed,
+            "accessed mismatch at vpn {}",
+            vpn
+        );
     }
     let resident = model.iter().filter(|m| m.present).count() as u32;
     prop_assert_eq!(space.resident_pages(), resident);

@@ -24,7 +24,6 @@
 //! to the simulated threads that incurred them — this cost routing is what
 //! lets the simulator reproduce the paper's scanning-overhead findings.
 
-
 pub mod bloom;
 mod clock;
 mod cost;
@@ -33,12 +32,12 @@ pub mod memview;
 mod mglru;
 pub mod pid;
 
+pub use bloom::BloomFilter;
 pub use clock::ClockLru;
 pub use cost::CostModel;
 pub use list::{Links, PageList};
 pub use memview::MemView;
 pub use mglru::{MgLru, MgLruConfig, ScanMode};
-pub use bloom::BloomFilter;
 pub use pid::PidController;
 
 use pagesim_engine::Nanos;

@@ -176,7 +176,7 @@ proptest! {
                     // reclaim a few
                     let mut victims = [0; 4];
                     let out = lru.reclaim(&mut victims, &mut mem);
-                    let mut seen = std::collections::HashSet::new();
+                    let mut seen = std::collections::BTreeSet::new();
                     for &v in &victims[..out.victims] {
                         prop_assert!(seen.insert(v), "duplicate victim {v}");
                         prop_assert!(resident[v as usize], "victim {v} not resident");
@@ -223,7 +223,7 @@ proptest! {
                 _ => {
                     let mut victims = [0; 4];
                     let out = clock.reclaim(&mut victims, &mut mem);
-                    let mut seen = std::collections::HashSet::new();
+                    let mut seen = std::collections::BTreeSet::new();
                     for &v in &victims[..out.victims] {
                         prop_assert!(seen.insert(v));
                         prop_assert!(resident[v as usize]);

@@ -8,8 +8,6 @@
 //! highest one in use, so memory follows the largest sample: about 8 KiB
 //! when that is near a millisecond, 29 KiB at most.
 
-
-
 const SUB_BUCKET_BITS: u32 = 6; // 64 linear sub-buckets per power of two
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 
@@ -85,7 +83,10 @@ impl LatencyHistogram {
     /// rare after the first samples, so kept out of `record`'s inlined body.
     #[cold]
     fn grow_and_count(&mut self, idx: usize) {
-        assert!(idx < BUCKETS, "sample is past the 2^63 range (bucket {idx})");
+        assert!(
+            idx < BUCKETS,
+            "sample is past the 2^63 range (bucket {idx})"
+        );
         self.counts.resize(idx + 1, 0);
         self.counts[idx] = 1;
     }

@@ -23,7 +23,6 @@
 //! assert_eq!(s.max, 4.0);
 //! ```
 
-
 mod histogram;
 mod moments;
 mod regression;
@@ -45,7 +44,10 @@ pub use ttest::{welch_t_test, TTest};
 ///
 /// Panics if `base` is zero or not finite.
 pub fn normalize(xs: &[f64], base: f64) -> Vec<f64> {
-    assert!(base.is_finite() && base != 0.0, "invalid normalization base");
+    assert!(
+        base.is_finite() && base != 0.0,
+        "invalid normalization base"
+    );
     xs.iter().map(|x| x / base).collect()
 }
 

@@ -32,7 +32,10 @@ pub struct TTest {
 /// assert!(r.p_value < 0.001); // clearly different means
 /// ```
 pub fn welch_t_test(a: &[f64], b: &[f64]) -> TTest {
-    assert!(a.len() >= 2 && b.len() >= 2, "each sample needs >= 2 points");
+    assert!(
+        a.len() >= 2 && b.len() >= 2,
+        "each sample needs >= 2 points"
+    );
     let (ma, va, na) = mean_var(a);
     let (mb, vb, nb) = mean_var(b);
     let sa = va / na;
@@ -79,8 +82,7 @@ fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     if x >= 1.0 {
         return 1.0;
     }
-    let ln_front =
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
     let front = ln_front.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
@@ -167,7 +169,13 @@ mod tests {
     #[test]
     fn ln_gamma_matches_factorials() {
         // Γ(n) = (n-1)!
-        for (n, fact) in [(1.0, 1.0), (2.0, 1.0), (3.0, 2.0), (5.0, 24.0), (7.0, 720.0)] {
+        for (n, fact) in [
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (3.0, 2.0),
+            (5.0, 24.0),
+            (7.0, 720.0),
+        ] {
             let err: f64 = (ln_gamma(n) - f64::ln(fact)).abs();
             assert!(err < 1e-10, "ln_gamma({n})");
         }

@@ -396,7 +396,10 @@ fn agrees(h: &LatencyHistogram, r: &RefHistogram) -> Result<(), String> {
     }
     prop_assert_eq!(h.min(), r.min);
     prop_assert_eq!(h.max(), r.max);
-    prop_assert_eq!(h.mean().to_bits(), (r.sum as f64 / r.total as f64).to_bits());
+    prop_assert_eq!(
+        h.mean().to_bits(),
+        (r.sum as f64 / r.total as f64).to_bits()
+    );
     for (p, v) in h.tail_profile() {
         prop_assert_eq!(v, r.percentile(p), "p{}", p);
     }

@@ -1,5 +1,9 @@
 //! Swap device models.
 
+// L5: the SimError hot path propagates typed errors instead of panicking,
+// so one bad cell cannot abort a figure sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use pagesim_engine::faults::{FaultInjector, IoError};
 use pagesim_engine::{Nanos, QueuedDevice, SimTime, MICROSECOND, MILLISECOND};
 
@@ -528,7 +532,9 @@ mod tests {
     fn zram_costs_are_cpu_bound() {
         let mut z = ZramDevice::with_paper_costs(64);
         let s = z.allocate_slot();
-        let w = z.write(SimTime::from_ns(1000), s, EntropyClass::Text).unwrap();
+        let w = z
+            .write(SimTime::from_ns(1000), s, EntropyClass::Text)
+            .unwrap();
         assert_eq!(w.cpu_ns, 35_000);
         assert_eq!(w.done_at.as_ns(), 1000 + 35_000);
         let r = z.read(SimTime::from_ns(50_000), s).unwrap();
@@ -592,7 +598,9 @@ mod tests {
         let s3 = z.allocate_slot();
         z.write(SimTime::ZERO, s1, EntropyClass::Random).unwrap();
         z.write(SimTime::ZERO, s2, EntropyClass::Random).unwrap();
-        let rejected = z.write(SimTime::ZERO, s3, EntropyClass::Random).unwrap_err();
+        let rejected = z
+            .write(SimTime::ZERO, s3, EntropyClass::Random)
+            .unwrap_err();
         assert_eq!(rejected.error, IoError::PoolFull);
         // The failed compression still costs a full write of CPU.
         assert_eq!(rejected.cpu_ns, 35_000);

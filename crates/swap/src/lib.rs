@@ -36,11 +36,12 @@
 //! assert!(zram.used_bytes() > 0);
 //! ```
 
-
 mod compress;
 mod device;
 mod slots;
 
 pub use compress::{compress, decompress, page_for_class, CompressionModel};
-pub use device::{FailedIo, IoOutcome, SsdDevice, SwapDevice, SwapKind, SwapResult, SwapStats, ZramDevice};
+pub use device::{
+    FailedIo, IoOutcome, SsdDevice, SwapDevice, SwapKind, SwapResult, SwapStats, ZramDevice,
+};
 pub use slots::{SlotAllocator, SwapSlot};

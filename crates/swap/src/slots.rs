@@ -6,6 +6,10 @@
 //! page count: each live slot is referenced by exactly one page, so the slot
 //! high-water mark never exceeds it.
 
+// L5: the SimError hot path propagates typed errors instead of panicking,
+// so one bad cell cannot abort a figure sweep.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use pagesim_engine::SimTime;
 
 /// Identifies a 4 KiB slot on a swap device.

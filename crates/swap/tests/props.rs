@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn slots_are_unique_while_live(ops in prop::collection::vec(any::<bool>(), 1..500)) {
         let mut a = SlotAllocator::new(500);
-        let mut live = std::collections::HashSet::new();
+        let mut live = std::collections::BTreeSet::new();
         for alloc in ops {
             if alloc {
                 let s = a.allocate();

@@ -2,9 +2,10 @@
 //!
 //! Every event is timestamped in simulated nanoseconds by the kernel at
 //! the point it is recorded; the ring never consults any clock of its own
-//! (pagesim-lint rule L2). When the ring is full the oldest event is
-//! overwritten and a dropped-event counter advances, so a trace of a
-//! pathological run stays bounded and the exporter can report the loss.
+//! (rule L2: clippy.toml bans `Instant::now` and `SystemTime`). When the
+//! ring is full the oldest event is overwritten and a dropped-event
+//! counter advances, so a trace of a pathological run stays bounded and
+//! the exporter can report the loss.
 
 /// What kind of simulated thread occupied a core or ran a slice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -90,10 +90,7 @@ impl TraceData {
                     "{{\"type\":\"workingset\",\"t_ns\":{},\"refault\":{},",
                     "\"activate\":{},\"restore\":{}}}"
                 ),
-                s.t_ns,
-                s.ws_refault,
-                s.ws_activate,
-                s.ws_restore,
+                s.t_ns, s.ws_refault, s.ws_activate, s.ws_restore,
             );
             let _ = writeln!(
                 out,
@@ -258,21 +255,33 @@ impl TraceData {
                     scanned,
                     cpu_ns,
                 } => {
-                    let name = if *direct { "direct-reclaim" } else { "kswapd-batch" };
+                    let name = if *direct {
+                        "direct-reclaim"
+                    } else {
+                        "kswapd-batch"
+                    };
                     ev.push(instant(
                         name,
                         "vm",
                         &ts,
-                        &format!(
-                            "\"victims\":{victims},\"scanned\":{scanned},\"cpu_ns\":{cpu_ns}"
-                        ),
+                        &format!("\"victims\":{victims},\"scanned\":{scanned},\"cpu_ns\":{cpu_ns}"),
                     ));
                 }
                 TraceEvent::AgingPass { cpu_ns } => {
-                    ev.push(instant("aging-pass", "vm", &ts, &format!("\"cpu_ns\":{cpu_ns}")));
+                    ev.push(instant(
+                        "aging-pass",
+                        "vm",
+                        &ts,
+                        &format!("\"cpu_ns\":{cpu_ns}"),
+                    ));
                 }
                 TraceEvent::OomKill { victim } => {
-                    ev.push(instant("oom-kill", "vm", &ts, &format!("\"victim\":{victim}")));
+                    ev.push(instant(
+                        "oom-kill",
+                        "vm",
+                        &ts,
+                        &format!("\"victim\":{victim}"),
+                    ));
                 }
                 TraceEvent::FaultInjected { write } => {
                     ev.push(instant(
@@ -372,7 +381,7 @@ fn event_fields(ev: &TraceEvent) -> String {
 mod tests {
     use super::*;
     use crate::json::{parse, Json};
-    use crate::tracer::{CoreOcc, Sample, TraceMeta, Tracer, TraceConfig};
+    use crate::tracer::{CoreOcc, Sample, TraceConfig, TraceMeta, Tracer};
 
     fn demo_data() -> TraceData {
         let mut t = Tracer::new(TraceConfig {
@@ -475,14 +484,8 @@ mod tests {
             .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("aging"))
             .expect("aging slice present");
         assert_eq!(slice.get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert_eq!(
-            slice.get("ts"),
-            Some(&Json::Num("0.500".to_owned()))
-        );
-        assert_eq!(
-            slice.get("dur"),
-            Some(&Json::Num("0.250".to_owned()))
-        );
+        assert_eq!(slice.get("ts"), Some(&Json::Num("0.500".to_owned())));
+        assert_eq!(slice.get("dur"), Some(&Json::Num("0.250".to_owned())));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::fmt;
 
 /// A parsed JSON value. Object keys keep document order (no hash
-/// containers: pagesim-lint rule L1 applies to this crate).
+/// containers: clippy.toml bans them workspace-wide, rule L1).
 #[derive(Clone, PartialEq, Debug)]
 pub enum Json {
     /// `null`

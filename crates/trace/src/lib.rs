@@ -9,10 +9,11 @@
 //! Three pieces:
 //!
 //! - [`Tracer`] — an interval sampler plus bounded [`EventRing`], driven
-//!   entirely by simulated time (never a wall clock; pagesim-lint rule L2
-//!   is enforced on this crate). The kernel drains due sample boundaries
-//!   before processing each event, so the trace is a pure function of the
-//!   trial: byte-identical across hosts and `--jobs` settings.
+//!   entirely by simulated time (never a wall clock: clippy.toml's rule L2
+//!   bans `Instant::now` and `SystemTime` here as everywhere). The kernel
+//!   drains due sample boundaries before processing each event, so the
+//!   trace is a pure function of the trial: byte-identical across hosts
+//!   and `--jobs` settings.
 //! - Exporters — [`TraceData::to_jsonl`] for line-oriented analysis and
 //!   [`TraceData::to_chrome_trace`] for the Chrome `trace_event` format
 //!   (loadable in Perfetto / `chrome://tracing`, with per-core scheduling

@@ -62,7 +62,9 @@ impl Schema {
             }
             let mut words = line.split_whitespace();
             let (Some(directive), Some(arg)) = (words.next(), words.next()) else {
-                return Err(format!("schema line {lineno}: expected directive and argument"));
+                return Err(format!(
+                    "schema line {lineno}: expected directive and argument"
+                ));
             };
             match directive {
                 "version" => match arg.parse::<u64>() {
@@ -81,7 +83,9 @@ impl Schema {
                 }),
                 "require" => {
                     let Some(ty) = words.next() else {
-                        return Err(format!("schema line {lineno}: require needs field and type"));
+                        return Err(format!(
+                            "schema line {lineno}: require needs field and type"
+                        ));
                     };
                     if !TYPE_TAGS.contains(&ty) {
                         return Err(format!("schema line {lineno}: unknown type '{ty}'"));
@@ -218,11 +222,28 @@ require samples num
             "{\"type\":\"meta\",\"seed\":1}\n",
         );
         let errors = validate_jsonl(&schema, bad);
-        assert!(errors.iter().any(|e| e.contains("expected num")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("unknown record type")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("missing required field 'ident'")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("first record must be")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("last record must be")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("expected num")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("unknown record type")),
+            "{errors:?}"
+        );
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.contains("missing required field 'ident'")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("first record must be")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("last record must be")),
+            "{errors:?}"
+        );
     }
 
     #[test]
@@ -248,7 +269,9 @@ require samples num
         );
         let errors = validate_jsonl(&schema, stale);
         assert!(
-            errors.iter().any(|e| e.contains("schema_version must be 2 (found 1)")),
+            errors
+                .iter()
+                .any(|e| e.contains("schema_version must be 2 (found 1)")),
             "{errors:?}"
         );
         let missing = concat!(
@@ -257,7 +280,9 @@ require samples num
         );
         let errors = validate_jsonl(&schema, missing);
         assert!(
-            errors.iter().any(|e| e.contains("schema_version must be 2 (found none)")),
+            errors
+                .iter()
+                .any(|e| e.contains("schema_version must be 2 (found none)")),
             "{errors:?}"
         );
     }

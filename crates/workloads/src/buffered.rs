@@ -261,7 +261,7 @@ mod tests {
         let cfg = BufferedIoConfig::tiny();
         let w = BufferedIoWorkload::new(cfg);
         let ops = drain(w.streams(3)[0].as_mut());
-        let streamed: std::collections::HashSet<Vpn> = ops
+        let streamed: std::collections::BTreeSet<Vpn> = ops
             .iter()
             .filter_map(|o| match o {
                 Op::FdAccess { vpn, .. } if *vpn >= cfg.hot_pages => Some(*vpn),

@@ -197,10 +197,7 @@ mod tests {
         let e = g.edges() as f64;
         assert!((0.8..1.5).contains(&(e / 100_000.0)), "edges = {e}");
         assert_eq!(g.edge_offset(0), 0);
-        assert_eq!(
-            g.edge_offset(9_999) + g.degree(9_999) as u64,
-            g.edges()
-        );
+        assert_eq!(g.edge_offset(9_999) + g.degree(9_999) as u64, g.edges());
     }
 
     #[test]

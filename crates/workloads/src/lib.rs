@@ -24,7 +24,6 @@
 //! [`AccessStream`] per simulated thread; the kernel executes the streams'
 //! [`Op`]s, a batch at a time. All randomness derives from the trial seed.
 
-
 pub mod buffered;
 pub mod graph;
 pub mod pagerank;

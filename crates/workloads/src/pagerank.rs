@@ -493,7 +493,10 @@ mod tests {
         let mut touches = vec![0u32; rank_pages as usize];
         for thread_ops in drain_all(&w, 5) {
             for op in thread_ops {
-                if let Op::Access { vpn, write: false, .. } = op {
+                if let Op::Access {
+                    vpn, write: false, ..
+                } = op
+                {
                     if vpn >= l.rank_a_base && vpn < l.rank_a_base + rank_pages {
                         touches[(vpn - l.rank_a_base) as usize] += 1;
                     }
@@ -539,14 +542,25 @@ mod tests {
         let writes: Vec<Vpn> = merged
             .iter()
             .filter_map(|o| match o {
-                Op::Access { vpn, write: true, .. } => Some(*vpn),
+                Op::Access {
+                    vpn, write: true, ..
+                } => Some(*vpn),
                 _ => None,
             })
             .collect();
         let half = writes.len() / 2;
-        let first_half_b = writes[..half].iter().filter(|&&v| v >= l.rank_b_base).count();
-        let second_half_b = writes[half..].iter().filter(|&&v| v >= l.rank_b_base).count();
-        assert!(first_half_b > second_half_b, "iteration 0 writes B, 1 writes A");
+        let first_half_b = writes[..half]
+            .iter()
+            .filter(|&&v| v >= l.rank_b_base)
+            .count();
+        let second_half_b = writes[half..]
+            .iter()
+            .filter(|&&v| v >= l.rank_b_base)
+            .count();
+        assert!(
+            first_half_b > second_half_b,
+            "iteration 0 writes B, 1 writes A"
+        );
     }
 
     #[test]

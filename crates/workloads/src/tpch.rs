@@ -229,8 +229,8 @@ impl TpchStream {
         let t = self.cfg.table_pages;
         let window = ((t as f64 * self.cfg.window_frac) as u32).clamp(1, t);
         let span = t - window + 1;
-        let start = (pagesim_engine::rng::splitmix64(self.plan_seed ^ (q as u64) << 8) % span as u64)
-            as u32;
+        let start = (pagesim_engine::rng::splitmix64(self.plan_seed ^ (q as u64) << 8)
+            % span as u64) as u32;
         (start, window)
     }
 
@@ -319,7 +319,8 @@ impl TpchStream {
                         self.push_access(hp, false);
                     }
                     // matched rows spill to my shuffle partition
-                    let sp = shuffle_base + (self.thread as u32 * (s / threads))
+                    let sp = shuffle_base
+                        + (self.thread as u32 * (s / threads))
                         + self.rng.random_range(0..(s / threads).max(1));
                     self.push_access(sp, true);
                 }
@@ -383,7 +384,10 @@ mod tests {
         let w = TpchWorkload::new(TpchConfig::tiny());
         let mut streams = w.streams(1);
         let ops = drain(streams[0].as_mut());
-        let barriers = ops.iter().filter(|o| matches!(o, Op::Barrier { .. })).count();
+        let barriers = ops
+            .iter()
+            .filter(|o| matches!(o, Op::Barrier { .. }))
+            .count();
         assert_eq!(barriers as u32, 2 * 3, "one barrier per stage");
         assert!(matches!(ops.last(), Some(Op::Barrier { id: 0 })));
     }
@@ -392,7 +396,10 @@ mod tests {
     fn all_threads_have_similar_volume() {
         let w = TpchWorkload::new(TpchConfig::tiny());
         let mut streams = w.streams(2);
-        let counts: Vec<usize> = streams.iter_mut().map(|s| drain(s.as_mut()).len()).collect();
+        let counts: Vec<usize> = streams
+            .iter_mut()
+            .map(|s| drain(s.as_mut()).len())
+            .collect();
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
         assert!(max / min < 1.25, "imbalanced tasks: {counts:?}");
@@ -419,7 +426,10 @@ mod tests {
         let mut streams = w.streams(4);
         let ops = drain(streams[0].as_mut());
         for op in ops {
-            if let Op::Access { vpn, write: true, .. } = op {
+            if let Op::Access {
+                vpn, write: true, ..
+            } = op
+            {
                 assert!(vpn >= table, "table pages are read-only, wrote {vpn}");
             }
         }

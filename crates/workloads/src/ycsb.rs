@@ -435,7 +435,7 @@ mod tests {
     fn popularity_is_skewed_across_item_pages() {
         let w = YcsbWorkload::new(YcsbConfig::tiny(YcsbMix::C), 1);
         let bucket_pages = w.store().bucket_pages();
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for op in drain(w.streams(6)[0].as_mut()) {
             if let Op::Access { vpn, .. } = op {
                 if vpn >= bucket_pages {

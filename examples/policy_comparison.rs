@@ -21,7 +21,10 @@ fn main() {
         let faults = set.fault_summary();
         let reg = linear_regression(&set.faults(), &set.runtimes());
         println!("policy: {}", policy.label());
-        println!("  runtime: mean {:.2}s  std {:.3}s  [{:.2}, {:.2}]", rt.mean, rt.std, rt.min, rt.max);
+        println!(
+            "  runtime: mean {:.2}s  std {:.3}s  [{:.2}, {:.2}]",
+            rt.mean, rt.std, rt.min, rt.max
+        );
         println!("  faults:  mean {:.0}  std {:.0}", faults.mean, faults.std);
         println!("  faults↔runtime r²: {:.3}", reg.r_squared);
         println!("  per-trial runtimes:");

@@ -21,8 +21,7 @@ fn main() {
 
     // The paper's headline configuration: MG-LRU, SSD swap, memory
     // capacity at 50% of the footprint.
-    let config =
-        SystemConfig::new(PolicyChoice::MgLruDefault, SwapChoice::Ssd).capacity_ratio(0.5);
+    let config = SystemConfig::new(PolicyChoice::MgLruDefault, SwapChoice::Ssd).capacity_ratio(0.5);
     let metrics = Experiment::new(config).run(&workload, /*trial seed*/ 1);
 
     println!("runtime:        {:.2}s simulated", metrics.runtime_secs());

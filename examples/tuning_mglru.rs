@@ -26,7 +26,10 @@ fn main() {
     let mut policies = PolicyChoice::mglru_variants().to_vec();
     policies.push(custom);
 
-    println!("{:<14} {:>10} {:>10} {:>12}", "variant", "runtime", "vs def", "faults");
+    println!(
+        "{:<14} {:>10} {:>10} {:>12}",
+        "variant", "runtime", "vs def", "faults"
+    );
     for policy in policies {
         let config = SystemConfig::new(policy, SwapChoice::Ssd).capacity_ratio(0.5);
         let set = Experiment::new(config).run_trials(&workload, 11, trials);

@@ -57,7 +57,7 @@ fn hash_is_deterministic_across_constructions() {
 
 #[test]
 fn named_variants_hash_distinctly() {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for policy in PolicyChoice::paper_set() {
         assert!(
             seen.insert(hash(policy, SwapChoice::Ssd, 0.5)),

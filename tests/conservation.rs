@@ -7,7 +7,9 @@ use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
 
 fn run(policy: PolicyChoice, swap: SwapChoice, ratio: f64) -> RunMetrics {
     let w = TpchWorkload::new(TpchConfig::tiny());
-    let c = SystemConfig::new(policy, swap).capacity_ratio(ratio).cores(4);
+    let c = SystemConfig::new(policy, swap)
+        .capacity_ratio(ratio)
+        .cores(4);
     Experiment::new(c).run(&w, 3)
 }
 
@@ -19,7 +21,10 @@ fn check_books(m: &RunMetrics) {
         "evictions must be writes + clean drops"
     );
     // Every major fault read the device exactly once (anon-only workload).
-    assert_eq!(m.major_faults, m.swap_stats.reads, "one device read per major fault");
+    assert_eq!(
+        m.major_faults, m.swap_stats.reads,
+        "one device read per major fault"
+    );
     // Every swap-out is one device write.
     assert_eq!(m.swap_outs, m.swap_stats.writes);
     // A page must fault in before it can be evicted.
@@ -77,7 +82,10 @@ fn ycsb_request_accounting_is_complete() {
     let m = Experiment::new(c).run(&w, 4);
     let measured = m.read_latency.count() + m.write_latency.count();
     let expected = (cfg.requests as f64 * (1.0 - cfg.warmup_fraction)) as u64;
-    assert_eq!(measured, expected, "every non-warmup request must be recorded");
+    assert_eq!(
+        measured, expected,
+        "every non-warmup request must be recorded"
+    );
     assert!(m.read_latency.value_at_percentile(50.0) > 0);
 }
 

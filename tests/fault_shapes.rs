@@ -19,9 +19,8 @@ fn faults_experiment_exercises_every_fault_path() {
     let f = faults(&bench());
     assert_eq!(f.rows.len(), 4, "2 workloads x 2 policies");
 
-    let total = |g: fn(&pagesim::experiments::FaultsRow) -> u64| -> u64 {
-        f.rows.iter().map(g).sum()
-    };
+    let total =
+        |g: fn(&pagesim::experiments::FaultsRow) -> u64| -> u64 { f.rows.iter().map(g).sum() };
     assert!(total(|r| r.io_errors) > 0, "no injected errors surfaced");
     assert!(total(|r| r.io_retries) > 0, "no swap-in retries happened");
     assert!(total(|r| r.oom_kills) > 0, "OOM killer never fired");
@@ -61,7 +60,12 @@ fn faults_experiment_is_deterministic_per_seed() {
     // And the accessor finds the cells the grid declares.
     for wl in [Wl::Tpch, Wl::YcsbA] {
         for p in [PolicyChoice::Clock, PolicyChoice::MgLruDefault] {
-            assert!(a.row(wl, p).is_some(), "missing {}/{}", wl.label(), p.label());
+            assert!(
+                a.row(wl, p).is_some(),
+                "missing {}/{}",
+                wl.label(),
+                p.label()
+            );
         }
     }
 }

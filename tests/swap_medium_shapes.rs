@@ -4,9 +4,9 @@
 
 use pagesim::experiments::{fig11, fig9, Bench, Scale, Wl};
 use pagesim::{Experiment, PolicyChoice, SwapChoice, SystemConfig};
-use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
 use pagesim_bench::sweep::{run_sweep, SweepOptions};
 use pagesim_policy::MgLruConfig;
+use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
 
 /// A bench holding every cell of `fig`.
 fn bench(fig: &str) -> Bench {
