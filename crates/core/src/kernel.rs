@@ -37,7 +37,10 @@
 //! ## Fault path state
 //!
 //! The fault and reclaim path allocates nothing and looks nothing up in a
-//! tree or hash map; its state is dense arrays sized at [`Kernel::build`]:
+//! tree or hash map; its state is dense arrays sized at [`Kernel::build`].
+//! The package `tests/alloc_count` proves the first half: a counting global
+//! allocator asserts that [`Kernel::run_loop`] makes zero allocations and
+//! zero reallocations in every cell it runs, faulted ones included.
 //!
 //! * Per-slot state lives in the swap device's slot table (`swap_map`
 //!   analog), sized to the workload's page count. A swap-in is submitted
@@ -72,6 +75,9 @@
 // L5: the SimError hot path propagates typed errors instead of panicking,
 // so one bad cell cannot abort a figure sweep.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+// H4: the fault path computes in integers; the one f64 input, a pressure
+// step's fraction, is turned into frames at build.
+#![deny(clippy::float_arithmetic)]
 
 // Ordered containers only: kernel state must never expose hash-iteration
 // order to the simulation (clippy.toml bans the hash containers).
@@ -121,6 +127,28 @@ macro_rules! trace_event {
 /// Owner key recorded for balloon-held frames (outside every address
 /// space; the arena never grows anywhere near `u32::MAX` pages).
 const BALLOON_KEY: PageKey = PageKey::MAX;
+
+/// The frames a memory-pressure step takes while it lasts.
+struct Balloon {
+    /// Frames the step asks for: its fraction of the frame pool.
+    want: usize,
+    /// Frames it holds, with room for `want` reserved at build.
+    held: Vec<FrameId>,
+}
+
+impl Balloon {
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the step's fraction is an f64 plan input; this runs once per step at build"
+    )]
+    fn new(frames: usize, frac: f64) -> Balloon {
+        let want = ((frames as f64 * frac) as usize).min(frames);
+        Balloon {
+            want,
+            held: Vec::with_capacity(want),
+        }
+    }
+}
 
 /// A condition that ends (or degrades) a simulation without a panic.
 ///
@@ -263,8 +291,8 @@ pub struct Kernel {
     /// Consecutive starved allocations across all threads; the OOM
     /// trigger. Reset whenever an allocation succeeds.
     stall_streak: u32,
-    /// Frames held by each active pressure step's balloon.
-    balloon: Vec<Vec<FrameId>>,
+    /// One balloon per pressure step, sized at build.
+    balloon: Vec<Balloon>,
     /// Shadow entries for evicted pages (`workingset.c` analog): one
     /// preallocated slot per page, recorded on eviction and consumed on
     /// refault to yield the refault distance. Purely observational —
@@ -377,19 +405,28 @@ impl Kernel {
         let aging = sched.spawn(ThreadClass::Kernel);
         bodies.push(ThreadBody::Aging);
 
-        let metrics = RunMetrics {
+        let mut metrics = RunMetrics {
             footprint_pages: footprint,
             capacity_frames: frames as u32,
             ..RunMetrics::default()
         };
+        // Every bucket up front, so recording never reallocates;
+        // `finalize` shrinks each histogram back to its data.
+        metrics.read_latency.reserve_all();
+        metrics.write_latency.reserve_all();
+        metrics.workingset_refault_distance.reserve_all();
 
+        let thread_count = bodies.len();
         let mut events = EventQueue::with_cores(config.cores);
         let pressure = &config.faults.plan.pressure;
+        // Pending heap events are bounded: one IoDone or Wake per thread,
+        // one FrameFree per frame under write-back, one KswapdRetry, and
+        // each pressure step's on and off.
+        events.reserve(thread_count + frames + 2 * pressure.len() + 1);
         for (idx, step) in pressure.iter().enumerate() {
             events.push(SimTime::from_ns(step.at), Event::PressureOn { idx });
         }
 
-        let thread_count = bodies.len();
         Kernel {
             cfg: config.clone(),
             now: SimTime::ZERO,
@@ -415,7 +452,10 @@ impl Kernel {
             oom_rss: vec![0; thread_count],
             retry_attempts: vec![0; thread_count],
             stall_streak: 0,
-            balloon: vec![Vec::new(); pressure.len()],
+            balloon: pressure
+                .iter()
+                .map(|step| Balloon::new(frames, step.frac))
+                .collect(),
             shadow: ShadowArena::new(total_pages as usize),
             metrics,
             #[cfg(feature = "trace")]
@@ -453,7 +493,12 @@ impl Kernel {
         (self.finalize(), tracer)
     }
 
-    fn run_loop(&mut self) {
+    /// Runs the simulation to its end: until every application thread
+    /// finishes, the event queue drains (a deadlock), or
+    /// `config.max_sim_time` passes. [`run`](Kernel::run) is this followed
+    /// by [`finalize`](Kernel::finalize); the two are separate so a caller
+    /// can observe the loop alone.
+    pub fn run_loop(&mut self) {
         loop {
             while let Some((core, tid)) = self.sched.try_dispatch() {
                 self.run_dispatched(core, tid);
@@ -546,9 +591,14 @@ impl Kernel {
         }
     }
 
-    fn finalize(mut self) -> RunMetrics {
+    /// Collects the metrics of a finished [`run_loop`](Kernel::run_loop):
+    /// runtime, CPU time and the policy's and swap device's counters.
+    pub fn finalize(mut self) -> RunMetrics {
         #[cfg(feature = "sanitize")]
         self.check_invariants_full();
+        self.metrics.read_latency.shrink_to_fit();
+        self.metrics.write_latency.shrink_to_fit();
+        self.metrics.workingset_refault_distance.shrink_to_fit();
         self.metrics.runtime_ns = self.finish_time.as_ns();
         self.metrics.policy = self.policy.stats();
         self.metrics.swap_stats = self.swap.stats();
@@ -670,29 +720,27 @@ impl Kernel {
     // ---------------------------------------------------------------
 
     fn pressure_on(&mut self, idx: usize) {
-        let step = self.cfg.faults.plan.pressure[idx];
-        let want = (self.mem.phys.capacity() as f64 * step.frac) as usize;
-        let mut taken = Vec::new();
+        let duration = self.cfg.faults.plan.pressure[idx].duration;
+        let balloon = &mut self.balloon[idx];
         // `allocate` refuses below the min watermark, so the balloon can
         // never consume the reserve that direct reclaim depends on.
-        for _ in 0..want {
+        while balloon.held.len() < balloon.want {
             let Some(f) = self.mem.phys.allocate(BALLOON_KEY) else {
                 break;
             };
             self.frame_owner[f as usize] = None;
-            taken.push(f);
+            balloon.held.push(f);
         }
-        self.metrics.pressure_frames_taken += taken.len() as u64;
-        self.balloon[idx] = taken;
+        self.metrics.pressure_frames_taken += balloon.held.len() as u64;
         self.events
-            .push(self.now + step.duration, Event::PressureOff { idx });
+            .push(self.now + duration, Event::PressureOff { idx });
         self.maybe_wake_kswapd();
         #[cfg(feature = "sanitize")]
         self.check_invariants();
     }
 
     fn pressure_off(&mut self, idx: usize) {
-        for f in std::mem::take(&mut self.balloon[idx]) {
+        for f in self.balloon[idx].held.drain(..) {
             self.mem.phys.free(f);
         }
         #[cfg(feature = "sanitize")]
@@ -1350,11 +1398,11 @@ impl Kernel {
             freed += 1;
         }
         self.metrics.kill_freed_frames += freed;
-        for w in self.barriers.depart(victim) {
+        self.barriers.depart(victim, |w| {
             if !self.sched.is_finished(w) {
                 self.sched.make_runnable(w);
             }
-        }
+        });
         // Ensure the victim reaches dispatch and retires (a no-op if it
         // is already runnable; a pending wake if it is mid-slice).
         self.sched.make_runnable(victim);
@@ -1570,7 +1618,8 @@ impl Kernel {
 
         // Frame sweep: every in-use frame must be mapped by its owner,
         // pinned by in-flight fault I/O, or held by a pressure balloon.
-        let balloon: BTreeSet<FrameId> = self.balloon.iter().flatten().copied().collect();
+        let balloon: BTreeSet<FrameId> =
+            self.balloon.iter().flat_map(|b| &b.held).copied().collect();
         for f in 0..self.mem.phys.capacity() as FrameId {
             let pinned = self.locks.pinned_page(f);
             if pinned.is_some() {

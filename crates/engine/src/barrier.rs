@@ -1,5 +1,7 @@
 //! Simulation barriers for bulk-synchronous workloads.
 
+use std::vec::Drain;
+
 use crate::sched::ThreadId;
 
 /// Identifies a barrier within a [`BarrierSet`].
@@ -23,8 +25,8 @@ struct Barrier {
 /// use pagesim_engine::{BarrierSet, ThreadId};
 /// let mut bs = BarrierSet::new();
 /// let b = bs.create(2);
-/// assert_eq!(bs.arrive(b, ThreadId(0)), None); // first waits
-/// let released = bs.arrive(b, ThreadId(1)).unwrap();
+/// assert!(bs.arrive(b, ThreadId(0)).is_none()); // first waits
+/// let released: Vec<_> = bs.arrive(b, ThreadId(1)).unwrap().collect();
 /// assert_eq!(released, vec![ThreadId(0)]); // waiters to wake (arriver continues)
 /// ```
 #[derive(Debug, Default)]
@@ -58,8 +60,9 @@ impl BarrierSet {
     /// Returns `None` if the thread must block, or `Some(waiters)` if this
     /// arrival completed the round: `waiters` are the previously blocked
     /// threads that should now be woken (the arriving thread itself simply
-    /// continues running and is not included).
-    pub fn arrive(&mut self, id: BarrierId, tid: ThreadId) -> Option<Vec<ThreadId>> {
+    /// continues running and is not included). They are drained from the
+    /// barrier's waiting list, which keeps its capacity for the next round.
+    pub fn arrive(&mut self, id: BarrierId, tid: ThreadId) -> Option<Drain<'_, ThreadId>> {
         let b = &mut self.barriers[id];
         debug_assert!(
             !b.waiting.contains(&tid),
@@ -67,7 +70,7 @@ impl BarrierSet {
         );
         if b.waiting.len() + 1 == b.parties {
             b.generation += 1;
-            Some(std::mem::take(&mut b.waiting))
+            Some(b.waiting.drain(..))
         } else {
             b.waiting.push(tid);
             None
@@ -76,14 +79,14 @@ impl BarrierSet {
 
     /// Removes a party from barrier `id` permanently (a thread exited before
     /// its peers). If that completes the current round, the released waiters
-    /// are returned.
-    pub fn reduce_parties(&mut self, id: BarrierId) -> Option<Vec<ThreadId>> {
+    /// are drained as by [`arrive`](Self::arrive).
+    pub fn reduce_parties(&mut self, id: BarrierId) -> Option<Drain<'_, ThreadId>> {
         let b = &mut self.barriers[id];
         assert!(b.parties > 1, "cannot reduce a 1-party barrier");
         b.parties -= 1;
         if b.waiting.len() == b.parties {
             b.generation += 1;
-            Some(std::mem::take(&mut b.waiting))
+            Some(b.waiting.drain(..))
         } else {
             None
         }
@@ -92,9 +95,9 @@ impl BarrierSet {
     /// Removes `tid` from every barrier permanently (the thread was
     /// killed). It is withdrawn from any waiting list and stops counting
     /// as a party; rounds completed by its departure release their
-    /// waiters, which are returned for waking.
-    pub fn depart(&mut self, tid: ThreadId) -> Vec<ThreadId> {
-        let mut released = Vec::new();
+    /// waiters, which are passed to `release` in barrier order, each
+    /// barrier's in arrival order.
+    pub fn depart(&mut self, tid: ThreadId, mut release: impl FnMut(ThreadId)) {
         for b in &mut self.barriers {
             if let Some(pos) = b.waiting.iter().position(|&w| w == tid) {
                 b.waiting.remove(pos);
@@ -103,11 +106,10 @@ impl BarrierSet {
                 b.parties -= 1;
                 if b.waiting.len() == b.parties {
                     b.generation += 1;
-                    released.extend(std::mem::take(&mut b.waiting));
+                    b.waiting.drain(..).for_each(&mut release);
                 }
             }
         }
-        released
     }
 
     /// Completed rounds of barrier `id`.
@@ -132,7 +134,7 @@ mod tests {
         assert!(bs.arrive(b, ThreadId(0)).is_none());
         assert!(bs.arrive(b, ThreadId(1)).is_none());
         assert_eq!(bs.waiting(b), 2);
-        let released = bs.arrive(b, ThreadId(2)).unwrap();
+        let released: Vec<_> = bs.arrive(b, ThreadId(2)).unwrap().collect();
         assert_eq!(released, vec![ThreadId(0), ThreadId(1)]);
         assert_eq!(bs.generation(b), 1);
         assert_eq!(bs.waiting(b), 0);
@@ -153,7 +155,7 @@ mod tests {
     fn single_party_barrier_never_blocks() {
         let mut bs = BarrierSet::new();
         let b = bs.create(1);
-        assert_eq!(bs.arrive(b, ThreadId(7)), Some(vec![]));
+        assert_eq!(bs.arrive(b, ThreadId(7)).map(Iterator::count), Some(0));
     }
 
     #[test]
@@ -163,9 +165,16 @@ mod tests {
         bs.arrive(b, ThreadId(0));
         bs.arrive(b, ThreadId(1));
         // Third party exits instead of arriving.
-        let released = bs.reduce_parties(b).unwrap();
+        let released: Vec<_> = bs.reduce_parties(b).unwrap().collect();
         assert_eq!(released, vec![ThreadId(0), ThreadId(1)]);
         assert_eq!(bs.generation(b), 1);
+    }
+
+    /// The thread ids `depart` releases.
+    fn departed(bs: &mut BarrierSet, tid: ThreadId) -> Vec<ThreadId> {
+        let mut released = Vec::new();
+        bs.depart(tid, |w| released.push(w));
+        released
     }
 
     #[test]
@@ -176,7 +185,10 @@ mod tests {
         bs.arrive(b, ThreadId(1));
         // ThreadId(2) is killed before arriving: its departure completes
         // the round.
-        assert_eq!(bs.depart(ThreadId(2)), vec![ThreadId(0), ThreadId(1)]);
+        assert_eq!(
+            departed(&mut bs, ThreadId(2)),
+            vec![ThreadId(0), ThreadId(1)]
+        );
         assert_eq!(bs.generation(b), 1);
         // The barrier now has 2 parties.
         assert!(bs.arrive(b, ThreadId(0)).is_none());
@@ -190,10 +202,25 @@ mod tests {
         bs.arrive(b, ThreadId(0));
         // ThreadId(0) dies while blocked at the barrier; nobody else is
         // waiting, so no round completes (2 parties remain, 0 waiting).
-        assert_eq!(bs.depart(ThreadId(0)), vec![]);
+        assert_eq!(departed(&mut bs, ThreadId(0)), vec![]);
         assert_eq!(bs.waiting(b), 0);
         assert!(bs.arrive(b, ThreadId(1)).is_none());
         assert!(bs.arrive(b, ThreadId(2)).is_some());
+    }
+
+    #[test]
+    fn releasing_keeps_the_waiting_list_capacity() {
+        let mut bs = BarrierSet::new();
+        let b = bs.create(3);
+        let cap = bs.barriers[b].waiting.capacity();
+        bs.arrive(b, ThreadId(0));
+        bs.arrive(b, ThreadId(1));
+        assert_eq!(bs.arrive(b, ThreadId(2)).map(Iterator::count), Some(2));
+        assert_eq!(bs.barriers[b].waiting.capacity(), cap);
+        bs.arrive(b, ThreadId(0));
+        bs.arrive(b, ThreadId(1));
+        assert_eq!(departed(&mut bs, ThreadId(2)).len(), 2);
+        assert_eq!(bs.barriers[b].waiting.capacity(), cap);
     }
 
     #[test]

@@ -84,6 +84,13 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Makes room for `additional` more [`push`](Self::push)ed events, so
+    /// a caller that knows its bound on pending events never has the heap
+    /// reallocate.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

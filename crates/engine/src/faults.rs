@@ -140,6 +140,31 @@ pub struct FaultStats {
     pub stall_delay_ns: Nanos,
 }
 
+/// The integer form of an error roll: a draw `r` fails with `error_rate`
+/// exactly when `(r >> 11) < error_threshold(error_rate)`.
+///
+/// The roll is defined on the draw's top 53 bits `m` as the real number
+/// `m / 2^53 < error_rate`. Both sides scale by `2^53` exactly (a power of
+/// two), so it is `m < error_rate · 2^53`, and for an integer `m` that is
+/// `m < ceil(error_rate · 2^53)`. A rate that is zero, negative or NaN
+/// gives 0 (never fails); a rate of 1 or more gives at least `2^53`
+/// (always fails).
+///
+/// ```rust
+/// use pagesim_engine::faults::error_threshold;
+/// assert_eq!(error_threshold(0.0), 0);
+/// assert_eq!(error_threshold(0.5), 1 << 52);
+/// assert_eq!(error_threshold(1.0), 1 << 53);
+/// assert_eq!(error_threshold(f64::from_bits(1)), 1); // smallest subnormal
+/// ```
+#[expect(
+    clippy::float_arithmetic,
+    reason = "scaling by 2^53 is exact; runs once per injector, at construction"
+)]
+pub fn error_threshold(error_rate: f64) -> u64 {
+    (error_rate * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// Applies a [`FaultPlan`] to a stream of device operations.
 ///
 /// Construct one per device with a seed derived from the trial seed (see
@@ -148,6 +173,8 @@ pub struct FaultStats {
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// [`error_threshold`] of the plan's error rate.
+    error_threshold: u64,
     seed: u64,
     ops: u64,
     stats: FaultStats,
@@ -165,6 +192,7 @@ impl FaultInjector {
             s.validate();
         }
         FaultInjector {
+            error_threshold: error_threshold(plan.error_rate),
             plan,
             seed,
             ops: 0,
@@ -181,12 +209,10 @@ impl FaultInjector {
                 return Err(IoError::Permanent);
             }
         }
-        if self.plan.error_rate > 0.0 {
+        if self.error_threshold > 0 {
             let r = splitmix64(self.seed ^ self.ops.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             self.ops += 1;
-            // 53 uniform mantissa bits -> [0, 1).
-            let u = (r >> 11) as f64 / (1u64 << 53) as f64;
-            if u < self.plan.error_rate {
+            if (r >> 11) < self.error_threshold {
                 self.stats.injected_errors += 1;
                 return Err(IoError::Transient);
             }

@@ -43,6 +43,11 @@
 //! assert_eq!(order, vec!["a", "b", "c"]);
 //! ```
 
+// H4: simulated state is integer arithmetic, identical on every host.
+// Float arithmetic is limited to report-only helpers and constructors,
+// each under a narrow `#[expect]` that gives its reason.
+#![deny(clippy::float_arithmetic)]
+
 mod barrier;
 mod device;
 mod event;

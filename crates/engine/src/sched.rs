@@ -134,6 +134,14 @@ impl Scheduler {
             wake_pending: false,
         });
         self.live_threads += 1;
+        // A thread waits in its class's run queue at most once, so room
+        // for every thread of the class keeps the queue from reallocating.
+        let peers = self.threads.iter().filter(|t| t.class == class).count();
+        let queue = match class {
+            ThreadClass::App => &mut self.app_queue,
+            ThreadClass::Kernel => &mut self.kernel_queue,
+        };
+        queue.reserve(peers - queue.len());
         id
     }
 
@@ -313,6 +321,7 @@ impl Scheduler {
 
     /// Utilization helper: fraction of `elapsed` core-time spent running
     /// threads, across all cores.
+    #[expect(clippy::float_arithmetic, reason = "report-only utilization")]
     pub fn utilization(&self, elapsed_since: SimTime, now: SimTime, cores: usize) -> f64 {
         let span = now.saturating_since(elapsed_since) as f64 * cores as f64;
         if span == 0.0 {

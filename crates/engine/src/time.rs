@@ -49,6 +49,7 @@ impl SimTime {
     }
 
     /// Seconds since the epoch, as a float (for reporting only).
+    #[expect(clippy::float_arithmetic, reason = "report-only seconds")]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / SECOND as f64
     }
@@ -88,6 +89,7 @@ impl fmt::Debug for SimTime {
 }
 
 impl fmt::Display for SimTime {
+    #[expect(clippy::float_arithmetic, reason = "report-only human-readable time")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ns = self.0;
         if ns >= SECOND {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use pagesim_engine::faults::error_threshold;
 use pagesim_engine::{
     DispatchDecision, EventQueue, FaultInjector, FaultPlan, QueuedDevice, Scheduler, SimTime,
     StallPlan, ThreadClass, ThreadId,
@@ -321,4 +322,79 @@ proptest! {
         }
         prop_assert_eq!(s.live_threads(), 0);
     }
+}
+
+/// The f64 error roll `FaultInjector::check` made before it compared
+/// integers: the draw's top 53 bits as a fraction of 2^53, below the rate.
+fn float_roll(draw: u64, rate: f64) -> bool {
+    ((draw >> 11) as f64 / (1u64 << 53) as f64) < rate
+}
+
+fn integer_roll(draw: u64, rate: f64) -> bool {
+    (draw >> 11) < error_threshold(rate)
+}
+
+/// Checks both rolls on `draw` and on draws whose top 53 bits sit right
+/// at the rate's threshold, where a rounding slip would show.
+fn rolls_agree(draw: u64, rate: f64) -> Result<(), String> {
+    let top = (1u64 << 53) - 1;
+    let t = error_threshold(rate).min(top);
+    let low = draw & 0x7ff;
+    for m in [0, t.saturating_sub(1), t, (t + 1).min(top), top, draw >> 11] {
+        let r = (m << 11) | low;
+        prop_assert_eq!(
+            integer_roll(r, rate),
+            float_roll(r, rate),
+            "draw {:#x}, rate {:e}",
+            r,
+            rate
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The integer fault roll fails exactly the draws the f64 roll failed,
+    /// for rates drawn uniformly over the bit patterns of `[0, 1]`, so
+    /// every binade, subnormals included, is as likely as any other.
+    #[test]
+    fn integer_fault_roll_matches_the_float_roll(
+        draw in any::<u64>(),
+        rate_bits in 0u64..=1.0f64.to_bits(),
+    ) {
+        rolls_agree(draw, f64::from_bits(rate_bits))?;
+    }
+}
+
+#[test]
+fn integer_fault_roll_matches_the_float_roll_at_edge_rates() {
+    let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+    assert!(below_one < 1.0 && below_one > 0.999_999);
+    let rates = [
+        0.0,
+        -0.0,
+        1.0,
+        below_one,
+        f64::from_bits(1), // smallest subnormal
+        f64::MIN_POSITIVE / 2.0,
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        0.05,
+        0.5,
+        2.0,
+        f64::INFINITY,
+        -1.0,
+        f64::NAN,
+    ];
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for rate in rates {
+        for _ in 0..64 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rolls_agree(rng, rate).unwrap();
+        }
+    }
+    assert_eq!(error_threshold(below_one), (1 << 53) - 1);
+    assert_eq!(error_threshold(f64::NAN), 0);
 }

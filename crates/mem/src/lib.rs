@@ -28,6 +28,11 @@
 //! assert!(space.pte(3).accessed());
 //! ```
 
+// H4: simulated state is integer arithmetic, identical on every host.
+// Float arithmetic is limited to report-only helpers and constructors,
+// each under a narrow `#[expect]` that gives its reason.
+#![deny(clippy::float_arithmetic)]
+
 mod addrspace;
 mod arena;
 mod phys;

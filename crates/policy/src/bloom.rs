@@ -81,6 +81,7 @@ impl BloomFilter {
     }
 
     /// Fraction of set bits (load factor), for diagnostics.
+    #[expect(clippy::float_arithmetic, reason = "report-only load factor")]
     pub fn load(&self) -> f64 {
         let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
         set as f64 / ((self.mask + 1) as f64)

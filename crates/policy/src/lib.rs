@@ -24,6 +24,11 @@
 //! to the simulated threads that incurred them — this cost routing is what
 //! lets the simulator reproduce the paper's scanning-overhead findings.
 
+// H4: simulated state is integer arithmetic, identical on every host.
+// Float arithmetic is limited to report-only helpers and constructors,
+// each under a narrow `#[expect]` that gives its reason.
+#![deny(clippy::float_arithmetic)]
+
 pub mod bloom;
 mod clock;
 mod cost;

@@ -227,6 +227,10 @@ pub struct MgLru {
     /// Front = oldest generation (`min_seq`), back = youngest (`max_seq`).
     gens: VecDeque<Gen>,
     bloom: DualBloom,
+    /// Accessed PTEs a region needs to enter the next bloom filter:
+    /// `insert_threshold_per_line` × lines per region, rounded up, at
+    /// least 1.
+    insert_threshold: u32,
     /// Insertions that went into the *current* filter while it was "next".
     current_filter_fill: u64,
     tiers: TierBalancer,
@@ -234,6 +238,16 @@ pub struct MgLru {
     needs_aging: bool,
     walk: Option<WalkState>,
     stats: PolicyStats,
+}
+
+/// A region's bloom insertion threshold in accessed PTEs (see
+/// [`MgLruConfig::insert_threshold_per_line`]).
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the per-line threshold is an f64 config knob; converted once, in `MgLru::new`"
+)]
+fn insert_threshold(per_line: f64) -> u32 {
+    ((per_line * LINES_PER_REGION as f64).ceil() as u32).max(1)
 }
 
 impl MgLru {
@@ -255,6 +269,7 @@ impl MgLru {
             meta: vec![PageMeta::default(); total_pages as usize],
             gens,
             bloom: DualBloom::new(cfg.bloom_shift),
+            insert_threshold: insert_threshold(cfg.insert_threshold_per_line),
             current_filter_fill: 0,
             tiers: TierBalancer::new(kp, ki, kd),
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -438,9 +453,7 @@ impl MgLru {
                     }
                 }
             }
-            let threshold =
-                (self.cfg.insert_threshold_per_line * LINES_PER_REGION as f64).ceil() as u32;
-            if accessed_in_region >= threshold.max(1) {
+            if accessed_in_region >= self.insert_threshold {
                 self.bloom.insert_next(space, region);
             }
         }

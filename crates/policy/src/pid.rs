@@ -44,6 +44,10 @@ impl PidController {
     }
 
     /// Feeds one error sample (unit time step); returns the new output.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "PID refault controller mirrors the kernel's arithmetic in f64; deterministic for identical seeded inputs on IEEE-754 hosts; an integer port is a fidelity question, since only the default gains are used"
+    )]
     pub fn update(&mut self, error: f64) -> f64 {
         self.integral = (self.integral + error).clamp(-100.0, 100.0);
         let derivative = error - self.last_error;
@@ -104,6 +108,10 @@ impl TierBalancer {
     }
 
     /// Refault rate of a tier over the current window.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "refault-rate ratio feeding the PID controller; same justification as `PidController::update`"
+    )]
     fn rate(&self, tier: usize) -> f64 {
         let e = self.evicted[tier];
         if e == 0 {
@@ -114,6 +122,10 @@ impl TierBalancer {
 
     /// Runs the controllers and recomputes the protection boundary.
     /// Called periodically (MG-LRU does it per eviction batch).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the PID error signal is a difference of f64 refault rates; same justification as `PidController::update`"
+    )]
     pub fn rebalance(&mut self) {
         let base = self.rate(0);
         self.protect_from = MAX_TIERS;

@@ -91,6 +91,20 @@ impl LatencyHistogram {
         self.counts[idx] = 1;
     }
 
+    /// Reserves room for every bucket, so that no later
+    /// [`record`](Self::record) reallocates. The stored buckets still end
+    /// at the highest one in use; [`shrink_to_fit`](Self::shrink_to_fit)
+    /// gives the unused room back.
+    pub fn reserve_all(&mut self) {
+        self.counts.reserve_exact(BUCKETS - self.counts.len());
+    }
+
+    /// Frees the room [`reserve_all`](Self::reserve_all) set aside beyond
+    /// the buckets in use.
+    pub fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
     /// Records one sample.
     ///
     /// # Panics

@@ -145,6 +145,7 @@ impl CompressionModel {
     }
 
     /// Compression ratio (original / stored) for a class.
+    #[expect(clippy::float_arithmetic, reason = "report-only compression ratio")]
     pub fn ratio(&self, class: EntropyClass) -> f64 {
         PAGE_SIZE as f64 / self.stored_size(class) as f64
     }

@@ -36,6 +36,11 @@
 //! assert!(zram.used_bytes() > 0);
 //! ```
 
+// H4: simulated state is integer arithmetic, identical on every host.
+// Float arithmetic is limited to report-only helpers and constructors,
+// each under a narrow `#[expect]` that gives its reason.
+#![deny(clippy::float_arithmetic)]
+
 mod compress;
 mod device;
 mod slots;

@@ -212,8 +212,15 @@ impl OpBuf {
     /// contents, and leaves the buffer empty; returns whether any op moved.
     /// An undrained batch trades storage with `out` instead of being
     /// copied, so the buffer keeps `out`'s old capacity for its next batch.
+    /// A drained buffer trades nothing: `out` keeps its capacity, so the
+    /// [`Op::Done`] pushed at the end of the stream does not allocate.
     fn take_into(&mut self, out: &mut Vec<Op>) -> bool {
         out.clear();
+        if self.next == self.ops.len() {
+            self.ops.clear();
+            self.next = 0;
+            return false;
+        }
         if self.next == 0 {
             std::mem::swap(&mut self.ops, out);
         } else {
@@ -221,7 +228,7 @@ impl OpBuf {
             self.ops.clear();
             self.next = 0;
         }
-        !out.is_empty()
+        true
     }
 }
 
