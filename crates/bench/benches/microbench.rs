@@ -82,10 +82,11 @@ fn bench_zipf(c: &mut Criterion) {
 }
 
 /// YCSB request generation: one paper-scale YCSB-A stream (40 k items,
-/// 100 k requests) drained to the end through `next_batch`. The request
-/// table is built before the timed loop, and each iteration's stream is
-/// built untimed. Divide the time per iteration by 100 k for ns per
-/// request.
+/// 100 k requests) drained to the end through `next_batch`, counting its
+/// requests by their `RequestStart` markers (a batch holds up to 64). The
+/// request table is built before the timed loop, and each iteration's
+/// stream is built untimed. Divide the time per iteration by 100 k for ns
+/// per request.
 fn bench_ycsb_request(c: &mut Criterion) {
     let workload = YcsbWorkload::new(YcsbConfig::with_mix(YcsbMix::A), 0xD00D);
     workload.requests();
@@ -97,7 +98,10 @@ fn bench_ycsb_request(c: &mut Criterion) {
                 let mut requests = 0u64;
                 stream.next_batch(&mut batch);
                 while batch != [Op::Done] {
-                    requests += 1;
+                    requests += batch
+                        .iter()
+                        .filter(|op| matches!(op, Op::RequestStart { .. }))
+                        .count() as u64;
                     stream.next_batch(&mut batch);
                 }
                 requests

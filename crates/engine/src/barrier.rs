@@ -77,21 +77,6 @@ impl BarrierSet {
         }
     }
 
-    /// Removes a party from barrier `id` permanently (a thread exited before
-    /// its peers). If that completes the current round, the released waiters
-    /// are drained as by [`arrive`](Self::arrive).
-    pub fn reduce_parties(&mut self, id: BarrierId) -> Option<Drain<'_, ThreadId>> {
-        let b = &mut self.barriers[id];
-        assert!(b.parties > 1, "cannot reduce a 1-party barrier");
-        b.parties -= 1;
-        if b.waiting.len() == b.parties {
-            b.generation += 1;
-            Some(b.waiting.drain(..))
-        } else {
-            None
-        }
-    }
-
     /// Removes `tid` from every barrier permanently (the thread was
     /// killed). It is withdrawn from any waiting list and stops counting
     /// as a party; rounds completed by its departure release their
@@ -156,18 +141,6 @@ mod tests {
         let mut bs = BarrierSet::new();
         let b = bs.create(1);
         assert_eq!(bs.arrive(b, ThreadId(7)).map(Iterator::count), Some(0));
-    }
-
-    #[test]
-    fn reduce_parties_can_release() {
-        let mut bs = BarrierSet::new();
-        let b = bs.create(3);
-        bs.arrive(b, ThreadId(0));
-        bs.arrive(b, ThreadId(1));
-        // Third party exits instead of arriving.
-        let released: Vec<_> = bs.reduce_parties(b).unwrap().collect();
-        assert_eq!(released, vec![ThreadId(0), ThreadId(1)]);
-        assert_eq!(bs.generation(b), 1);
     }
 
     /// The thread ids `depart` releases.

@@ -119,7 +119,8 @@ pub struct SpaceSpec {
 /// A deterministic generator of [`Op`]s for one simulated thread.
 ///
 /// A stream generates its ops in *batches*: one PageRank vertex chunk or
-/// barrier, one TPC-H stage, one YCSB request, one buffered-I/O step.
+/// barrier, one TPC-H stage, a block of up to 64 YCSB requests, one
+/// buffered-I/O step.
 /// [`refill`](AccessStream::refill) is its one generation routine; it
 /// writes the next batch into the stream's [`OpBuf`]. The two drains are
 /// provided on top of it:
@@ -138,6 +139,14 @@ pub struct SpaceSpec {
 /// first op of the next batch, a caller that asks for a new batch only
 /// once it has executed every op of the last one sees the shared state
 /// read in the same order as a per-op caller, and the same ops.
+///
+/// So how much one batch may hold depends on what its stream shares. A
+/// PageRank batch is one chunk: taking a second chunk ahead of time would
+/// read the shared counters before the other threads' earlier claims,
+/// and hand out different chunks. YCSB streams share only an immutable
+/// request table, and each draws from its own generators, so generating
+/// 64 requests at once yields the ops of 64 single requests, whenever
+/// it happens.
 pub trait AccessStream {
     /// Writes the stream's next batch, at least one op, into
     /// [`buf`](AccessStream::buf), and returns `true`; returns `false`,

@@ -9,6 +9,16 @@
 //! latency CDFs. Under memory pressure a request's latency is dominated by
 //! the page faults its bucket/item touches incur, which is precisely the
 //! tail mechanism §V-A/§V-D analyses.
+//!
+//! A stream writes its requests in blocks of up to 64 (one
+//! [`AccessStream::refill`]): it draws the block's ranks, then looks up
+//! their plans, then writes the requests in order, so the table lookups
+//! of a block overlap instead of each waiting on the last. The ops are
+//! those of one request at a time: the ranks and the update coins come
+//! from two separate generators, so drawing every rank of a block first
+//! changes neither sequence, and the streams share nothing mutable (the
+//! [`RequestTable`] is immutable), so when a block is generated does not
+//! matter. PageRank cannot do the same; see [`AccessStream`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -128,7 +138,7 @@ struct PlanEntry {
 }
 
 /// One rank's request plan.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RequestPlan<'a> {
     /// The pages touched, in order.
     pub pages: &'a [Vpn],
@@ -296,6 +306,10 @@ impl Workload for YcsbWorkload {
     }
 }
 
+/// Requests one [`YcsbStream::refill`] writes, at most: fewer only at the
+/// stream's end.
+const BLOCK: usize = 64;
+
 /// One server thread: a closed loop of zipfian requests.
 struct YcsbStream {
     requests: Arc<RequestTable>,
@@ -314,34 +328,45 @@ struct YcsbStream {
 }
 
 impl AccessStream for YcsbStream {
-    /// One batch is one request: its start marker, its page touches and
-    /// its end marker.
+    /// One batch is a block of up to [`BLOCK`] requests, each its start
+    /// marker, its page touches and its end marker, built in the three
+    /// passes the module docs describe.
     fn refill(&mut self) -> bool {
-        if self.remaining == 0 {
+        let n = self.remaining.min(BLOCK as u64) as usize;
+        if n == 0 {
             return false;
         }
         let served = self.total - self.remaining;
-        self.remaining -= 1;
+        self.remaining -= n as u64;
+        let table = &*self.requests;
 
-        let rank = self.requests.ranks.rank(self.draws.next_u64() >> 11);
-        let is_update = self.rng.random_bool(self.update_fraction);
-        let plan = self.requests.plan(rank);
-        let class = if is_update {
-            ReqClass::Write
-        } else {
-            ReqClass::Read
-        };
-        self.buf.push(Op::RequestStart {
-            class,
-            warmup: served < self.warmup,
-        });
-        self.buf.extend(plan.touches(is_update).map(|t| Op::Access {
-            space: AsId(0),
-            vpn: t.vpn,
-            write: t.write,
-            cpu_ns: plan.cpu_per_touch,
-        }));
-        self.buf.push(Op::RequestEnd);
+        let mut ranks = [0u32; BLOCK];
+        for rank in &mut ranks[..n] {
+            *rank = table.ranks.rank(self.draws.next_u64() >> 11);
+        }
+        let mut plans = [RequestPlan::default(); BLOCK];
+        for (plan, &rank) in plans[..n].iter_mut().zip(&ranks[..n]) {
+            *plan = table.plan(rank);
+        }
+        for (served, plan) in (served..).zip(&plans[..n]) {
+            let is_update = self.rng.random_bool(self.update_fraction);
+            let class = if is_update {
+                ReqClass::Write
+            } else {
+                ReqClass::Read
+            };
+            self.buf.push(Op::RequestStart {
+                class,
+                warmup: served < self.warmup,
+            });
+            self.buf.extend(plan.touches(is_update).map(|t| Op::Access {
+                space: AsId(0),
+                vpn: t.vpn,
+                write: t.write,
+                cpu_ns: plan.cpu_per_touch,
+            }));
+            self.buf.push(Op::RequestEnd);
+        }
         true
     }
 

@@ -1,12 +1,55 @@
 //! Property tests for the workload generators.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{RngCore, RngExt, SeedableRng};
 
+use pagesim_engine::rng::derive_seed;
+use pagesim_mem::AsId;
 use pagesim_workloads::graph::PowerLawGraph;
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
 use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
-use pagesim_workloads::zipf::{ScrambledZipfian, Zipfian};
-use pagesim_workloads::{Op, Workload};
+use pagesim_workloads::zipf::{ScrambledZipfian, Zipfian, ZipfianDist, ZipfianTable, YCSB_THETA};
+use pagesim_workloads::{Op, ReqClass, Workload};
+
+/// Every YCSB stream's ops as a per-request oracle builds them from the
+/// pieces a stream is made of: the stream's two seeded generators, one
+/// zipfian rank and one update coin per request, and the rank's plan.
+/// The first `warmup` requests of each stream are warmup.
+fn ycsb_oracle(w: &YcsbWorkload, cfg: &YcsbConfig, seed: u64, warmup: u64) -> Vec<Vec<Op>> {
+    let ranks = ZipfianTable::new(&ZipfianDist::new(cfg.items as u64, YCSB_THETA));
+    let per_thread = cfg.requests / cfg.threads as u64;
+    (0..cfg.threads)
+        .map(|t| {
+            let s = derive_seed(seed, &format!("ycsb-{t}"));
+            let mut draws = SmallRng::seed_from_u64(s);
+            let mut coins = SmallRng::seed_from_u64(s ^ 0xFACE);
+            let mut ops = Vec::new();
+            for served in 0..per_thread {
+                let plan = w.requests().plan(ranks.rank(draws.next_u64() >> 11));
+                let write = coins.random_bool(cfg.mix.update_fraction());
+                let class = if write {
+                    ReqClass::Write
+                } else {
+                    ReqClass::Read
+                };
+                ops.push(Op::RequestStart {
+                    class,
+                    warmup: served < warmup,
+                });
+                ops.extend(plan.touches(write).map(|t| Op::Access {
+                    space: AsId(0),
+                    vpn: t.vpn,
+                    write: t.write,
+                    cpu_ns: plan.cpu_per_touch,
+                }));
+                ops.push(Op::RequestEnd);
+            }
+            ops.push(Op::Done);
+            ops
+        })
+        .collect()
+}
 
 proptest! {
     /// Zipfian draws stay in range and heavily favour low ranks for any
@@ -99,5 +142,45 @@ proptest! {
             }
         }
         prop_assert_eq!(total, cfg.requests / cfg.threads as u64 * cfg.threads as u64);
+    }
+
+    /// Every YCSB stream, drained batch by batch as the kernel drains it,
+    /// yields exactly the per-request oracle's ops. Per-thread request
+    /// counts are never a multiple of the stream's block of 64, so the
+    /// last block is short, and the warmup boundary may fall anywhere,
+    /// inside a block included.
+    #[test]
+    fn ycsb_streams_match_the_per_request_oracle(
+        seed in any::<u64>(),
+        store_seed in any::<u64>(),
+        mix in 0u8..3,
+        threads in 1usize..=4,
+        items in 500u32..3_000,
+        per_thread in 1u64..=200,
+        extra in 0u64..4,
+        warmup in 1u64..=200,
+    ) {
+        let per_thread = per_thread - u64::from(per_thread.is_multiple_of(64));
+        let warmup = warmup.min(per_thread);
+        let cfg = YcsbConfig {
+            mix: [YcsbMix::A, YcsbMix::B, YcsbMix::C][mix as usize],
+            threads,
+            items,
+            value_size: 1_200,
+            requests: per_thread * threads as u64 + extra % threads as u64,
+            // ceil(fraction · per_thread) is `warmup`.
+            warmup_fraction: (warmup as f64 - 0.5) / per_thread as f64,
+        };
+        let w = YcsbWorkload::new(cfg, store_seed);
+        let want = ycsb_oracle(&w, &cfg, seed, warmup);
+        let mut batch = Vec::new();
+        for (t, (mut stream, want)) in w.streams(seed).into_iter().zip(want).enumerate() {
+            let mut got = Vec::new();
+            while got.last() != Some(&Op::Done) {
+                stream.next_batch(&mut batch);
+                got.extend_from_slice(&batch);
+            }
+            prop_assert!(got == want, "thread {t} of {cfg:?}, seed {seed}: ops differ");
+        }
     }
 }

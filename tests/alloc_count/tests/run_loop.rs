@@ -5,9 +5,10 @@
 //! generation (each stream's `refill`) is not counted. The cells are the
 //! kernel golden's matrix — TPC-H, PageRank and YCSB-A/B/C under Clock and
 //! default MG-LRU on SSD and ZRAM — plus the `faults` experiment's faulted
-//! cells, the kernel golden's harsh fault plan, an SSD that fails for good
-//! and a near-empty ZRAM pool. Between them these run device stalls,
-//! transient I/O errors with retries, aborted evictions, ZRAM pool
+//! cells, the kernel golden's harsh fault plan (on an SSD under TPC-H and on
+//! ZRAM under YCSB-A), an SSD that fails for good and a near-empty ZRAM
+//! pool. Between them these run device stalls, transient I/O errors with
+//! retries, injected ZRAM errors, aborted evictions, ZRAM pool
 //! rejections, pressure balloons, SIGBUS-style and OOM kills, and killed
 //! threads leaving PageRank's barriers.
 //!
@@ -191,6 +192,8 @@ fn faulted_run_loops_allocate_nothing() {
         // PageRank's OOM kills detach threads from its barriers.
         (Wl::PageRank, &*pagerank, MgLruDefault, Ssd, dying_ssd()),
         (Wl::Tpch, &*tpch, MgLruDefault, Zram, tiny_zram_pool()),
+        // Injected errors on ZRAM, beside update writes on the same path.
+        (Wl::YcsbA, &*ycsb_a, MgLruDefault, Zram, harsh_faults()),
     ] {
         cells.push((CellQuery::faulted(wl, policy, swap, 0.5, faults), workload));
     }
@@ -216,4 +219,9 @@ fn faulted_run_loops_allocate_nothing() {
         "no frames freed by a kill"
     );
     assert!(total(|m| m.pressure_frames_taken) > 0, "no balloon");
+    // The last cell's ZRAM has no pool bound, so its errors are injected.
+    assert!(
+        runs.last().is_some_and(|m| m.swap_stats.io_errors > 0),
+        "no injected ZRAM error"
+    );
 }
