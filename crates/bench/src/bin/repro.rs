@@ -24,9 +24,10 @@
 //! attached to a single trial (`--cell`/`--trial` pick which; `--list`
 //! shows the figure's cell grid). The figure output is unchanged — the
 //! traced trial produces identical metrics — and the trace is written to
-//! each `--trace-out` path: `.jsonl` suffixes get JSON Lines (validated by
-//! `trace-validate`), anything else gets Chrome `trace_event` JSON for
-//! Perfetto / `chrome://tracing`. Default: `trace.json`.
+//! each `--trace-out` path: `.jsonl` suffixes get JSON Lines (read back
+//! exactly by `TraceData::from_jsonl`), anything else gets Chrome
+//! `trace_event` JSON for Perfetto / `chrome://tracing`. Default:
+//! `trace.json`.
 //!
 //! ## Fault tolerance
 //!
@@ -48,6 +49,11 @@
 //! Like the figures, the report is byte-identical for any `--jobs` value
 //! and cache state (CI golden-diffs `vmstat_fig1.txt`).
 //!
+//! `trace` and `vmstat` sweep with the same options as a figure run
+//! (`--max-attempts`, `--trial-budget` and `--chaos` included) but keep
+//! no journal. If a cell still fails, they exit 3 with the failure report
+//! instead of rendering.
+//!
 //! Host performance is measured by `pagebench` (see `BENCHMARK.json`),
 //! not by this binary.
 //!
@@ -63,8 +69,7 @@
 use pagesim::experiments::{self, Bench, Scale, Wl};
 use pagesim::report;
 use pagesim_bench::sweep::{
-    default_jobs, run_sweep_resilient, run_sweep_traced, ChaosPlan, SweepOptions, SweepOutcome,
-    TraceRequest,
+    default_jobs, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome, TraceRequest,
 };
 use pagesim_trace::json::escape;
 use pagesim_trace::TraceConfig;
@@ -251,10 +256,19 @@ fn main() {
         }
     }
 
+    let mut opts = SweepOptions {
+        jobs,
+        cache_dir,
+        max_attempts,
+        trial_budget,
+        chaos,
+        ..SweepOptions::default()
+    };
+
     if figs.first().map(String::as_str) == Some("vmstat") {
         figs.remove(0);
         let [fig] = figs.as_slice() else { usage() };
-        run_vmstat(fig, scale, jobs, cache_dir);
+        run_vmstat(fig, scale, &opts);
         return;
     }
 
@@ -262,7 +276,7 @@ fn main() {
         figs.remove(0);
         let [fig] = figs.as_slice() else { usage() };
         run_trace(
-            fig, scale, jobs, cache_dir, cell_idx, trial, trace_cfg, trace_outs, list_cells,
+            fig, scale, opts, cell_idx, trial, trace_cfg, trace_outs, list_cells,
         );
         return;
     }
@@ -282,20 +296,12 @@ fn main() {
     // Journalling defaults on whenever the cache does: the journal is the
     // checkpoint `--resume` needs, and it lives next to the cache entries.
     if journal.is_none() {
-        journal = cache_dir.as_ref().map(|d| d.join("run-journal.jsonl"));
+        journal = opts.cache_dir.as_ref().map(|d| d.join("run-journal.jsonl"));
     }
+    opts.journal = journal;
+    opts.resume = resume;
 
     let bench = Bench::new(scale);
-    let opts = SweepOptions {
-        jobs,
-        cache_dir,
-        journal,
-        resume,
-        max_attempts,
-        trial_budget,
-        chaos,
-        ..SweepOptions::default()
-    };
     let t0 = std::time::Instant::now();
     let outcome = run_sweep_resilient(&bench, &figs, &opts);
     let stats = outcome.stats;
@@ -396,31 +402,33 @@ fn print_failure_report(outcome: &SweepOutcome) {
     clippy::disallowed_methods,
     reason = "host wall time for the stderr sweep summary; the report itself carries no timing"
 )]
-fn run_vmstat(fig: &str, scale: Scale, jobs: usize, cache_dir: Option<std::path::PathBuf>) {
+fn run_vmstat(fig: &str, scale: Scale, opts: &SweepOptions) {
     if experiments::figure_cells(fig).is_empty() {
         eprintln!("repro vmstat: figure '{fig}' has no cell grid");
         std::process::exit(2);
     }
     let bench = Bench::new(scale);
-    let opts = SweepOptions {
-        jobs,
-        cache_dir,
-        ..SweepOptions::default()
-    };
     let t0 = std::time::Instant::now();
-    let outcome = run_sweep_resilient(&bench, &[fig.to_owned()], &opts);
+    let outcome = run_sweep_resilient(&bench, &[fig.to_owned()], opts);
     eprintln!(
-        "# {} jobs={jobs} total_s={:.1}",
+        "# {} jobs={} total_s={:.1}",
         outcome.stats,
+        opts.jobs,
         t0.elapsed().as_secs_f64()
     );
+    exit_on_failures(&outcome);
+    print!("{}", pagesim_bench::vmstat::vmstat_report(&bench, fig));
+}
+
+/// For the single-figure subcommands: when a cell failed or the sweep
+/// aborted, prints the failure report and exits 3 instead of rendering.
+/// A partial render would mislead: the figure would read a cell that is
+/// not in the cell table, and the vmstat counters would be partial sums.
+fn exit_on_failures(outcome: &SweepOutcome) {
     if !outcome.failures.is_empty() || outcome.aborted {
-        // No point rendering holes: the report's counters would be partial
-        // sums. Surface the failures and bail like an incomplete figure run.
-        print_failure_report(&outcome);
+        print_failure_report(outcome);
         std::process::exit(3);
     }
-    print!("{}", pagesim_bench::vmstat::vmstat_report(&bench, fig));
 }
 
 /// The `trace` subcommand: render one figure with telemetry attached to a
@@ -433,8 +441,7 @@ fn run_vmstat(fig: &str, scale: Scale, jobs: usize, cache_dir: Option<std::path:
 fn run_trace(
     fig: &str,
     scale: Scale,
-    jobs: usize,
-    cache_dir: Option<std::path::PathBuf>,
+    mut opts: SweepOptions,
     cell_idx: usize,
     trial: u32,
     trace_cfg: TraceConfig,
@@ -464,23 +471,21 @@ fn run_trace(
     }
 
     let bench = Bench::new(scale);
-    let opts = SweepOptions {
-        jobs,
-        cache_dir,
-        trace: Some(TraceRequest {
-            query: query.clone(),
-            trial,
-            config: trace_cfg,
-        }),
-        ..SweepOptions::default()
-    };
+    opts.trace = Some(TraceRequest {
+        query: query.clone(),
+        trial,
+        config: trace_cfg,
+    });
     let t0 = std::time::Instant::now();
-    let (stats, trace) = run_sweep_traced(&bench, &[fig.to_owned()], &opts);
+    let outcome = run_sweep_resilient(&bench, &[fig.to_owned()], &opts);
     eprintln!(
-        "# {stats} jobs={jobs} total_s={:.1}",
+        "# {} jobs={} total_s={:.1}",
+        outcome.stats,
+        opts.jobs,
         t0.elapsed().as_secs_f64()
     );
-    let Some(trace) = trace else {
+    exit_on_failures(&outcome);
+    let Some(trace) = outcome.trace else {
         eprintln!("repro trace: no trace captured (internal error)");
         std::process::exit(1);
     };

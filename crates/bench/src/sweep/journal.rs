@@ -41,7 +41,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use pagesim_trace::json::escape;
+use pagesim_trace::json::{escape, parse};
 
 /// Journal line format version.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -163,32 +163,24 @@ impl PriorRun {
     }
 }
 
-/// Extracts `"key":"<value>"` from a journal line. Only safe for fields
-/// whose values never contain escapes (`hash`, `status`); `detail` may
-/// hold escaped quotes and must not be parsed this way.
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Reads a journal back into resume state. Unreadable files and malformed
-/// lines yield an empty/partial prior — resume then just re-runs more.
+/// lines (a torn last line included) yield an empty/partial prior — resume
+/// then just re-runs more.
 pub fn load_prior(path: &Path) -> PriorRun {
     let mut prior = PriorRun::default();
     let Ok(text) = fs::read_to_string(path) else {
         return prior;
     };
     for line in text.lines() {
-        if !line.contains("\"kind\":\"trial\"") {
+        let Ok(rec) = parse(line) else { continue };
+        let field = |key| rec.get(key).and_then(|v| v.as_str());
+        if field("kind") != Some("trial") {
             continue;
         }
-        let Some(hash) = extract_str(line, "hash").and_then(|h| u64::from_str_radix(h, 16).ok())
-        else {
+        let Some(hash) = field("hash").and_then(|h| u64::from_str_radix(h, 16).ok()) else {
             continue;
         };
-        let done = matches!(extract_str(line, "status"), Some("done" | "done-degraded"));
+        let done = matches!(field("status"), Some("done" | "done-degraded"));
         prior.done.insert(hash, done);
     }
     prior
@@ -270,6 +262,34 @@ mod tests {
         );
         drop(j);
         assert!(load_prior(&path).is_done(0x1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Escaped text inside `ident` or `detail` is data, not structure: a
+    /// failed trial whose strings spell out other fields still reads as
+    /// failed, and a torn last line is skipped.
+    #[test]
+    fn escaped_fields_and_torn_lines_are_not_misread() {
+        let dir = std::env::temp_dir().join(format!("pagesim-journal4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("j.jsonl");
+        let mut j = Journal::open(&path, false).expect("open");
+        j.trial(
+            0x1,
+            "cell \"status\":\"done\" trial 0",
+            "failed",
+            Some("panic: \"kind\":\"trial\",\"status\":\"done\""),
+            3,
+            5,
+        );
+        j.trial(0x2, "cell trial 1", "done", None, 1, 5);
+        drop(j);
+        let text = std::fs::read_to_string(&path).expect("journal file");
+        std::fs::write(&path, &text[..text.len() - 10]).expect("tear the last line");
+        let prior = load_prior(&path);
+        assert!(!prior.is_done(0x1), "escaped text read as a status");
+        assert!(!prior.is_done(0x2), "a torn line read as done");
+        assert_eq!(prior.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -282,19 +282,6 @@ pub fn run_sweep(bench: &Bench, figs: &[String], opts: &SweepOptions) -> SweepSt
     run_sweep_resilient(bench, figs, opts).stats
 }
 
-/// [`run_sweep`] plus the captured trace, when `opts.trace` asked for one.
-/// The trace is captured even if the traced trial's cell is outside the
-/// figure plan (already resident, or not referenced by `figs`): it then
-/// runs standalone after the sweep.
-pub fn run_sweep_traced(
-    bench: &Bench,
-    figs: &[String],
-    opts: &SweepOptions,
-) -> (SweepStats, Option<TraceData>) {
-    let outcome = run_sweep_resilient(bench, figs, opts);
-    (outcome.stats, outcome.trace)
-}
-
 /// One worker-to-collector message.
 enum Msg {
     /// A trial resolved: merged metrics or a recorded failure.
@@ -350,8 +337,11 @@ fn spec_identity(bench: &Bench, spec: &CellSpec) -> (u64, String) {
 }
 
 /// [`run_sweep`] with the full fault-tolerance outcome: typed per-cell
-/// failures, degraded-cell notes, and the abort flag. This is the
-/// authoritative entry point; the narrower signatures delegate here.
+/// failures, degraded-cell notes, the abort flag, and the trace
+/// `opts.trace` asked for. The trace is captured even if the traced
+/// trial's cell is outside the figure plan (already resident, or not
+/// referenced by `figs`): it then runs standalone after the sweep. This
+/// is the authoritative entry point; [`run_sweep`] delegates here.
 #[expect(
     clippy::disallowed_methods,
     reason = "the sweep executor is the one place that spawns workers; its phase timings go to the stderr summary only"
@@ -595,7 +585,8 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
         if let (Some(req), None) = (&opts.trace, &trace) {
             // The requested trial was not part of the plan (cell resident
             // or figure list disjoint): trace it standalone.
-            let (_, data) = bench.run_trial_traced(&req.query, req.trial, req.config);
+            let (_, data) =
+                bench.run_trial_traced(&req.query, req.trial, opts.trial_budget, req.config);
             trace = Some(data);
         }
     }
@@ -697,9 +688,9 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
             }
             match (traced, ctx.opts.trace.as_ref()) {
                 (true, Some(req)) => {
-                    let (m, data) = ctx
-                        .bench
-                        .run_trial_traced(&spec.query, spec.trial, req.config);
+                    let (m, data) =
+                        ctx.bench
+                            .run_trial_traced(&spec.query, spec.trial, budget, req.config);
                     *ctx.trace_slot.lock() = Some(data);
                     m
                 }

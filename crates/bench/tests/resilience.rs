@@ -9,7 +9,10 @@ use std::sync::OnceLock;
 
 use pagesim::experiments::{self, Bench, CellSpec, Scale};
 use pagesim::FailureKind;
-use pagesim_bench::sweep::{cache, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome};
+use pagesim_bench::sweep::{
+    cache, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome, TraceRequest,
+};
+use pagesim_trace::TraceConfig;
 use proptest::prelude::*;
 
 fn tiny_bench() -> Bench {
@@ -146,6 +149,35 @@ fn user_trial_budget_classifies_timeouts_without_merging_truncated_metrics() {
         .all(|f| matches!(f.kind, FailureKind::Timeout)));
     // Timeouts are deterministic, not transient: one attempt each.
     assert!(outcome.failures.iter().all(|f| f.attempts == 1));
+}
+
+/// The traced trial runs under the budget every other trial runs under:
+/// tracing a cell cannot merge a trial that would otherwise time out.
+#[test]
+fn traced_trial_honours_the_trial_budget() {
+    let run = |trace| {
+        let opts = SweepOptions {
+            jobs: 2,
+            cache_dir: None,
+            trial_budget: Some(1),
+            trace,
+            ..SweepOptions::default()
+        };
+        run_sweep_resilient(&tiny_bench(), &figs(), &opts)
+    };
+    let plain = run(None);
+    let traced = run(Some(TraceRequest {
+        query: experiments::figure_cells("fig1")[1].clone(),
+        trial: 0,
+        config: TraceConfig::default(),
+    }));
+    assert!(
+        traced.trace.is_some(),
+        "the timed-out trial is still traced"
+    );
+    assert_eq!(traced.stats.failed, plain.stats.failed);
+    assert_eq!(traced.stats.failed, traced.stats.trials);
+    assert_eq!(traced.failures, plain.failures);
 }
 
 #[test]

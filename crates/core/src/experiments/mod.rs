@@ -293,15 +293,20 @@ impl Bench {
         &self.buffered
     }
 
+    /// The workload `wl` names, built at this bench's scale.
+    pub fn workload(&self, wl: Wl) -> &dyn Workload {
+        match wl {
+            Wl::Tpch => &self.tpch,
+            Wl::PageRank => &self.pagerank,
+            Wl::YcsbA => &self.ycsb_a,
+            Wl::YcsbB => &self.ycsb_b,
+            Wl::YcsbC => &self.ycsb_c,
+        }
+    }
+
     /// Footprint of a workload in pages.
     pub fn footprint(&self, wl: Wl) -> u32 {
-        match wl {
-            Wl::Tpch => self.tpch.footprint_pages(),
-            Wl::PageRank => self.pagerank.footprint_pages(),
-            Wl::YcsbA => self.ycsb_a.footprint_pages(),
-            Wl::YcsbB => self.ycsb_b.footprint_pages(),
-            Wl::YcsbC => self.ycsb_c.footprint_pages(),
-        }
+        self.workload(wl).footprint_pages()
     }
 
     /// The installed trials of one healthy cell (see [`Bench::query`]).
@@ -368,43 +373,36 @@ impl Bench {
         trial: u32,
         budget: Option<Nanos>,
     ) -> RunMetrics {
+        let seed = trial_seed(self.scale.seed, trial);
+        Experiment::new(self.budgeted_config(query, budget)).run(self.workload(query.wl), seed)
+    }
+
+    /// [`Bench::resolve_config`] with `max_sim_time` clamped to `budget`.
+    fn budgeted_config(&self, query: &CellQuery, budget: Option<Nanos>) -> SystemConfig {
         let mut config = self.resolve_config(query);
         if let Some(b) = budget {
             config.max_sim_time = config.max_sim_time.min(b);
         }
-        let exp = Experiment::new(config);
-        let seed = trial_seed(self.scale.seed, trial);
-        match query.wl {
-            Wl::Tpch => exp.run(&self.tpch, seed),
-            Wl::PageRank => exp.run(&self.pagerank, seed),
-            Wl::YcsbA => exp.run(&self.ycsb_a, seed),
-            Wl::YcsbB => exp.run(&self.ycsb_b, seed),
-            Wl::YcsbC => exp.run(&self.ycsb_c, seed),
-        }
+        config
     }
 
-    /// Runs one trial with telemetry attached. The returned metrics are
-    /// identical to [`Bench::run_trial`] on the same `(query, trial)`; the
-    /// trace carries the trial's content-addressed identity
-    /// ([`Bench::trial_content_hash`]) so it can always be matched to the
-    /// cached metrics it was captured alongside.
+    /// [`Bench::run_trial_budgeted`] with telemetry attached. The returned
+    /// metrics are identical to the untraced call's on the same `(query,
+    /// trial, budget)`; the trace carries the trial's content-addressed
+    /// identity ([`Bench::trial_content_hash`]) so it can always be
+    /// matched to the cached metrics it was captured alongside.
     #[cfg(feature = "trace")]
     pub fn run_trial_traced(
         &self,
         query: &CellQuery,
         trial: u32,
+        budget: Option<Nanos>,
         trace_cfg: pagesim_trace::TraceConfig,
     ) -> (RunMetrics, pagesim_trace::TraceData) {
-        let config = self.resolve_config(query);
-        let exp = Experiment::new(config.clone());
+        let config = self.budgeted_config(query, budget);
         let seed = trial_seed(self.scale.seed, trial);
-        let (metrics, tracer) = match query.wl {
-            Wl::Tpch => exp.run_traced(&self.tpch, seed, trace_cfg),
-            Wl::PageRank => exp.run_traced(&self.pagerank, seed, trace_cfg),
-            Wl::YcsbA => exp.run_traced(&self.ycsb_a, seed, trace_cfg),
-            Wl::YcsbB => exp.run_traced(&self.ycsb_b, seed, trace_cfg),
-            Wl::YcsbC => exp.run_traced(&self.ycsb_c, seed, trace_cfg),
-        };
+        let (metrics, tracer) = crate::Kernel::build(&config, self.workload(query.wl), seed)
+            .run_traced(pagesim_trace::Tracer::new(trace_cfg));
         let meta = pagesim_trace::TraceMeta {
             ident: format!("{} trial {}", query.ident(), trial),
             content_hash: self.trial_content_hash(query, trial),

@@ -105,17 +105,15 @@ use crate::metrics::RunMetrics;
 use crate::pagelock::PageLocks;
 use crate::workingset::ShadowArena;
 
-/// Records a trace event when a tracer is attached and enabled. Expands
-/// to nothing without the `trace` feature, so release figure builds carry
-/// no tracing code at all; with the feature on but no tracer attached (or
-/// a disabled one) the cost is one branch.
+/// Records a trace event when a tracer is attached. Expands to nothing
+/// without the `trace` feature, so release figure builds carry no tracing
+/// code at all; with the feature on but no tracer attached the cost is
+/// one branch.
 #[cfg(feature = "trace")]
 macro_rules! trace_event {
     ($self:expr, $t_ns:expr, $ev:expr) => {
         if let Some(tr) = $self.tracer.as_deref_mut() {
-            if tr.is_enabled() {
-                tr.event($t_ns, $ev);
-            }
+            tr.event($t_ns, $ev);
         }
     };
 }
@@ -299,9 +297,10 @@ pub struct Kernel {
     /// never feeds back into policy or timing.
     shadow: ShadowArena,
     metrics: RunMetrics,
-    /// Telemetry collector, attached via [`Kernel::set_tracer`]. Boxed so
-    /// the untraced kernel pays one pointer of space; `None` (the
-    /// default) short-circuits every hook.
+    /// Telemetry collector, attached for the length of
+    /// [`Kernel::run_traced`]. Boxed so the untraced kernel pays one
+    /// pointer of space; `None` (every untraced run) short-circuits every
+    /// hook.
     #[cfg(feature = "trace")]
     tracer: Option<Box<Tracer>>,
     /// Quiesce-point counter for sampling the O(pages) sanitize sweep at
@@ -465,14 +464,6 @@ impl Kernel {
         }
     }
 
-    /// Attaches a telemetry collector. Tracing hooks never feed back into
-    /// the simulation: a traced run produces the same `RunMetrics` as an
-    /// untraced one.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(Box::new(tracer));
-    }
-
     /// Runs the workload to completion and returns the collected metrics.
     ///
     /// Simulation-state violations (deadlock, exceeding
@@ -483,14 +474,18 @@ impl Kernel {
         self.finalize()
     }
 
-    /// Runs the workload like [`run`](Kernel::run) and additionally hands
-    /// back the attached tracer (if any) with its collected samples and
-    /// events.
+    /// Runs the workload like [`run`](Kernel::run) with `tracer`
+    /// attached, and hands it back with its collected samples and events.
+    /// Tracing hooks never feed back into the simulation: a traced run
+    /// produces the same `RunMetrics` as an untraced one.
     #[cfg(feature = "trace")]
-    pub fn run_traced(mut self) -> (RunMetrics, Option<Box<Tracer>>) {
+    pub fn run_traced(mut self, tracer: Tracer) -> (RunMetrics, Tracer) {
+        self.tracer = Some(Box::new(tracer));
         self.run_loop();
-        let tracer = self.tracer.take();
-        (self.finalize(), tracer)
+        let Some(tracer) = self.tracer.take() else {
+            unreachable!("the tracer stays attached for the whole run")
+        };
+        (self.finalize(), *tracer)
     }
 
     /// Runs the simulation to its end: until every application thread

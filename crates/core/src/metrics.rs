@@ -387,23 +387,6 @@ impl Experiment {
         Kernel::build(&self.config, workload, seed).run()
     }
 
-    /// Like [`run`](Experiment::run), but with a telemetry collector
-    /// attached. The metrics are identical to an untraced run; the tracer
-    /// comes back with the collected samples and events.
-    #[cfg(feature = "trace")]
-    pub fn run_traced(
-        &self,
-        workload: &dyn Workload,
-        seed: u64,
-        trace_cfg: pagesim_trace::TraceConfig,
-    ) -> (RunMetrics, pagesim_trace::Tracer) {
-        let mut kernel = Kernel::build(&self.config, workload, seed);
-        kernel.set_tracer(pagesim_trace::Tracer::new(trace_cfg));
-        let (metrics, tracer) = kernel.run_traced();
-        let tracer = tracer.expect("tracer was attached above");
-        (metrics, *tracer)
-    }
-
     /// Runs `trials` independent executions, one after another, with
     /// seeds derived from `master_seed` (the paper runs 25 per cell). The
     /// parallel path is the bench crate's sweep executor (`repro`).

@@ -146,16 +146,6 @@ impl EventRing {
         }
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -199,7 +189,6 @@ mod tests {
             r.push(i, slice(i as u32));
         }
         assert_eq!(r.dropped(), 2);
-        assert_eq!(r.len(), 3);
         let out = r.into_ordered();
         assert_eq!(out.iter().map(|e| e.0).collect::<Vec<_>>(), vec![2, 3, 4]);
     }
@@ -209,8 +198,7 @@ mod tests {
         let mut r = EventRing::new(0);
         r.push(1, slice(0));
         r.push(2, slice(1));
-        assert_eq!(r.len(), 1);
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.into_ordered()[0].0, 2);
+        assert_eq!(r.into_ordered(), vec![(2, slice(1))]);
     }
 }

@@ -1,11 +1,11 @@
 //! The workspace's one JSON reader and string escaper.
 //!
-//! The workspace vendors no serialization crates, so every on-disk format
-//! (trace JSONL, the bench history, the run journal) is written by hand
-//! with [`escape`] and read back with [`parse`]. Objects keep their
-//! members in document order and numbers keep their source text: the bench
-//! history re-serializes byte-for-byte, and u64 seeds and hashes never
-//! round-trip through `f64`.
+//! The workspace vendors no serialization crates, so every JSON document
+//! it writes or reads (trace JSONL, the run journal, `repro`'s failure
+//! report, pagebench's report and `BENCHMARK.json`) is written by hand
+//! with [`escape`] and read with [`parse`]. Objects keep their members in document order and numbers
+//! keep their source text, so u64 seeds and hashes never round-trip
+//! through `f64`.
 
 use std::fmt;
 
@@ -73,18 +73,6 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Short tag for error messages and schema matching.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "num",
-            Json::Str(_) => "str",
-            Json::Arr(_) => "arr",
-            Json::Obj(_) => "obj",
         }
     }
 }
@@ -350,7 +338,12 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int = self.pos;
         digits(self)?;
+        // JSON allows a leading zero only as the whole integer part.
+        if self.pos - int > 1 && self.text[int..].starts_with('0') {
+            return Err(JsonError::BadNumber(start));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
             digits(self)?;
@@ -418,6 +411,8 @@ mod tests {
             "tru",
             "1.",
             "01x",
+            "01",
+            "-00.5",
             r#""\q""#,
             "{} extra",
             "\"unterminated",

@@ -54,6 +54,17 @@ impl CoreOcc {
             CoreOcc::Aging => "aging".to_owned(),
         }
     }
+
+    /// The occupancy a [`CoreOcc::label`] names; `None` for any other
+    /// string.
+    pub(crate) fn from_label(label: &str) -> Option<CoreOcc> {
+        match label {
+            "idle" => Some(CoreOcc::Idle),
+            "kswapd" => Some(CoreOcc::Kswapd),
+            "aging" => Some(CoreOcc::Aging),
+            _ => label.strip_prefix("app")?.parse().ok().map(CoreOcc::App),
+        }
+    }
 }
 
 /// One interval sample: cumulative counters plus instantaneous gauges at a
@@ -118,7 +129,7 @@ pub struct TraceMeta {
 }
 
 /// A completed trace: metadata, the time series, and the event log.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceData {
     /// Trial identity.
     pub meta: TraceMeta,
@@ -132,13 +143,12 @@ pub struct TraceData {
 
 /// Collects samples and events during one kernel run.
 ///
-/// The kernel owns a `Tracer` only when tracing was requested; every hook
-/// additionally consults [`Tracer::is_enabled`] so a disabled tracer (the
-/// release figure path) costs one branch and allocates nothing.
+/// The kernel holds a `Tracer` only for a traced run; untraced runs (the
+/// figure path) hold none, so every hook costs one branch and allocates
+/// nothing.
 #[derive(Debug)]
 pub struct Tracer {
     cfg: TraceConfig,
-    enabled: bool,
     refaults: u64,
     next_sample_ns: u64,
     samples: Vec<Sample>,
@@ -155,26 +165,11 @@ impl Tracer {
                 sample_interval: interval,
                 ..cfg
             },
-            enabled: true,
             refaults: 0,
             next_sample_ns: interval,
             samples: Vec::new(),
             ring: EventRing::new(cfg.event_capacity),
         }
-    }
-
-    /// An attached-but-disabled tracer: every hook is a no-op. Exists so
-    /// the runtime on/off guard can be exercised without rebuilding.
-    pub fn off() -> Tracer {
-        let mut t = Tracer::new(TraceConfig::default());
-        t.enabled = false;
-        t
-    }
-
-    /// The runtime on/off guard hooks consult before doing any work.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The configuration in effect.
@@ -187,9 +182,7 @@ impl Tracer {
     /// perturb the cached-metrics codec.
     #[inline]
     pub fn note_refault(&mut self) {
-        if self.enabled {
-            self.refaults += 1;
-        }
+        self.refaults += 1;
     }
 
     /// Cumulative refaults so far.
@@ -200,16 +193,14 @@ impl Tracer {
     /// Records an event at simulated time `t_ns`.
     #[inline]
     pub fn event(&mut self, t_ns: u64, ev: TraceEvent) {
-        if self.enabled {
-            self.ring.push(t_ns, ev);
-        }
+        self.ring.push(t_ns, ev);
     }
 
     /// The next sample boundary at or before `upto_ns`, if one is due.
     /// The kernel answers by snapshotting gauges and calling
     /// [`Tracer::push_sample`], which advances the boundary.
     pub fn next_boundary(&self, upto_ns: u64) -> Option<u64> {
-        (self.enabled && self.next_sample_ns <= upto_ns).then_some(self.next_sample_ns)
+        (self.next_sample_ns <= upto_ns).then_some(self.next_sample_ns)
     }
 
     /// Appends a sample and advances to the next boundary.
@@ -217,11 +208,6 @@ impl Tracer {
         debug_assert_eq!(sample.t_ns, self.next_sample_ns);
         self.samples.push(sample);
         self.next_sample_ns += self.cfg.sample_interval;
-    }
-
-    /// Samples collected so far.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
     }
 
     /// Finishes the trace, attaching the trial identity.
@@ -271,19 +257,6 @@ mod tests {
         t.push_sample(sample_at(200));
         t.push_sample(sample_at(300));
         assert_eq!(t.next_boundary(350), None);
-        assert_eq!(t.sample_count(), 3);
-    }
-
-    #[test]
-    fn disabled_tracer_is_inert() {
-        let mut t = Tracer::off();
-        assert!(!t.is_enabled());
-        t.note_refault();
-        t.event(5, TraceEvent::AgingPass { cpu_ns: 1 });
-        assert_eq!(t.next_boundary(u64::MAX), None);
-        let data = t.into_data(test_meta());
-        assert!(data.samples.is_empty());
-        assert!(data.events.is_empty());
     }
 
     #[test]
@@ -293,18 +266,5 @@ mod tests {
             event_capacity: 1,
         });
         assert_eq!(t.next_boundary(10), Some(1));
-    }
-
-    fn test_meta() -> TraceMeta {
-        TraceMeta {
-            ident: "test trial 0".to_owned(),
-            content_hash: 0xABCD,
-            trial: 0,
-            seed: 7,
-            cores: 2,
-            sample_interval_ns: 100,
-            policy: "clock".to_owned(),
-            workload: "tpch".to_owned(),
-        }
     }
 }
