@@ -12,8 +12,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use pagesim::experiments::{figure_cells, Bench, CellSpec, Scale};
-use pagesim::{Experiment, PolicyChoice, SwapChoice, SystemConfig};
+use pagesim::experiments::{figure_cells, Bench, CellSpec, Scale, Wl};
+use pagesim::{Experiment, PolicyChoice, RunMetrics, SwapChoice, SystemConfig};
 use pagesim_bench::sweep::{cache, journal::Journal};
 use pagesim_engine::{EventQueue, SimTime};
 use pagesim_mem::{AddressSpace, AsId, EntropyClass, PageArena, PTES_PER_REGION, WORDS_PER_REGION};
@@ -439,27 +439,42 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
-/// The warm-sweep path per trial: decoding one cache entry, and
-/// group-committing a batch of journal lines with one sync.
+/// The warm-sweep path per trial: reading one cache entry, decoding the
+/// metrics text of one smoke trial per workload, and group-committing a
+/// batch of journal lines with one sync.
 fn bench_persistence(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("pagesim-microbench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    c.benchmark_group("cache")
-        .sample_size(500)
-        .bench_function("load_hit", |b| {
-            let bench = Bench::new(Scale::smoke());
+    let mut g = c.benchmark_group("cache");
+    g.sample_size(500);
+    // One fig1 cell per workload: YCSB's carry both latency histograms,
+    // TPC-H's and PageRank's only the refault distances.
+    for wl in Wl::all() {
+        g.bench_function(format!("decode_{}", wl.label()), |b| {
             let query = figure_cells("fig1")
                 .into_iter()
-                .next()
-                .expect("fig1 has cells");
-            let spec = CellSpec { query, trial: 0 };
-            let metrics = bench.run_trial(&spec.query, 0);
-            cache::store(&dir, &bench, &spec, &metrics, 0);
-            b.iter(|| match cache::load(&dir, &bench, &spec) {
-                cache::CacheRead::Hit(m) => m,
-                _ => panic!("the stored entry must read as a hit"),
-            })
+                .find(|q| q.wl == wl)
+                .expect("fig1 runs every workload");
+            let text = Bench::new(Scale::smoke())
+                .run_trial(&query, 0)
+                .to_cache_text();
+            b.iter(|| RunMetrics::from_cache_text(black_box(&text)).expect("decodes"))
         });
+    }
+    g.bench_function("load_hit", |b| {
+        let bench = Bench::new(Scale::smoke());
+        let query = figure_cells("fig1")
+            .into_iter()
+            .next()
+            .expect("fig1 has cells");
+        let spec = CellSpec { query, trial: 0 };
+        let metrics = bench.run_trial(&spec.query, 0);
+        cache::store(&dir, &bench, &spec, &metrics, 0);
+        b.iter(|| match cache::load(&dir, &bench, &spec) {
+            cache::CacheRead::Hit(m) => m,
+            _ => panic!("the stored entry must read as a hit"),
+        })
+    });
     c.benchmark_group("journal")
         .sample_size(100)
         .bench_function("commit_32", |b| {

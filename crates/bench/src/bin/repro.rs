@@ -51,8 +51,9 @@
 //!
 //! `trace` and `vmstat` sweep with the same options as a figure run
 //! (`--max-attempts`, `--trial-budget` and `--chaos` included) but keep
-//! no journal. If a cell still fails, they exit 3 with the failure report
-//! instead of rendering.
+//! no journal, so `--journal` and `--resume` are usage errors with them.
+//! If a cell still fails, they exit 3 with the failure report instead of
+//! rendering.
 //!
 //! Host performance is measured by `pagebench` (see `BENCHMARK.json`),
 //! not by this binary.
@@ -264,6 +265,12 @@ fn main() {
         chaos,
         ..SweepOptions::default()
     };
+
+    // `vmstat` and `trace` keep no journal: a journal flag would be
+    // silently ignored, so it is refused.
+    if matches!(figs.first().map(String::as_str), Some("vmstat" | "trace")) && journal.is_some() {
+        usage();
+    }
 
     if figs.first().map(String::as_str) == Some("vmstat") {
         figs.remove(0);

@@ -9,6 +9,10 @@
 //! <RunMetrics cache text>
 //! ```
 //!
+//! A read is one `open` and plain `read`s into a buffer each thread keeps
+//! across reads, then byte-level checks: no `stat`, no per-read
+//! allocation, and no UTF-8 pass over the whole file.
+//!
 //! Reads never trust the file: the checksum is verified before the body is
 //! parsed, and a mismatch — truncation, a flipped byte, a torn write that
 //! slipped past rename — moves the entry aside to `<name>.quarantine`
@@ -19,8 +23,9 @@
 //! corruption. Pre-v2 entries (no checksum) read as stale misses and are
 //! overwritten on store.
 
+use std::cell::RefCell;
 use std::fs;
-use std::io::Write as _;
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use pagesim::experiments::{Bench, CellSpec};
@@ -50,9 +55,9 @@ fn fnv64_extend(mut state: u64, bytes: &[u8]) -> u64 {
 
 /// An entry's checksum: FNV-1a over the ident line, `\n` and the body,
 /// hashed in place rather than over a joined copy.
-fn entry_sum(ident_line: &str, body: &str) -> u64 {
-    let state = fnv64_extend(FNV_OFFSET, ident_line.as_bytes());
-    fnv64_extend(fnv64_extend(state, b"\n"), body.as_bytes())
+fn entry_sum(ident_line: &[u8], body: &[u8]) -> u64 {
+    let state = fnv64_extend(FNV_OFFSET, ident_line);
+    fnv64_extend(fnv64_extend(state, b"\n"), body)
 }
 
 /// What a cache read found.
@@ -67,26 +72,81 @@ pub enum CacheRead {
     Quarantined,
 }
 
-/// The cache file for one trial: named by the trial content hash, carrying
-/// the human-readable identity for inspection and collision detection.
+/// A trial's cache identity, computed once per trial: the content hash
+/// that names its entry file and keys its journal line, and the
+/// human-readable ident stored in the entry for inspection and collision
+/// detection.
+#[derive(Clone, Debug)]
+pub struct TrialKey {
+    /// The trial content hash.
+    pub hash: u64,
+    /// `<cell ident> trial <n>`.
+    pub ident: String,
+}
+
+impl TrialKey {
+    /// The key of `spec` in `bench`.
+    pub fn of(bench: &Bench, spec: &CellSpec) -> Self {
+        TrialKey {
+            hash: bench.trial_content_hash(&spec.query, spec.trial),
+            ident: format!("{} trial {}", spec.query.ident(), spec.trial),
+        }
+    }
+
+    fn path(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("{:016x}.cell", self.hash))
+    }
+}
+
+/// The cache file for one trial and the identity it carries.
 pub fn entry_path(dir: &Path, bench: &Bench, spec: &CellSpec) -> (PathBuf, String) {
-    let hash = bench.trial_content_hash(&spec.query, spec.trial);
-    let ident = format!("{} trial {}", spec.query.ident(), spec.trial);
-    (dir.join(format!("{hash:016x}.cell")), ident)
+    let key = TrialKey::of(bench, spec);
+    (key.path(dir), key.ident)
 }
 
 /// Reads one trial's entry, verifying the checksum before parsing.
 pub fn load(dir: &Path, bench: &Bench, spec: &CellSpec) -> CacheRead {
-    let (path, ident) = entry_path(dir, bench, spec);
-    let Ok(text) = fs::read_to_string(&path) else {
-        return CacheRead::Miss;
-    };
-    match parse_entry(&text, &ident) {
-        Parsed::Hit(m) => CacheRead::Hit(m),
-        Parsed::Miss => CacheRead::Miss,
-        Parsed::Corrupt => {
-            quarantine(&path);
-            CacheRead::Quarantined
+    load_keyed(dir, &TrialKey::of(bench, spec))
+}
+
+thread_local! {
+    /// Each thread's read buffer: it keeps its room from one read to the
+    /// next, so a sweep worker allocates for its first entries only.
+    static READ_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`load`] for a trial whose key is already computed.
+pub fn load_keyed(dir: &Path, key: &TrialKey) -> CacheRead {
+    let path = key.path(dir);
+    READ_BUF.with_borrow_mut(|buf| {
+        let Ok(bytes) = read_entry(&path, buf) else {
+            return CacheRead::Miss;
+        };
+        match parse_entry(bytes, &key.ident) {
+            Parsed::Hit(m) => CacheRead::Hit(m),
+            Parsed::Miss => CacheRead::Miss,
+            Parsed::Corrupt => {
+                quarantine(&path);
+                CacheRead::Quarantined
+            }
+        }
+    })
+}
+
+/// Reads the file at `path` into `buf` with plain `read` calls, growing
+/// `buf` only when a file outgrows it, and returns the bytes read.
+fn read_entry<'b>(path: &Path, buf: &'b mut Vec<u8>) -> std::io::Result<&'b [u8]> {
+    let mut file = fs::File::open(path)?;
+    let mut filled = 0;
+    loop {
+        if filled == buf.len() {
+            buf.resize((2 * buf.len()).max(16 * 1024), 0);
+        }
+        match file.read(&mut buf[filled..]) {
+            Ok(0) => return Ok(&buf[..filled]),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -97,26 +157,44 @@ enum Parsed {
     Corrupt,
 }
 
-fn parse_entry(text: &str, expected_ident: &str) -> Parsed {
-    let Some((ident_line, rest)) = text.split_once('\n') else {
+/// Splits off the first line (without its `\n`); `None` without one.
+fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let i = bytes.iter().position(|&b| b == b'\n')?;
+    Some((&bytes[..i], &bytes[i + 1..]))
+}
+
+/// Exactly the 16 lowercase hex digits [`store`] writes.
+fn parse_sum(hex: &[u8]) -> Option<u64> {
+    if hex.len() != 16 {
+        return None;
+    }
+    hex.iter().try_fold(0u64, |v, &c| {
+        let d = match c {
+            b'0'..=b'9' => c - b'0',
+            b'a'..=b'f' => c - b'a' + 10,
+            _ => return None,
+        };
+        Some(v << 4 | u64::from(d))
+    })
+}
+
+fn parse_entry(bytes: &[u8], expected_ident: &str) -> Parsed {
+    let Some((ident_line, rest)) = split_line(bytes) else {
         return Parsed::Corrupt;
     };
-    let Some(ident) = ident_line.strip_prefix("pagesim-cell v2 ") else {
+    let Some(ident) = ident_line.strip_prefix(b"pagesim-cell v2 ") else {
         // A recognizable pre-v2 header is a stale format (plain miss, the
         // store path overwrites it); anything else is corruption.
-        return if ident_line.starts_with("pagesim-cell ") {
+        return if ident_line.starts_with(b"pagesim-cell ") {
             Parsed::Miss
         } else {
             Parsed::Corrupt
         };
     };
-    let Some((sum_line, body)) = rest.split_once('\n') else {
+    let Some((sum_line, body)) = split_line(rest) else {
         return Parsed::Corrupt;
     };
-    let Some(stored_sum) = sum_line
-        .strip_prefix("sum ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-    else {
+    let Some(stored_sum) = sum_line.strip_prefix(b"sum ").and_then(parse_sum) else {
         return Parsed::Corrupt;
     };
     if entry_sum(ident_line, body) != stored_sum {
@@ -124,14 +202,14 @@ fn parse_entry(text: &str, expected_ident: &str) -> Parsed {
     }
     // Checksum-valid but a different cell: a 64-bit file-name collision
     // must read as a miss, never as someone else's metrics.
-    if ident != expected_ident {
+    if ident != expected_ident.as_bytes() {
         return Parsed::Miss;
     }
-    match RunMetrics::from_cache_text(body) {
-        Some(m) => Parsed::Hit(Box::new(m)),
+    match RunMetrics::from_cache_bytes(body) {
+        Ok(m) => Parsed::Hit(Box::new(m)),
         // A verified body that fails to parse means a writer bug, not bit
         // rot — quarantine it too so it is preserved and never re-read.
-        None => Parsed::Corrupt,
+        Err(_) => Parsed::Corrupt,
     }
 }
 
@@ -139,11 +217,16 @@ fn parse_entry(text: &str, expected_ident: &str) -> Parsed {
 /// never sees a torn entry; the spec index makes the temp name unique
 /// within this sweep. Best-effort: any failure just means a future miss.
 pub fn store(dir: &Path, bench: &Bench, spec: &CellSpec, metrics: &RunMetrics, tag: usize) {
-    let (path, ident) = entry_path(dir, bench, spec);
+    store_keyed(dir, &TrialKey::of(bench, spec), metrics, tag);
+}
+
+/// [`store`] for a trial whose key is already computed.
+pub fn store_keyed(dir: &Path, key: &TrialKey, metrics: &RunMetrics, tag: usize) {
+    let path = key.path(dir);
     let tmp = path.with_extension(format!("tmp{tag}"));
-    let ident_line = format!("pagesim-cell v{CACHE_ENTRY_VERSION} {ident}");
+    let ident_line = format!("pagesim-cell v{CACHE_ENTRY_VERSION} {}", key.ident);
     let body = metrics.to_cache_text();
-    let sum = entry_sum(&ident_line, &body);
+    let sum = entry_sum(ident_line.as_bytes(), body.as_bytes());
     let write = || -> std::io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
         writeln!(f, "{ident_line}")?;
@@ -202,17 +285,17 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage_and_stale_formats() {
-        assert!(matches!(parse_entry("", "x"), Parsed::Corrupt));
+        assert!(matches!(parse_entry(b"", "x"), Parsed::Corrupt));
         assert!(matches!(
-            parse_entry("pagesim-cell old-ident\nbody\n", "old-ident"),
+            parse_entry(b"pagesim-cell old-ident\nbody\n", "old-ident"),
             Parsed::Miss
         ));
         assert!(matches!(
-            parse_entry("not-a-cell\nbody\n", "x"),
+            parse_entry(b"not-a-cell\nbody\n", "x"),
             Parsed::Corrupt
         ));
         assert!(matches!(
-            parse_entry("pagesim-cell v2 x\nsum zz\nbody\n", "x"),
+            parse_entry(b"pagesim-cell v2 x\nsum zz\nbody\n", "x"),
             Parsed::Corrupt
         ));
     }
@@ -220,15 +303,56 @@ mod tests {
     #[test]
     fn checksum_guards_ident_and_body() {
         let ident_line = "pagesim-cell v2 my-cell";
-        let body = "format 1\nend\n";
+        let body = RunMetrics::default().to_cache_text();
         let sum = fnv64(format!("{ident_line}\n{body}").as_bytes());
         let good = format!("{ident_line}\nsum {sum:016x}\n{body}");
+        assert!(matches!(
+            parse_entry(good.as_bytes(), "my-cell"),
+            Parsed::Hit(_)
+        ));
         // Valid checksum, wrong expected ident: collision → miss.
-        assert!(matches!(parse_entry(&good, "other-cell"), Parsed::Miss));
+        assert!(matches!(
+            parse_entry(good.as_bytes(), "other-cell"),
+            Parsed::Miss
+        ));
         // Any byte flip in ident or body breaks the checksum → corrupt.
         let bad = good.replace("my-cell", "my-celL");
-        assert!(matches!(parse_entry(&bad, "my-celL"), Parsed::Corrupt));
-        let bad = good.replace("format 1", "format 2");
-        assert!(matches!(parse_entry(&bad, "my-cell"), Parsed::Corrupt));
+        assert!(matches!(
+            parse_entry(bad.as_bytes(), "my-celL"),
+            Parsed::Corrupt
+        ));
+        let bad = good.replace("format 2", "format 3");
+        assert!(matches!(
+            parse_entry(bad.as_bytes(), "my-cell"),
+            Parsed::Corrupt
+        ));
+        // The sum is read as the writer spells it: 16 lowercase hex digits.
+        for spelled in [
+            format!("{sum:016X}"),
+            format!("+{sum:016x}"),
+            format!("0{sum:016x}"),
+        ] {
+            let bad = good.replacen(&format!("{sum:016x}"), &spelled, 1);
+            assert!(matches!(
+                parse_entry(bad.as_bytes(), "my-cell"),
+                Parsed::Corrupt
+            ));
+        }
+    }
+
+    #[test]
+    fn reads_reuse_the_buffer_and_grow_past_it() {
+        let dir = std::env::temp_dir().join(format!("pagesim-cache-read-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry");
+        let mut buf = Vec::new();
+        for len in [10usize, 40_000, 3] {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_entry(&path, &mut buf).unwrap(), &bytes[..]);
+        }
+        assert!(buf.len() >= 40_000, "the buffer keeps its room");
+        assert!(read_entry(&dir.join("missing"), &mut buf).is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

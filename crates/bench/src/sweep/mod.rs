@@ -296,6 +296,8 @@ enum Msg {
 
 /// Everything one trial's processing produced.
 struct TrialOutcome {
+    /// The trial's cache identity, which the journal line reuses.
+    key: cache::TrialKey,
     /// Merged metrics; `None` exactly when `failure` is `Some`.
     metrics: Option<RunMetrics>,
     /// The typed failure, when every attempt was exhausted or discarded.
@@ -325,15 +327,6 @@ struct WorkerCtx<'a> {
     prior: &'a journal::PriorRun,
     traced_idx: Option<usize>,
     trace_slot: &'a parking_lot::Mutex<Option<TraceData>>,
-}
-
-/// The trial content hash and human-readable identity of a spec, as used
-/// by the cache and the journal.
-fn spec_identity(bench: &Bench, spec: &CellSpec) -> (u64, String) {
-    (
-        bench.trial_content_hash(&spec.query, spec.trial),
-        format!("{} trial {}", spec.query.ident(), spec.trial),
-    )
 }
 
 /// [`run_sweep`] with the full fault-tolerance outcome: typed per-cell
@@ -447,14 +440,14 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
                         stats.resumed += out.resumed as usize;
                         stats.retries += out.retried as usize;
                         stats.quarantined += out.quarantined;
-                        let (hash, ident) = spec_identity(bench, &specs[i]);
+                        let cache::TrialKey { hash, ident } = &out.key;
                         match out.failure {
                             Some(kind) => {
                                 stats.failed += 1;
                                 if let Some(j) = jw.as_mut() {
                                     j.trial(
-                                        hash,
-                                        &ident,
+                                        *hash,
+                                        ident,
                                         "failed",
                                         Some(&kind.detail()),
                                         out.attempts,
@@ -468,16 +461,16 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
                                 if let Some(j) = jw.as_mut() {
                                     match degraded {
                                         Some(e) => j.trial(
-                                            hash,
-                                            &ident,
+                                            *hash,
+                                            ident,
                                             "done-degraded",
                                             Some(e.name()),
                                             out.attempts,
                                             out.wall_ms,
                                         ),
                                         None => j.trial(
-                                            hash,
-                                            &ident,
+                                            *hash,
+                                            ident,
                                             "done",
                                             None,
                                             out.attempts,
@@ -504,13 +497,20 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
                                 // instead of requeueing forever.
                                 done += 1;
                                 stats.failed += 1;
-                                let (hash, ident) = spec_identity(bench, &specs[i]);
+                                let key = cache::TrialKey::of(bench, &specs[i]);
                                 let kind = FailureKind::Panic(
                                     "trial killed its worker twice (outside per-trial isolation)"
                                         .to_owned(),
                                 );
                                 if let Some(j) = jw.as_mut() {
-                                    j.trial(hash, &ident, "failed", Some(&kind.detail()), *d, 0);
+                                    j.trial(
+                                        key.hash,
+                                        &key.ident,
+                                        "failed",
+                                        Some(&kind.detail()),
+                                        *d,
+                                        0,
+                                    );
                                 }
                                 spec_failures.insert(i, (kind, *d));
                             } else {
@@ -646,6 +646,7 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
     let spec = &ctx.specs[i];
     let traced = ctx.traced_idx == Some(i);
     let mut out = TrialOutcome {
+        key: cache::TrialKey::of(ctx.bench, spec),
         metrics: None,
         failure: None,
         attempts: 0,
@@ -660,11 +661,10 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
     // metrics but no trace.
     if !traced {
         if let Some(dir) = ctx.opts.cache_dir.as_deref() {
-            match cache::load(dir, ctx.bench, spec) {
+            match cache::load_keyed(dir, &out.key) {
                 cache::CacheRead::Hit(m) => {
-                    let (hash, _) = spec_identity(ctx.bench, spec);
                     out.from_cache = true;
-                    out.resumed = ctx.prior.is_done(hash);
+                    out.resumed = ctx.prior.is_done(out.key.hash);
                     out.metrics = Some(*m);
                     out.wall_ms = t.elapsed().as_millis() as u64;
                     return out;
@@ -727,7 +727,7 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
                 // result — the fault experiments plot them — and cache like
                 // any other result.
                 if let Some(dir) = ctx.opts.cache_dir.as_deref() {
-                    cache::store(dir, ctx.bench, spec, &m, i);
+                    cache::store_keyed(dir, &out.key, &m, i);
                 }
                 out.metrics = Some(m);
                 break;

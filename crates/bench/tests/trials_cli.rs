@@ -57,7 +57,8 @@ fn one_trial_renders_dashes_for_fits_and_p_values() {
 
 /// Bad arguments are rejected before any sweep runs: exit 2, the usage
 /// text on stderr, and nothing on stdout. Unknown ids count too, even
-/// after a valid one, and `bench` is no longer a subcommand.
+/// after a valid one, `bench` is no longer a subcommand, and `vmstat` and
+/// `trace`, which keep no journal, refuse `--journal` and `--resume`.
 #[test]
 fn zero_trials_is_a_usage_error() {
     for args in [
@@ -65,6 +66,42 @@ fn zero_trials_is_a_usage_error() {
         &["--scale", "smoke", "--no-cache", "figx"],
         &["--scale", "smoke", "--no-cache", "fig1", "figx"],
         &["--scale", "smoke", "--no-cache", "bench"],
+        &[
+            "vmstat",
+            "fig1",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--journal",
+            "j",
+        ],
+        &[
+            "vmstat",
+            "fig1",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--resume",
+            "j",
+        ],
+        &[
+            "trace",
+            "fig1",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--journal",
+            "j",
+        ],
+        &[
+            "trace",
+            "fig1",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--resume",
+            "j",
+        ],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -178,13 +178,13 @@ impl SimError {
         }
     }
 
-    /// Parses a [`SimError::name`] string back.
-    pub fn from_name(s: &str) -> Option<SimError> {
-        Some(match s {
-            "request-without-start" => SimError::RequestWithoutStart,
-            "nested-request" => SimError::NestedRequest,
-            "deadlock" => SimError::Deadlock,
-            "sim-time-exceeded" => SimError::SimTimeExceeded,
+    /// Parses a [`SimError::name`] back from its bytes.
+    pub fn from_name(name: &[u8]) -> Option<SimError> {
+        Some(match name {
+            b"request-without-start" => SimError::RequestWithoutStart,
+            b"nested-request" => SimError::NestedRequest,
+            b"deadlock" => SimError::Deadlock,
+            b"sim-time-exceeded" => SimError::SimTimeExceeded,
             _ => return None,
         })
     }
@@ -1278,8 +1278,7 @@ impl Kernel {
             }
             // Shadow entry (`workingset.c`): snapshot the eviction clock so
             // a refault can compute its distance in evictions.
-            self.shadow
-                .record(key, (vt + cpu).as_ns(), self.metrics.evictions);
+            self.shadow.record(key, self.metrics.evictions);
         }
         #[cfg(feature = "sanitize")]
         self.check_invariants();

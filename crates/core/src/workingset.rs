@@ -13,15 +13,12 @@
 //! the same bound the real radix tree enjoys (one shadow per slot) —
 //! so recording and taking entries never allocates on the fault path.
 
-use pagesim_engine::Nanos;
 use pagesim_mem::PageKey;
 
-/// One recorded eviction: when it happened and the eviction counter at
-/// that point (the `workingset.c` "eviction clock").
+/// One recorded eviction: the eviction counter at that point (the
+/// `workingset.c` "eviction clock").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShadowEntry {
-    /// Simulated time of the eviction.
-    pub evicted_at: Nanos,
     /// Global eviction count at eviction (distance = now − this).
     pub eviction_seq: u64,
 }
@@ -46,15 +43,12 @@ impl ShadowArena {
 
     /// Records an eviction shadow for `key`, replacing any stale entry
     /// (a page re-evicted without refaulting keeps only the newest).
-    pub fn record(&mut self, key: PageKey, evicted_at: Nanos, eviction_seq: u64) {
+    pub fn record(&mut self, key: PageKey, eviction_seq: u64) {
         let slot = &mut self.slots[key as usize];
         if slot.is_none() {
             self.live += 1;
         }
-        *slot = Some(ShadowEntry {
-            evicted_at,
-            eviction_seq,
-        });
+        *slot = Some(ShadowEntry { eviction_seq });
     }
 
     /// Consumes the shadow for `key` on refault, if one is live.
@@ -100,15 +94,9 @@ mod tests {
     fn record_take_roundtrip() {
         let mut a = ShadowArena::new(8);
         assert!(a.is_empty());
-        a.record(3, 100, 7);
+        a.record(3, 7);
         assert_eq!(a.len(), 1);
-        assert_eq!(
-            a.take(3),
-            Some(ShadowEntry {
-                evicted_at: 100,
-                eviction_seq: 7
-            })
-        );
+        assert_eq!(a.take(3), Some(ShadowEntry { eviction_seq: 7 }));
         assert_eq!(a.take(3), None);
         assert!(a.is_empty());
     }
@@ -116,16 +104,21 @@ mod tests {
     #[test]
     fn re_eviction_replaces_without_growing() {
         let mut a = ShadowArena::new(4);
-        a.record(1, 10, 1);
-        a.record(1, 20, 2);
+        a.record(1, 1);
+        a.record(1, 2);
         assert_eq!(a.len(), 1);
         assert_eq!(a.take(1).unwrap().eviction_seq, 2);
     }
 
     #[test]
+    fn a_shadow_slot_is_two_words() {
+        assert_eq!(std::mem::size_of::<Option<ShadowEntry>>(), 16);
+    }
+
+    #[test]
     fn reclaim_drops_silently() {
         let mut a = ShadowArena::new(4);
-        a.record(2, 5, 1);
+        a.record(2, 1);
         assert!(a.reclaim(2));
         assert!(!a.reclaim(2));
         assert_eq!(a.take(2), None);

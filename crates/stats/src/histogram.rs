@@ -8,6 +8,8 @@
 //! highest one in use, so memory follows the largest sample: about 8 KiB
 //! when that is near a millisecond, 29 KiB at most.
 
+use std::cell::RefCell;
+
 const SUB_BUCKET_BITS: u32 = 6; // 64 linear sub-buckets per power of two
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 
@@ -206,33 +208,60 @@ impl LatencyHistogram {
     }
 
     /// Rebuilds a histogram from [`to_parts`](LatencyHistogram::to_parts)
-    /// output. Returns `None` if a bucket index is out of range (corrupt
-    /// or foreign data).
+    /// output. Returns `None` if a bucket index is out of range or the
+    /// counts overflow (corrupt or foreign data).
     pub fn from_parts(sparse: &[(u32, u64)], sum: u128, min: u64, max: u64) -> Option<Self> {
-        if sparse.iter().any(|&(idx, _)| idx as usize >= BUCKETS) {
-            return None;
+        Self::try_from_pairs(sparse.iter().map(|&pair| Some(pair)), sum, min, max)
+    }
+
+    /// Rebuilds a histogram from a stream of `(index, count)` pairs that a
+    /// decoder produces as it reads them: a `None` item ends the stream
+    /// and the result, so a decoder never has to collect its pairs first.
+    ///
+    /// The pairs may come in any order and may repeat an index; repeated
+    /// counts add. Returns `None` if a pair is `None`, an index is at or
+    /// past the bucket range, or a count or the total overflows `u64`.
+    /// The buckets end at the highest one with a non-zero count, as
+    /// [`record`](Self::record) leaves them.
+    #[inline]
+    pub fn try_from_pairs<I>(pairs: I, sum: u128, min: u64, max: u64) -> Option<Self>
+    where
+        I: IntoIterator<Item = Option<(u32, u64)>>,
+    {
+        thread_local! {
+            /// Every bucket, all zero between calls. Counts add into it in
+            /// any order, and the histogram then takes one exact-size copy
+            /// of the buckets in use: no growth, so a sweep's decoding
+            /// threads do not churn the allocator.
+            static SCRATCH: RefCell<Vec<u64>> = RefCell::new(vec![0; BUCKETS]);
         }
-        // Sized once to the highest non-zero bucket, as `record` leaves it:
-        // zero counts grow nothing.
-        let len = sparse
-            .iter()
-            .filter(|&&(_, count)| count != 0)
-            .map(|&(idx, _)| idx as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut h = LatencyHistogram::new();
-        h.counts = vec![0; len];
-        for &(idx, count) in sparse {
-            if count != 0 {
-                h.counts[idx as usize] += count;
-            }
-            h.total += count;
-        }
-        h.sum = sum;
-        // An empty histogram's sentinel min is u64::MAX; preserve it.
-        h.min = if h.total == 0 { u64::MAX } else { min };
-        h.max = max;
-        Some(h)
+        SCRATCH.with_borrow_mut(|scratch| {
+            let mut total = 0u64;
+            // One past the highest non-zero bucket.
+            let mut top = 0;
+            let added = pairs.into_iter().try_for_each(|pair| {
+                let (idx, count) = pair?;
+                let slot = scratch.get_mut(idx as usize)?;
+                total = total.checked_add(count)?;
+                // The total bounds every bucket, so this add fits; and a
+                // rejection never leaves a count behind past `top`.
+                *slot += count;
+                if count != 0 {
+                    top = top.max(idx as usize + 1);
+                }
+                Some(())
+            });
+            let counts = added.map(|()| scratch[..top].to_vec());
+            scratch[..top].fill(0);
+            Some(LatencyHistogram {
+                counts: counts?,
+                total,
+                sum,
+                // An empty histogram's sentinel min is u64::MAX; keep it.
+                min: if total == 0 { u64::MAX } else { min },
+                max,
+            })
+        })
     }
 
     /// Convenience: the tail profile the paper's figures use.
@@ -376,6 +405,36 @@ mod tests {
         assert_eq!(e.min(), 0);
         // Out-of-range bucket index is rejected.
         assert!(LatencyHistogram::from_parts(&[(u32::MAX, 1)], 0, 0, 0).is_none());
+    }
+
+    #[test]
+    fn overflowing_counts_are_rejected_not_wrapped() {
+        // Two buckets whose counts sum past u64::MAX overflow the total.
+        let half = 1u64 << 63;
+        assert!(LatencyHistogram::from_parts(&[(0, half), (1, half)], 0, 0, 0).is_none());
+        // A repeated index overflows the bucket itself.
+        assert!(LatencyHistogram::from_parts(&[(5, half), (5, half)], 0, 0, 0).is_none());
+        // Right at the limit both still fit.
+        let h = LatencyHistogram::from_parts(&[(0, half), (1, half - 1)], 0, 0, 0).unwrap();
+        assert_eq!(h.count(), u64::MAX);
+        let h = LatencyHistogram::from_parts(&[(5, half), (5, half - 1)], 0, 0, 0).unwrap();
+        assert_eq!(h.to_parts().0, vec![(5, u64::MAX)]);
+        // A rejected stream leaves no count behind for the next one.
+        assert!(LatencyHistogram::from_parts(&[(0, half), (9, half)], 0, 0, 0).is_none());
+        let h = LatencyHistogram::from_parts(&[(10, 1)], 0, 0, 0).unwrap();
+        assert_eq!(h.to_parts().0, vec![(10, 1)]);
+        assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn pair_stream_stops_at_the_first_failure() {
+        let pairs = [Some((3, 1)), None, Some((4, 1))];
+        assert!(LatencyHistogram::try_from_pairs(pairs, 0, 0, 0).is_none());
+        // Unsorted and repeated pairs add up; zero counts size nothing.
+        let pairs = [Some((9, 0)), Some((4, 2)), Some((1, 1)), Some((4, 3))];
+        let h = LatencyHistogram::try_from_pairs(pairs, 0, 0, 0).unwrap();
+        assert_eq!(h.to_parts().0, vec![(1, 1), (4, 5)]);
+        assert_eq!(h.count(), 6);
     }
 
     #[test]

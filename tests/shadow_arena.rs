@@ -23,7 +23,7 @@ proptest! {
             match op {
                 0 => {
                     seq += 1;
-                    arena.record(key, seq * 10, seq);
+                    arena.record(key, seq);
                     live.insert(key);
                 }
                 1 => {
@@ -49,7 +49,7 @@ proptest! {
         let mut newest = std::collections::BTreeMap::new();
         for (i, key) in keys.iter().enumerate() {
             let seq = i as u64 + 1;
-            arena.record(*key, seq, seq);
+            arena.record(*key, seq);
             newest.insert(*key, seq);
         }
         prop_assert_eq!(arena.len(), newest.len() as u64);
