@@ -4,10 +4,11 @@
 //! two properties that matter for paging: a heavy-tailed degree
 //! distribution (a few huge hubs) and skewed neighbor popularity (edges
 //! point disproportionately at hubs). We reproduce both without storing an
-//! edge list: degrees are materialized per vertex, while each edge's
-//! endpoint is derived from a hash of `(vertex, edge index)` mapped through
-//! a power-law warp. This keeps multi-million-edge graphs free while
-//! preserving the page-access distribution over the rank array.
+//! edge list: only the CSR offsets are materialized (a vertex's degree is
+//! the difference of two), while each edge's endpoint is derived from a
+//! hash of `(vertex, edge index)` mapped through a power-law warp. This
+//! keeps multi-million-edge graphs cheap while preserving the page-access
+//! distribution over the rank array.
 //!
 //! The endpoint of edge `(v, i)` is computed in two halves:
 //! [`PowerLawGraph::neighbor_draw`] hashes the edge to a 53-bit draw `m`,
@@ -15,7 +16,9 @@
 //! is monotone in `m` and is the only costly step (a `powf`), so a caller
 //! that only needs a monotone function of the neighbor, such as the page of
 //! its rank entry, can replace the warp by a threshold table over draws
-//! (see [`crate::pagerank::RankPageTable`]).
+//! ([`crate::pagerank::RankPageTable`]). PageRank goes one step further
+//! and tabulates that page once per edge
+//! ([`crate::pagerank::PageRankWorkload::edge_pages`]).
 
 use pagesim_engine::rng::splitmix64;
 
@@ -78,11 +81,11 @@ pub(crate) fn least_draw(floor: u64, guess: u64, pred: impl Fn(u64) -> bool) -> 
 /// ```
 #[derive(Clone, Debug)]
 pub struct PowerLawGraph {
-    degrees: Vec<u32>,
+    /// CSR offsets: `offsets[v]` is `v`'s first edge and `offsets[V]` the
+    /// edge count, so `v`'s degree is `offsets[v + 1] - offsets[v]`.
     offsets: Vec<u64>,
     seed: u64,
     skew: f64,
-    edges: u64,
 }
 
 impl PowerLawGraph {
@@ -103,38 +106,33 @@ impl PowerLawGraph {
             .collect();
         let total: f64 = weights.iter().sum();
         let scale = target_edges as f64 / total;
-        let mut degrees = Vec::with_capacity(vertices as usize);
         let mut offsets = Vec::with_capacity(vertices as usize + 1);
         let mut acc = 0u64;
         for w in &weights {
-            let d = (w * scale).round().max(1.0) as u32;
             offsets.push(acc);
-            degrees.push(d);
-            acc += d as u64;
+            acc += (w * scale).round().max(1.0) as u32 as u64;
         }
         offsets.push(acc);
         PowerLawGraph {
-            degrees,
             offsets,
             seed,
             skew,
-            edges: acc,
         }
     }
 
     /// Number of vertices.
     pub fn vertices(&self) -> u32 {
-        self.degrees.len() as u32
+        (self.offsets.len() - 1) as u32
     }
 
     /// Total edges (sum of out-degrees).
     pub fn edges(&self) -> u64 {
-        self.edges
+        self.offsets[self.offsets.len() - 1]
     }
 
     /// Out-degree of `v`.
     pub fn degree(&self, v: u32) -> u32 {
-        self.degrees[v as usize]
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as u32
     }
 
     /// CSR offset of `v`'s first edge (drives the edges-array page walk).
@@ -179,7 +177,7 @@ impl PowerLawGraph {
     /// Maximum degree (the straggler hub).
     pub fn max_degree(&self) -> u32 {
         // Degrees descend by construction.
-        self.degrees[0]
+        self.degree(0)
     }
 }
 

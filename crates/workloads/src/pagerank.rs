@@ -22,26 +22,43 @@
 //!
 //! ## Rank pages without a `powf` per edge group
 //!
-//! Each edge group touches the rank page of one neighbor:
-//! `neighbor_of_draw(m) · 8 / PAGE_SIZE` for the group's 53-bit draw `m`.
-//! That page is a monotone step function of `m`: a multiply, a truncation
-//! and a division, each monotone, after a `powf` warp that is monotone up to
-//! its sub-ULP rounding error. So it is fixed by its thresholds `T_k`, the
-//! least draw whose page is `>= k`, one per rank page.
-//! [`RankPageTable::new`] finds each `T_k` once per workload. It starts
-//! from the analytic inverse of the warp, `(k · 512 / V)^(1 − skew) · 2^53`,
-//! and then gallops and bisects against `neighbor_of_draw` itself. The
-//! search evaluates the definition and makes no approximation, so every
-//! threshold is exact, and so is the table: `page(m) = k` exactly when
+//! Each edge group touches the rank page of one neighbor, the group's
+//! representative edge `(v, i)`: `neighbor(v, i) · 8 / PAGE_SIZE`. That page
+//! is a pure function of the graph seed, `v` and `i`, so
+//! [`PageRankWorkload::edge_pages`] resolves it once per edge and workload
+//! into a flat `u16` table indexed by the edge's CSR offset. A stream reads
+//! `edge_pages[offset(v) + i]`: one load, and the groups of one vertex lie
+//! `2 · edge_group` bytes apart, so a vertex walks its entries forward. The
+//! first [`Workload::streams`] call builds the table; every trial and
+//! stream then shares it.
+//!
+//! The build evaluates one neighbor page per edge, so it must not pay a
+//! `powf` for each. Edge `(v, i)` hashes to a 53-bit draw `m`
+//! ([`PowerLawGraph::neighbor_draw`]), and its page
+//! `neighbor_of_draw(m) · 8 / PAGE_SIZE` is a monotone step function of
+//! `m`: a multiply, a truncation and a division, each monotone, after a
+//! `powf` warp that is monotone up to its sub-ULP rounding error. So it is
+//! fixed by its thresholds `T_k`, the least draw whose page is `>= k`, one
+//! per rank page. [`RankPageTable::new`] finds each `T_k`. It starts from
+//! the analytic inverse of the warp, `(k · 512 / V)^(1 − skew) · 2^53`, and
+//! then gallops and bisects against `neighbor_of_draw` itself. The search
+//! evaluates the definition and makes no approximation, so every threshold
+//! is exact, and so is the table: `page(m) = k` exactly when
 //! `T_k <= m < T_{k+1}`. A lookup indexes a bucket array by the top bits of
 //! `m`. There are at least four buckets per rank page, so it then steps
 //! over at most a threshold or two. Rounding can only matter within a few
 //! draws of a page boundary, that is, of a threshold, and
-//! `tests/rank_pages.rs` checks the table against the definition on every
-//! draw within 64 of every threshold at every scale the figures use.
+//! `tests/rank_pages.rs` checks the threshold table against the definition
+//! on every draw within 64 of every threshold, and the edge table on every
+//! edge, at every scale the figures use. The threshold table lives only
+//! while the edge table is built.
+//!
+//! Entries are `u16`, so a workload has at most 2^16 rank pages, that is,
+//! 2^25 vertices: exactly the paper-native graph.
+//! [`PageRankWorkload::new`] rejects a larger one.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pagesim_engine::rng::derive_seed;
 use pagesim_mem::{AsId, EntropyClass, Vpn, PAGE_SIZE};
@@ -112,7 +129,11 @@ impl PageRankConfig {
 /// Ranks (8-byte `f64`s) per page of a rank array.
 const RANKS_PER_PAGE: u32 = (PAGE_SIZE / 8) as u32;
 
-/// The rank-array page each neighbor draw lands on, as a table lookup.
+/// Rank pages an edge-table entry can name: `u16` entries.
+const MAX_RANK_PAGES: u64 = 1 << 16;
+
+/// The rank-array page each neighbor draw lands on, as a table lookup: the
+/// builder of [`PageRankWorkload::edge_pages`].
 ///
 /// `page(m)` equals `graph.neighbor_of_draw(m) / RANKS_PER_PAGE` for every
 /// draw `m` (see the module docs for why the table is exact).
@@ -181,7 +202,9 @@ impl RankPageTable {
 pub struct PageRankWorkload {
     cfg: PageRankConfig,
     graph: Arc<PowerLawGraph>,
-    ranks: Arc<RankPageTable>,
+    /// The rank page of every edge, built by the first
+    /// [`Workload::streams`] call and shared by every clone.
+    edge_pages: Arc<OnceLock<Arc<[u16]>>>,
     offsets_pages: u32,
     edges_pages: u32,
     rank_pages: u32,
@@ -193,26 +216,58 @@ impl PageRankWorkload {
     /// The paper regenerates nothing between trials — the same input graph
     /// is used for all 25 executions — so the graph seed is separate from
     /// the per-trial stream seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rank array spans more than 2^16 pages (2^25
+    /// vertices), the most a `u16` edge-table entry can name.
     pub fn new(cfg: PageRankConfig, graph_seed: u64) -> Self {
         assert!(cfg.threads > 0 && cfg.iterations > 0);
         assert!(cfg.chunk > 0 && cfg.edge_group > 0);
+        let rank_pages = (cfg.vertices as u64 * 8).div_ceil(PAGE_SIZE as u64);
+        assert!(
+            rank_pages <= MAX_RANK_PAGES,
+            "{} vertices need {rank_pages} rank pages; u16 edge-table entries name at most 2^16",
+            cfg.vertices
+        );
         let graph = PowerLawGraph::new(cfg.vertices, cfg.edges, cfg.skew, graph_seed);
         let offsets_pages = ((cfg.vertices as u64 + 1) * 8).div_ceil(PAGE_SIZE as u64) as u32;
         let edges_pages = (graph.edges() * 4).div_ceil(PAGE_SIZE as u64) as u32;
-        let rank_pages = (cfg.vertices as u64 * 8).div_ceil(PAGE_SIZE as u64) as u32;
         PageRankWorkload {
             cfg,
-            ranks: Arc::new(RankPageTable::new(&graph)),
             graph: Arc::new(graph),
+            edge_pages: Arc::default(),
             offsets_pages,
             edges_pages,
-            rank_pages,
+            rank_pages: rank_pages as u32,
         }
     }
 
     /// The generated graph.
     pub fn graph(&self) -> &PowerLawGraph {
         &self.graph
+    }
+
+    /// The edge table, built on first use: entry `offset(v) + i` is the
+    /// rank page of edge `(v, i)`'s neighbor,
+    /// `graph.neighbor(v, i) · 8 / PAGE_SIZE`.
+    pub fn edge_pages(&self) -> &Arc<[u16]> {
+        self.edge_pages.get_or_init(|| {
+            let graph = &*self.graph;
+            let ranks = RankPageTable::new(graph);
+            // A `Range` mapped is `TrustedLen`, so this collects straight
+            // into the `Arc`'s one allocation.
+            let mut v = 0;
+            (0..graph.edges())
+                .map(|e| {
+                    while graph.edge_offset(v + 1) <= e {
+                        v += 1;
+                    }
+                    let i = (e - graph.edge_offset(v)) as u32;
+                    ranks.page(graph.neighbor_draw(v, i)) as u16
+                })
+                .collect()
+        })
     }
 
     fn layout(&self) -> Layout {
@@ -283,7 +338,7 @@ impl Workload for PageRankWorkload {
                     cfg: self.cfg,
                     layout: self.layout(),
                     graph: Arc::clone(&self.graph),
-                    ranks: Arc::clone(&self.ranks),
+                    edge_pages: Arc::clone(self.edge_pages()),
                     counters: Arc::clone(&counters),
                     nchunks,
                     nbr_salt: derive_seed(seed, &format!("pr-nbr-{t}")),
@@ -301,7 +356,7 @@ struct PageRankStream {
     cfg: PageRankConfig,
     layout: Layout,
     graph: Arc<PowerLawGraph>,
-    ranks: Arc<RankPageTable>,
+    edge_pages: Arc<[u16]>,
     counters: Arc<Vec<AtomicU32>>,
     nchunks: u32,
     /// Per-trial salt: decides which neighbor represents each edge group,
@@ -321,55 +376,63 @@ impl PageRankStream {
         }
     }
 
-    fn push(&mut self, vpn: Vpn, write: bool, cpu_ns: u32) {
-        self.buf.push(Op::Access {
-            space: AsId(0),
-            vpn,
-            write,
-            cpu_ns,
-        });
-    }
-
     /// Emits the ops of one vertex chunk.
     fn fill_chunk(&mut self, chunk: u32) {
         let (src_base, dst_base) = self.rank_bases();
-        let v_lo = chunk * self.cfg.chunk;
-        let v_hi = (v_lo + self.cfg.chunk).min(self.cfg.vertices);
-        let group = self.cfg.edge_group;
-        let cpu_group = self.cfg.cpu_per_edge_ns * group;
+        let PageRankStream {
+            cfg,
+            layout,
+            graph,
+            edge_pages,
+            nbr_salt,
+            buf,
+            ..
+        } = self;
+        let mut push = |vpn, write, cpu_ns| {
+            buf.push(Op::Access {
+                space: AsId(0),
+                vpn,
+                write,
+                cpu_ns,
+            })
+        };
+        let v_lo = chunk * cfg.chunk;
+        let v_hi = (v_lo + cfg.chunk).min(cfg.vertices);
+        let group = cfg.edge_group;
+        let cpu_group = cfg.cpu_per_edge_ns * group;
         let mut last_edge_page = u32::MAX;
         for v in v_lo..v_hi {
             // offsets[v]: one touch per offsets page actually crossed.
-            let off_vpn = self.layout.offsets_base + (v as u64 * 8 / PAGE_SIZE as u64) as u32;
+            let off_vpn = layout.offsets_base + (v as u64 * 8 / PAGE_SIZE as u64) as u32;
             if v == v_lo || (v as u64 * 8).is_multiple_of(PAGE_SIZE as u64) {
-                self.push(off_vpn, false, 8);
+                push(off_vpn, false, 8);
             }
-            let deg = self.graph.degree(v);
-            let first = self.graph.edge_offset(v);
+            let deg = graph.degree(v);
+            let first = graph.edge_offset(v);
             // Stream the CSR edge pages for this vertex.
             let e_pg_lo = (first * 4 / PAGE_SIZE as u64) as u32;
             let e_pg_hi = ((first + deg as u64) * 4 / PAGE_SIZE as u64) as u32;
             for pg in e_pg_lo..=e_pg_hi {
                 if pg != last_edge_page {
-                    self.push(self.layout.edges_base + pg, false, 16);
+                    push(layout.edges_base + pg, false, 16);
                     last_edge_page = pg;
                 }
             }
             // Gather neighbor ranks: one representative touch per edge
             // group, destination skewed toward hubs.
+            let pages = &edge_pages[first as usize..(first + deg as u64) as usize];
             let groups = deg.div_ceil(group);
             for gidx in 0..groups {
                 let rep_edge = (gidx * group
                     + (pagesim_engine::rng::splitmix64(
-                        self.nbr_salt ^ ((v as u64) << 24) ^ gidx as u64,
+                        *nbr_salt ^ ((v as u64) << 24) ^ gidx as u64,
                     ) % group as u64) as u32)
                     .min(deg - 1);
-                let vpn = src_base + self.ranks.page(self.graph.neighbor_draw(v, rep_edge));
-                self.push(vpn, false, cpu_group);
+                push(src_base + pages[rep_edge as usize] as u32, false, cpu_group);
             }
             // Write the new rank.
             let dst = dst_base + (v as u64 * 8 / PAGE_SIZE as u64) as u32;
-            self.push(dst, true, 8);
+            push(dst, true, 8);
         }
     }
 }
