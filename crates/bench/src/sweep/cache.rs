@@ -33,7 +33,7 @@ use pagesim::RunMetrics;
 
 /// On-disk entry layout version (independent of the body's
 /// `CACHE_FORMAT_VERSION`, which is part of the content hash).
-pub const CACHE_ENTRY_VERSION: u32 = 2;
+const CACHE_ENTRY_VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 

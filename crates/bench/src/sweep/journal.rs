@@ -44,7 +44,7 @@ use std::path::Path;
 use pagesim_trace::json::{escape, parse};
 
 /// Journal line format version.
-pub const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 1;
 
 /// The journal writer. All writes are best-effort: journalling failures
 /// degrade to "no checkpoint", never abort the sweep.
@@ -151,16 +151,6 @@ impl PriorRun {
     pub fn is_done(&self, hash: u64) -> bool {
         self.done.get(&hash).copied().unwrap_or(false)
     }
-
-    /// Trials the journal knows anything about.
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// True when the journal recorded nothing.
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
-    }
 }
 
 /// Reads a journal back into resume state. Unreadable files and malformed
@@ -211,7 +201,7 @@ mod tests {
         assert!(prior.is_done(0xA), "later line wins");
         assert!(prior.is_done(0xB));
         assert!(!prior.is_done(0xC));
-        assert_eq!(prior.len(), 2);
+        assert_eq!(prior.done.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -289,7 +279,7 @@ mod tests {
         let prior = load_prior(&path);
         assert!(!prior.is_done(0x1), "escaped text read as a status");
         assert!(!prior.is_done(0x2), "a torn line read as done");
-        assert_eq!(prior.len(), 1);
+        assert_eq!(prior.done.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

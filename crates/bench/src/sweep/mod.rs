@@ -15,11 +15,11 @@
 //!    spec queue and sends each outcome over a channel. Workers first
 //!    consult the on-disk cache ([`cache`]): entries are checksummed, so a
 //!    verified hit skips the simulation and a corrupt entry is quarantined
-//!    and recomputed. Each trial attempt runs behind [`isolation`]'s
-//!    `catch_unwind`: a panic costs one attempt, not the sweep; transient
-//!    failures retry up to [`SweepOptions::max_attempts`], then the trial
-//!    records a typed [`FailureKind`]. A worker that dies outside per-trial
-//!    isolation is respawned and its in-flight trial requeued.
+//!    and recomputed. Each trial attempt runs behind the `isolation`
+//!    module's `catch_unwind`: a panic costs one attempt, not the sweep;
+//!    transient failures retry up to [`SweepOptions::max_attempts`], then
+//!    the trial records a typed [`FailureKind`]. A worker that dies outside
+//!    per-trial isolation is respawned and its in-flight trial requeued.
 //! 3. **Merge** — results are placed by spec index and folded into
 //!    [`TrialSet`]s in canonical (enumeration) order, then installed into
 //!    the bench. Cells missing a trial become [`CellFailure`]s instead of

@@ -3,7 +3,7 @@
 //! Renders, for every cell of one figure, the Linux-named reclaim and
 //! working-set counters ([`pagesim::RunMetrics::vmstat`]) summed over the
 //! cell's trials, the merged refault-distance histogram, and trial 0's
-//! `lru_gen`-debugfs-style policy dump ([`Policy::introspect`]).
+//! `lru_gen`-debugfs-style policy dump ([`pagesim::RunMetrics::lru_gen`]).
 //!
 //! The report is a pure function of the bench scale and figure name:
 //! byte-identical for any `--jobs` value and any cache state (CI

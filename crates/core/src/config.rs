@@ -78,7 +78,7 @@ impl FaultConfig {
     }
 
     /// Hashes every field that changes simulation behavior.
-    pub fn hash_into(&self, h: &mut StableHasher) {
+    fn hash_into(&self, h: &mut StableHasher) {
         hash_plan(&self.plan, h);
         h.write_opt_u64(self.zram_capacity_bytes);
         h.write_u32(self.max_io_retries);
@@ -175,7 +175,7 @@ impl PolicyChoice {
     /// The fully-resolved MG-LRU configuration this choice builds, or
     /// `None` for Clock. The kernel injects the per-trial seed at build
     /// time, so the `seed` field returned here is a placeholder and is
-    /// excluded from [`PolicyChoice::hash_into`].
+    /// excluded from [`SystemConfig::stable_hash`].
     pub fn resolved_mglru(&self) -> Option<MgLruConfig> {
         match *self {
             PolicyChoice::Clock => None,
@@ -191,7 +191,7 @@ impl PolicyChoice {
     /// Hashes the resolved policy configuration. Two choices that build
     /// the same policy (e.g. `MgLruDefault` and
     /// `MgLruCustom(MgLruConfig::kernel_default())`) hash identically.
-    pub fn hash_into(&self, h: &mut StableHasher) {
+    fn hash_into(&self, h: &mut StableHasher) {
         match self.resolved_mglru() {
             None => h.write_str("clock"),
             Some(c) => {
@@ -401,16 +401,6 @@ impl SystemConfig {
         self.faults.hash_into(&mut h);
         h.finish()
     }
-
-    /// Human-readable cell id, e.g. `tpch/mglru/ssd/50%`.
-    pub fn cell_label(&self, workload: &str) -> String {
-        format!(
-            "{workload}/{}/{}/{:.0}%",
-            self.policy.label(),
-            self.swap.label(),
-            self.capacity_ratio * 100.0
-        )
-    }
 }
 
 #[cfg(test)]
@@ -441,8 +431,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(PolicyChoice::MgLruScanNone.label(), "scan-none");
         assert_eq!(SwapChoice::Zram.label(), "zram");
-        let c = SystemConfig::new(PolicyChoice::MgLruDefault, SwapChoice::Ssd);
-        assert_eq!(c.cell_label("tpch"), "tpch/mglru/ssd/50%");
     }
 
     #[test]

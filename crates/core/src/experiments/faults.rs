@@ -52,7 +52,7 @@ pub struct FaultsRow {
 
 impl FaultsRow {
     /// Degraded-device slowdown relative to the healthy run.
-    pub fn slowdown(&self) -> f64 {
+    fn slowdown(&self) -> f64 {
         if self.healthy_perf > 0.0 {
             self.faulty_perf / self.healthy_perf
         } else {

@@ -309,16 +309,6 @@ pub fn fig12(bench: &Bench) -> TailFigure {
     tails(bench, "fig12", SwapChoice::Zram, &[0.5])
 }
 
-impl TailFigure {
-    /// The p99.99 latency for a specific cell, for shape assertions.
-    pub fn p9999(&self, wl: Wl, policy: PolicyChoice, reads: bool) -> Option<u64> {
-        self.rows
-            .iter()
-            .find(|r| r.workload == wl && r.policy == policy && r.reads == reads)
-            .map(|r| r.tail_ns[4])
-    }
-}
-
 impl fmt::Display for TailFigure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -755,16 +745,6 @@ pub fn fig11(bench: &Bench) -> Fig11 {
         }
     }
     Fig11 { rows }
-}
-
-impl Fig11 {
-    /// The (runtime, fault) ratios for one cell.
-    pub fn ratios(&self, wl: Wl, policy: PolicyChoice) -> Option<(f64, f64)> {
-        self.rows
-            .iter()
-            .find(|r| r.workload == wl && r.policy == policy)
-            .map(|r| (r.runtime_ratio, r.fault_ratio))
-    }
 }
 
 impl fmt::Display for Fig11 {

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use pagesim_engine::rng::trial_seed;
 use pagesim_engine::Nanos;
-use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
 use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
@@ -244,7 +243,6 @@ pub struct Bench {
     ycsb_a: YcsbWorkload,
     ycsb_b: YcsbWorkload,
     ycsb_c: YcsbWorkload,
-    buffered: BufferedIoWorkload,
     cells: parking_lot::Mutex<BTreeMap<CellKey, Arc<TrialSet>>>,
 }
 
@@ -265,7 +263,6 @@ impl Bench {
             ycsb_b: ycsb_a.with_mix(YcsbMix::B),
             ycsb_c: ycsb_a.with_mix(YcsbMix::C),
             ycsb_a,
-            buffered: BufferedIoWorkload::new(BufferedIoConfig::default()),
             cells: parking_lot::Mutex::new(BTreeMap::new()),
         }
     }
@@ -286,11 +283,6 @@ impl Bench {
             config.page_compression = pc;
         }
         config
-    }
-
-    /// The buffered-I/O workload (tier/PID ablations).
-    pub fn buffered(&self) -> &BufferedIoWorkload {
-        &self.buffered
     }
 
     /// The workload `wl` names, built at this bench's scale.

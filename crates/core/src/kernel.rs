@@ -106,9 +106,9 @@ use crate::pagelock::PageLocks;
 use crate::workingset::ShadowArena;
 
 /// Records a trace event when a tracer is attached. Expands to nothing
-/// without the `trace` feature, so release figure builds carry no tracing
-/// code at all; with the feature on but no tracer attached the cost is
-/// one branch.
+/// without the `trace` feature. `pagesim-bench` always turns the feature
+/// on, so `repro` and pagebench carry the hooks; with no tracer attached
+/// each costs one branch.
 #[cfg(feature = "trace")]
 macro_rules! trace_event {
     ($self:expr, $t_ns:expr, $ev:expr) => {
@@ -1501,11 +1501,6 @@ impl Kernel {
             self.aging_asleep = true;
             (bg.cpu_ns, DispatchDecision::Blocked)
         }
-    }
-
-    /// Read-only access to live metrics (diagnostics/tests).
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
     }
 
     /// CONFIG_DEBUG_VM analog (the `sanitize` feature): a full structural

@@ -50,5 +50,5 @@ pub mod workingset;
 pub use config::{AppCosts, FaultConfig, PolicyChoice, SwapChoice, SystemConfig};
 pub use failure::{CellFailure, FailureKind};
 pub use kernel::{Kernel, SimError};
-pub use metrics::{Experiment, RunMetrics, TrialSet, CACHE_FORMAT_VERSION};
+pub use metrics::{CacheTextError, Experiment, RunMetrics, TrialSet, CACHE_FORMAT_VERSION};
 pub use stablehash::StableHasher;

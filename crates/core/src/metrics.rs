@@ -115,7 +115,7 @@ impl RunMetrics {
 
     /// Mean request latency across read and write requests, in ns
     /// (the paper normalizes YCSB by average request time).
-    pub fn mean_request_latency(&self) -> f64 {
+    fn mean_request_latency(&self) -> f64 {
         let n = self.read_latency.count() + self.write_latency.count();
         if n == 0 {
             return 0.0;
@@ -127,7 +127,7 @@ impl RunMetrics {
 
     /// Time the run spent in degraded mode: retry backoff sleeps plus
     /// injected device-stall delay.
-    pub fn degraded_ns(&self) -> Nanos {
+    fn degraded_ns(&self) -> Nanos {
         self.backoff_ns + self.swap_stats.stall_delay_ns
     }
 
@@ -569,11 +569,6 @@ impl Experiment {
     /// Creates an experiment for `config`.
     pub fn new(config: SystemConfig) -> Self {
         Experiment { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
     }
 
     /// One execution ("one reboot"), fully determined by `seed`.

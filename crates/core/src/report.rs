@@ -1,7 +1,5 @@
 //! Plain-text report formatting for the figure harnesses.
 
-use pagesim_stats::Summary;
-
 /// A simple aligned text table.
 ///
 /// ```rust
@@ -63,16 +61,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Formats a ratio like the paper's normalized bars.
-pub fn ratio(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a summary as `mean ± std [min, max]`.
-pub fn summary_line(s: &Summary) -> String {
-    format!("{:.3} ± {:.3} [{:.3}, {:.3}]", s.mean, s.std, s.min, s.max)
 }
 
 /// Formats nanoseconds as a human latency.

@@ -11,8 +11,6 @@ pub type BarrierId = usize;
 struct Barrier {
     parties: usize,
     waiting: Vec<ThreadId>,
-    /// Completed arrival rounds, for tests and phase accounting.
-    generation: u64,
 }
 
 /// A collection of reusable (cyclic) barriers.
@@ -50,7 +48,6 @@ impl BarrierSet {
         self.barriers.push(Barrier {
             parties,
             waiting: Vec::with_capacity(parties - 1),
-            generation: 0,
         });
         self.barriers.len() - 1
     }
@@ -69,7 +66,6 @@ impl BarrierSet {
             "thread {tid:?} arrived twice at barrier {id}"
         );
         if b.waiting.len() + 1 == b.parties {
-            b.generation += 1;
             Some(b.waiting.drain(..))
         } else {
             b.waiting.push(tid);
@@ -90,21 +86,10 @@ impl BarrierSet {
             if b.parties > 1 {
                 b.parties -= 1;
                 if b.waiting.len() == b.parties {
-                    b.generation += 1;
                     b.waiting.drain(..).for_each(&mut release);
                 }
             }
         }
-    }
-
-    /// Completed rounds of barrier `id`.
-    pub fn generation(&self, id: BarrierId) -> u64 {
-        self.barriers[id].generation
-    }
-
-    /// Threads currently blocked on barrier `id`.
-    pub fn waiting(&self, id: BarrierId) -> usize {
-        self.barriers[id].waiting.len()
     }
 }
 
@@ -118,21 +103,19 @@ mod tests {
         let b = bs.create(3);
         assert!(bs.arrive(b, ThreadId(0)).is_none());
         assert!(bs.arrive(b, ThreadId(1)).is_none());
-        assert_eq!(bs.waiting(b), 2);
+        assert_eq!(bs.barriers[b].waiting.len(), 2);
         let released: Vec<_> = bs.arrive(b, ThreadId(2)).unwrap().collect();
         assert_eq!(released, vec![ThreadId(0), ThreadId(1)]);
-        assert_eq!(bs.generation(b), 1);
-        assert_eq!(bs.waiting(b), 0);
+        assert!(bs.barriers[b].waiting.is_empty());
     }
 
     #[test]
     fn barrier_is_cyclic() {
         let mut bs = BarrierSet::new();
         let b = bs.create(2);
-        for round in 1..=5 {
+        for _ in 0..5 {
             assert!(bs.arrive(b, ThreadId(0)).is_none());
             assert!(bs.arrive(b, ThreadId(1)).is_some());
-            assert_eq!(bs.generation(b), round);
         }
     }
 
@@ -162,7 +145,6 @@ mod tests {
             departed(&mut bs, ThreadId(2)),
             vec![ThreadId(0), ThreadId(1)]
         );
-        assert_eq!(bs.generation(b), 1);
         // The barrier now has 2 parties.
         assert!(bs.arrive(b, ThreadId(0)).is_none());
         assert!(bs.arrive(b, ThreadId(1)).is_some());
@@ -176,7 +158,7 @@ mod tests {
         // ThreadId(0) dies while blocked at the barrier; nobody else is
         // waiting, so no round completes (2 parties remain, 0 waiting).
         assert_eq!(departed(&mut bs, ThreadId(0)), vec![]);
-        assert_eq!(bs.waiting(b), 0);
+        assert!(bs.barriers[b].waiting.is_empty());
         assert!(bs.arrive(b, ThreadId(1)).is_none());
         assert!(bs.arrive(b, ThreadId(2)).is_some());
     }
@@ -204,6 +186,6 @@ mod tests {
         assert!(bs.arrive(b1, ThreadId(0)).is_none());
         assert!(bs.arrive(b2, ThreadId(1)).is_none());
         assert!(bs.arrive(b1, ThreadId(2)).is_some());
-        assert_eq!(bs.waiting(b2), 1);
+        assert_eq!(bs.barriers[b2].waiting.len(), 1);
     }
 }

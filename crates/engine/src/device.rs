@@ -18,22 +18,6 @@
 use crate::faults::{FaultInjector, FaultStats, IoResult};
 use crate::time::{Nanos, SimTime};
 
-/// Counters describing device load.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Requests submitted (including ones that failed injection).
-    pub submitted: u64,
-    /// Total time requests spent queued before service started (includes
-    /// time spent waiting out stall windows).
-    pub queue_wait: Nanos,
-    /// Total time spent in service.
-    pub service: Nanos,
-    /// Maximum observed queue delay for a single request.
-    pub max_queue_wait: Nanos,
-    /// Requests rejected with an injected I/O error.
-    pub errors: u64,
-}
-
 /// A FIFO queue in front of `k` identical servers.
 ///
 /// ```rust
@@ -55,7 +39,6 @@ pub struct QueuedDevice {
     // and the common submit touches a handful of contiguous words.
     free_at: Vec<u64>,
     faults: Option<FaultInjector>,
-    stats: DeviceStats,
 }
 
 impl QueuedDevice {
@@ -69,7 +52,6 @@ impl QueuedDevice {
         QueuedDevice {
             free_at: vec![0; servers],
             faults: None,
-            stats: DeviceStats::default(),
         }
     }
 
@@ -86,17 +68,10 @@ impl QueuedDevice {
     pub fn submit(&mut self, now: SimTime, service: Nanos) -> IoResult<SimTime> {
         let eff = match self.faults.as_mut() {
             Some(f) => {
-                self.stats.submitted += 1;
-                if let Err(e) = f.check(now) {
-                    self.stats.errors += 1;
-                    return Err(e);
-                }
+                f.check(now)?;
                 f.delay(now)
             }
-            None => {
-                self.stats.submitted += 1;
-                now
-            }
+            None => now,
         };
         // The earliest-free server takes the request; re-insert its new
         // free time keeping the array sorted (shift left, place).
@@ -105,11 +80,6 @@ impl QueuedDevice {
         let pos = self.free_at[1..].partition_point(|&t| t <= done);
         self.free_at.copy_within(1..1 + pos, 0);
         self.free_at[pos] = done;
-
-        let wait = start - now.as_ns();
-        self.stats.queue_wait += wait;
-        self.stats.service += service;
-        self.stats.max_queue_wait = self.stats.max_queue_wait.max(wait);
         Ok(SimTime::from_ns(done))
     }
 
@@ -117,11 +87,6 @@ impl QueuedDevice {
     /// submissions.
     pub fn drained_at(&self) -> SimTime {
         SimTime::from_ns(*self.free_at.last().expect("k >= 1 servers"))
-    }
-
-    /// Load counters.
-    pub fn stats(&self) -> DeviceStats {
-        self.stats
     }
 
     /// Fault-injection counters (zero if no injector is attached).
@@ -151,22 +116,16 @@ mod tests {
     fn idle_device_serves_immediately() {
         let mut d = QueuedDevice::new(1);
         assert_eq!(d.submit(SimTime::from_ns(1000), 50).unwrap().as_ns(), 1050);
-        assert_eq!(d.stats().queue_wait, 0);
     }
 
     #[test]
-    fn queue_wait_accumulates_under_burst() {
+    fn burst_queues_behind_one_server() {
         let mut d = QueuedDevice::new(1);
         let t0 = SimTime::ZERO;
-        for _ in 0..4 {
-            d.submit(t0, 100).unwrap();
-        }
         // waits: 0, 100, 200, 300
-        let st = d.stats();
-        assert_eq!(st.queue_wait, 600);
-        assert_eq!(st.max_queue_wait, 300);
-        assert_eq!(st.submitted, 4);
-        assert_eq!(st.service, 400);
+        for done in [100, 200, 300, 400] {
+            assert_eq!(d.submit(t0, 100).unwrap().as_ns(), done);
+        }
         assert_eq!(d.drained_at().as_ns(), 400);
     }
 
@@ -220,8 +179,6 @@ mod tests {
             d.submit(SimTime::from_ns(1_000), 100),
             Err(IoError::Permanent)
         );
-        assert_eq!(d.stats().errors, 1);
-        assert_eq!(d.stats().submitted, 2);
     }
 
     #[test]
@@ -246,7 +203,6 @@ mod tests {
         // Inside the window: pushed to the end, wait charged from submit.
         let done = d.submit(SimTime::from_ns(5_500), 50).unwrap();
         assert_eq!(done.as_ns(), 7_050);
-        assert_eq!(d.stats().max_queue_wait, 1_500);
         assert_eq!(d.fault_stats().stalled_ops, 1);
         assert_eq!(d.fault_stats().stall_delay_ns, 1_500);
         // After the window: unaffected again.
@@ -267,6 +223,5 @@ mod tests {
             let b = inj.submit(now, 100 + i).unwrap();
             assert_eq!(a, b, "noop injector drifted at op {i}");
         }
-        assert_eq!(plain.stats(), inj.stats());
     }
 }

@@ -234,7 +234,7 @@ impl FaultInjector {
     }
 
     /// If `now` falls inside a stall window, the instant the window closes.
-    pub fn stall_end(&self, now: SimTime) -> Option<SimTime> {
+    fn stall_end(&self, now: SimTime) -> Option<SimTime> {
         let s = self.plan.stall.as_ref()?;
         let t = now.as_ns();
         if t < s.first_onset {
@@ -260,11 +260,6 @@ impl FaultInjector {
     /// What the injector has done so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 

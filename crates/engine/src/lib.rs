@@ -57,7 +57,7 @@ mod sched;
 mod time;
 
 pub use barrier::{BarrierId, BarrierSet};
-pub use device::{DeviceStats, QueuedDevice};
+pub use device::QueuedDevice;
 pub use event::EventQueue;
 pub use faults::{
     FaultInjector, FaultPlan, FaultStats, IoError, IoResult, PressureStep, StallPlan,

@@ -5,9 +5,6 @@
 //! SplitMix64, so adding a consumer never perturbs the streams of existing
 //! consumers (unlike drawing seeds sequentially from one RNG).
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 /// One round of SplitMix64: a high-quality 64-bit mixing function.
 ///
 /// ```rust
@@ -40,15 +37,9 @@ pub fn trial_seed(master: u64, index: u32) -> u64 {
     splitmix64(master.wrapping_add(0x5851_F42D_4C95_7F2Du64.wrapping_mul(index as u64 + 1)))
 }
 
-/// Builds a fast deterministic RNG from a derived seed.
-pub fn small_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
 
     #[test]
     fn derive_seed_depends_on_label() {
@@ -63,17 +54,6 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000 {
             assert!(seen.insert(trial_seed(99, i)), "collision at trial {i}");
-        }
-    }
-
-    #[test]
-    fn small_rng_is_reproducible() {
-        let mut r1 = small_rng(123);
-        let mut r2 = small_rng(123);
-        for _ in 0..16 {
-            let a: u64 = r1.random();
-            let b: u64 = r2.random();
-            assert_eq!(a, b);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::time::{Nanos, SimTime};
+use crate::time::Nanos;
 
 /// Identifies a simulated hardware thread.
 pub type CoreId = usize;
@@ -309,25 +309,9 @@ impl Scheduler {
             .map(|idx| ThreadId(idx as u32))
     }
 
-    /// The class `tid` was spawned with.
-    pub fn class_of(&self, tid: ThreadId) -> ThreadClass {
-        self.threads[tid.0 as usize].class
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> SchedStats {
         self.stats
-    }
-
-    /// Utilization helper: fraction of `elapsed` core-time spent running
-    /// threads, across all cores.
-    #[expect(clippy::float_arithmetic, reason = "report-only utilization")]
-    pub fn utilization(&self, elapsed_since: SimTime, now: SimTime, cores: usize) -> f64 {
-        let span = now.saturating_since(elapsed_since) as f64 * cores as f64;
-        if span == 0.0 {
-            return 0.0;
-        }
-        (self.stats.app_cpu + self.stats.kernel_cpu) as f64 / span
     }
 }
 
@@ -465,8 +449,6 @@ mod tests {
         s.slice_done(c1, t1, DispatchDecision::Blocked, 10);
         assert_eq!(s.running_on(c1), None);
         assert_eq!(s.running_on(c2), Some(t2));
-        assert_eq!(s.class_of(a), ThreadClass::App);
-        assert_eq!(s.class_of(k), ThreadClass::Kernel);
     }
 
     #[test]

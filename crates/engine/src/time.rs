@@ -48,12 +48,6 @@ impl SimTime {
         self.0
     }
 
-    /// Seconds since the epoch, as a float (for reporting only).
-    #[expect(clippy::float_arithmetic, reason = "report-only seconds")]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / SECOND as f64
-    }
-
     /// Duration from `earlier` to `self`, saturating at zero.
     pub fn saturating_since(self, earlier: SimTime) -> Nanos {
         self.0.saturating_sub(earlier.0)

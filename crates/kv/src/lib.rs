@@ -181,7 +181,7 @@ impl KvStore {
     }
 
     /// First page of an item's value.
-    pub fn item_page(&self, item: u32) -> Vpn {
+    fn item_page(&self, item: u32) -> Vpn {
         debug_assert!(item < self.cfg.items);
         if self.item_pages_each > 1 {
             self.bucket_pages + item * self.item_pages_each
@@ -224,20 +224,6 @@ impl KvStore {
             });
         }
         cpu_ns
-    }
-
-    /// Mean collision-chain length (diagnostics; should be ≈ load factor).
-    pub fn mean_chain_len(&self) -> f64 {
-        self.cfg.items as f64 / self.buckets() as f64
-    }
-
-    /// Longest collision chain (tail-latency contributor).
-    pub fn max_chain_len(&self) -> usize {
-        self.chain_start
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -295,8 +281,9 @@ mod tests {
     #[test]
     fn chains_are_short_at_unit_load() {
         let s = small();
-        assert!((s.mean_chain_len() - 1.0).abs() < 0.05);
-        assert!(s.max_chain_len() < 12, "max chain {}", s.max_chain_len());
+        assert_eq!(s.buckets(), s.items() as usize, "one bucket per item");
+        let max = (0..s.buckets() as u32).map(|b| s.chain(b).len()).max();
+        assert!(max.is_some_and(|m| m < 12), "max chain {max:?}");
     }
 
     #[test]

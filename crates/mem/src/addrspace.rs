@@ -4,7 +4,7 @@ use crate::arena::{PageArena, PageKey};
 use crate::phys::FrameId;
 use crate::pte::Pte;
 use crate::{
-    line_of, region_of, word_bit_of, AsId, LineIdx, RegionIdx, Vpn, PTES_PER_LINE, PTES_PER_REGION,
+    region_of, word_bit_of, AsId, LineIdx, RegionIdx, Vpn, PTES_PER_LINE, PTES_PER_REGION,
     PTES_PER_WORD, WORDS_PER_REGION,
 };
 
@@ -152,11 +152,6 @@ impl AddressSpace {
         }
     }
 
-    /// This space's id.
-    pub fn id(&self) -> AsId {
-        self.id
-    }
-
     /// Number of virtual pages.
     pub fn pages(&self) -> u32 {
         self.ptes.len() as u32
@@ -166,16 +161,6 @@ impl AddressSpace {
     pub fn key_of(&self, vpn: Vpn) -> PageKey {
         debug_assert!((vpn as usize) < self.ptes.len());
         self.base_key + vpn
-    }
-
-    /// Vpn of a key belonging to this space.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the key is outside this space's range.
-    pub fn vpn_of(&self, key: PageKey) -> Vpn {
-        debug_assert!(key >= self.base_key && key < self.base_key + self.pages());
-        key - self.base_key
     }
 
     /// First key of this space (keys are contiguous).
@@ -438,17 +423,6 @@ impl AddressSpace {
         }
         Ok(())
     }
-
-    /// The region containing `vpn` (convenience re-export of
-    /// [`region_of`]).
-    pub fn region_containing(&self, vpn: Vpn) -> RegionIdx {
-        region_of(vpn)
-    }
-
-    /// The cache line containing `vpn`.
-    pub fn line_containing(&self, vpn: Vpn) -> LineIdx {
-        line_of(vpn)
-    }
 }
 
 #[cfg(test)]
@@ -490,7 +464,6 @@ mod tests {
         let s = AddressSpace::new(AsId(1), 50, &mut arena);
         assert_eq!(s.base_key(), 100);
         assert_eq!(s.key_of(7), 107);
-        assert_eq!(s.vpn_of(107), 7);
         assert_eq!(arena.info(107).as_id, AsId(1));
     }
 

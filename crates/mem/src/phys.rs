@@ -73,7 +73,6 @@ pub struct PhysMem {
     free: Vec<FrameId>,
     watermarks: Watermarks,
     writeback_count: usize,
-    alloc_count: u64,
 }
 
 impl PhysMem {
@@ -91,7 +90,6 @@ impl PhysMem {
             free: (0..capacity as FrameId).rev().collect(),
             watermarks,
             writeback_count: 0,
-            alloc_count: 0,
         }
     }
 
@@ -110,11 +108,6 @@ impl PhysMem {
         self.writeback_count
     }
 
-    /// The configured watermarks.
-    pub fn watermarks(&self) -> Watermarks {
-        self.watermarks
-    }
-
     /// Whether free memory is below the background-reclaim wake threshold.
     pub fn below_low(&self) -> bool {
         self.free.len() < self.watermarks.low
@@ -127,7 +120,7 @@ impl PhysMem {
 
     /// Whether an allocation right now would dip into the reserve
     /// (requiring direct reclaim).
-    pub fn at_min(&self) -> bool {
+    fn at_min(&self) -> bool {
         self.free.len() <= self.watermarks.min
     }
 
@@ -147,7 +140,6 @@ impl PhysMem {
         debug_assert_eq!(self.state[frame as usize], FrameState::Free);
         self.owner[frame as usize] = Some(key);
         self.state[frame as usize] = FrameState::InUse;
-        self.alloc_count += 1;
         Some(frame)
     }
 
@@ -201,11 +193,6 @@ impl PhysMem {
         self.state[frame as usize] = FrameState::Free;
         self.writeback_count -= 1;
         self.free.push(frame);
-    }
-
-    /// Total successful allocations (demand + reserve).
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
     }
 }
 
@@ -388,13 +375,5 @@ mod tests {
         // tiny pools keep strict ordering
         let w = Watermarks::for_capacity(64);
         assert!(w.min < w.low && w.low < w.high && w.high < 64);
-    }
-
-    #[test]
-    fn alloc_count_increments() {
-        let mut pm = pool(16);
-        pm.allocate(0).unwrap();
-        pm.allocate_from_reserve(1).unwrap();
-        assert_eq!(pm.alloc_count(), 2);
     }
 }

@@ -103,11 +103,6 @@ impl Pte {
         self.0 &= !FLAG_ACCESSED;
         was
     }
-
-    /// Clears the dirty bit (after a successful write-back).
-    pub fn clear_dirty(&mut self) {
-        self.0 &= !FLAG_DIRTY;
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +159,6 @@ mod tests {
         p.set_accessed();
         p.test_and_clear_accessed();
         assert!(p.dirty());
-        p.clear_dirty();
-        assert!(!p.dirty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use pagesim_mem::{
-    AddressSpace, AsId, PageArena, PTES_PER_LINE, PTES_PER_REGION, PTES_PER_WORD, WORDS_PER_REGION,
+    region_of, AddressSpace, AsId, PageArena, PTES_PER_LINE, PTES_PER_REGION, PTES_PER_WORD,
+    WORDS_PER_REGION,
 };
 
 /// Reference model: one (present, accessed) pair per page, mutated with
@@ -93,7 +94,7 @@ proptest! {
                     // Aging-walk step over the region containing vpn: the
                     // harvested words must equal the model's accessed bits
                     // in ascending-vpn bit order, and clear them.
-                    let region = space.region_containing(vpn);
+                    let region = region_of(vpn);
                     let mut words = [0u64; WORDS_PER_REGION];
                     let examined = space.scan_region(region, &mut words);
                     let range = space.region_vpns(region);

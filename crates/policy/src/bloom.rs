@@ -76,15 +76,8 @@ impl BloomFilter {
     }
 
     /// Number of insertions since the last clear.
-    pub fn insertions(&self) -> u64 {
+    fn insertions(&self) -> u64 {
         self.insertions
-    }
-
-    /// Fraction of set bits (load factor), for diagnostics.
-    #[expect(clippy::float_arithmetic, reason = "report-only load factor")]
-    pub fn load(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / ((self.mask + 1) as f64)
     }
 }
 
@@ -158,11 +151,10 @@ mod tests {
     fn clear_resets() {
         let mut f = BloomFilter::new(10);
         f.insert(AsId(1), 7);
-        assert!(f.load() > 0.0);
         f.clear();
         assert!(!f.contains(AsId(1), 7));
         assert_eq!(f.insertions(), 0);
-        assert_eq!(f.load(), 0.0);
+        assert!(f.bits.iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -32,17 +32,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Calibrated defaults (see struct docs).
-    pub const fn default_model() -> CostModel {
-        CostModel {
-            rmap_walk_ns: 350,
-            pte_scan_ns: 6,
-            region_check_ns: 60,
-            list_op_ns: 25,
-            evict_fixed_ns: 1_200,
-        }
-    }
-
     /// Scales the *footprint-proportional* scan costs by a
     /// page-compression factor.
     ///
@@ -68,8 +57,15 @@ impl CostModel {
 }
 
 impl Default for CostModel {
+    /// Calibrated defaults (see struct docs).
     fn default() -> Self {
-        Self::default_model()
+        CostModel {
+            rmap_walk_ns: 350,
+            pte_scan_ns: 6,
+            region_check_ns: 60,
+            list_op_ns: 25,
+            evict_fixed_ns: 1_200,
+        }
     }
 }
 
@@ -83,10 +79,5 @@ mod tests {
         // The whole MG-LRU premise: a pointer chase costs far more than a
         // linearly scanned PTE.
         assert!(c.rmap_walk_ns > 20 * c.pte_scan_ns);
-    }
-
-    #[test]
-    fn default_trait_matches_const() {
-        assert_eq!(CostModel::default(), CostModel::default_model());
     }
 }

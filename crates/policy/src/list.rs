@@ -161,13 +161,6 @@ impl PageList {
         self.len -= 1;
     }
 
-    /// The page before `key` (toward the young end), for tail-to-head
-    /// traversal during scans.
-    pub fn prev_of(&self, nodes: &[Links], key: PageKey) -> Option<PageKey> {
-        let p = nodes[key as usize].prev;
-        (p != NIL).then_some(p)
-    }
-
     /// Iterates from tail (evict end) to head. For tests and debugging;
     /// scans in the policies walk manually so they can mutate.
     pub fn iter_from_back<'a>(&self, nodes: &'a [Links]) -> impl Iterator<Item = PageKey> + 'a {
@@ -260,19 +253,6 @@ mod tests {
         b.push_front(&mut nodes, 5);
         assert!(a.is_empty());
         assert_eq!(b.back(), Some(5));
-    }
-
-    #[test]
-    fn prev_of_walks_toward_head() {
-        let mut nodes = arena(10);
-        let mut l = PageList::new();
-        for k in [1u32, 2, 3] {
-            l.push_front(&mut nodes, k);
-        }
-        // list head->tail: 3,2,1
-        assert_eq!(l.prev_of(&nodes, 1), Some(2));
-        assert_eq!(l.prev_of(&nodes, 2), Some(3));
-        assert_eq!(l.prev_of(&nodes, 3), None);
     }
 
     #[test]

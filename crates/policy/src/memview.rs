@@ -60,11 +60,6 @@ pub trait MemView {
     fn region_present_count(&self, space: AsId, region: RegionIdx) -> u32;
 }
 
-/// Helper: the PMD region covering a vpn, re-exported for policies.
-pub fn region_of_vpn(vpn: Vpn) -> RegionIdx {
-    pagesim_mem::region_of(vpn)
-}
-
 /// In-memory [`MemView`] double for unit tests (one address space, direct
 /// control of every bit). Hidden from docs; exposed so downstream crates'
 /// tests can reuse it.
@@ -93,7 +88,6 @@ pub mod tests_support {
         pages: u32,
         resident: Vec<bool>,
         accessed: Vec<bool>,
-        dirty: Vec<bool>,
         file: Vec<bool>,
         /// Counters so tests can assert on probe traffic.
         pub rmap_probes: u64,
@@ -108,7 +102,6 @@ pub mod tests_support {
                 pages,
                 resident: vec![false; pages as usize],
                 accessed: vec![false; pages as usize],
-                dirty: vec![false; pages as usize],
                 file: vec![false; pages as usize],
                 rmap_probes: 0,
                 lines_scanned: 0,
@@ -120,7 +113,6 @@ pub mod tests_support {
             self.resident[k as usize] = v;
             if !v {
                 self.accessed[k as usize] = false;
-                self.dirty[k as usize] = false;
             }
         }
 
@@ -128,16 +120,8 @@ pub mod tests_support {
             self.accessed[k as usize] = v;
         }
 
-        pub fn set_dirty(&mut self, k: PageKey, v: bool) {
-            self.dirty[k as usize] = v;
-        }
-
         pub fn set_file_backed(&mut self, k: PageKey, v: bool) {
             self.file[k as usize] = v;
-        }
-
-        pub fn accessed_bit(&self, k: PageKey) -> bool {
-            self.accessed[k as usize]
         }
     }
 
@@ -159,8 +143,8 @@ pub mod tests_support {
             self.resident[key as usize]
         }
 
-        fn is_dirty(&self, key: PageKey) -> bool {
-            self.dirty[key as usize]
+        fn is_dirty(&self, _key: PageKey) -> bool {
+            false
         }
 
         fn rmap_test_clear_accessed(&mut self, key: PageKey) -> bool {

@@ -42,7 +42,7 @@ use crate::pid::{TierBalancer, MAX_TIERS};
 use crate::{BgOutcome, Policy, PolicyStats, ReclaimOutcome};
 
 /// The kernel keeps at least this many generations at all times.
-pub const MIN_NR_GENS: usize = 2;
+const MIN_NR_GENS: usize = 2;
 
 const NONE_SEQ: u64 = u64::MAX;
 
@@ -293,12 +293,6 @@ impl MgLru {
     pub fn nr_gens(&self) -> usize {
         self.gens.len()
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MgLruConfig {
-        &self.cfg
-    }
-
     fn gen_index(&self, seq: u64) -> usize {
         debug_assert!(seq >= self.min_seq() && seq <= self.max_seq());
         (seq - self.min_seq()) as usize

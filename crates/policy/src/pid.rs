@@ -27,7 +27,6 @@ pub struct PidController {
     kd: f64,
     integral: f64,
     last_error: f64,
-    output: f64,
 }
 
 impl PidController {
@@ -39,7 +38,6 @@ impl PidController {
             kd,
             integral: 0.0,
             last_error: 0.0,
-            output: 0.0,
         }
     }
 
@@ -52,20 +50,7 @@ impl PidController {
         self.integral = (self.integral + error).clamp(-100.0, 100.0);
         let derivative = error - self.last_error;
         self.last_error = error;
-        self.output = self.kp * error + self.ki * self.integral + self.kd * derivative;
-        self.output
-    }
-
-    /// The most recent output.
-    pub fn output(&self) -> f64 {
-        self.output
-    }
-
-    /// Resets accumulated state (new workload phase).
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.last_error = 0.0;
-        self.output = 0.0;
+        self.kp * error + self.ki * self.integral + self.kd * derivative
     }
 }
 
@@ -178,10 +163,7 @@ mod tests {
     fn integral_accumulates() {
         let mut pid = PidController::new(0.0, 1.0, 0.0);
         pid.update(1.0);
-        pid.update(1.0);
-        assert_eq!(pid.output(), 2.0);
-        pid.reset();
-        assert_eq!(pid.output(), 0.0);
+        assert_eq!(pid.update(1.0), 2.0);
     }
 
     #[test]
@@ -198,7 +180,7 @@ mod tests {
         for _ in 0..1000 {
             pid.update(10.0);
         }
-        assert!(pid.output() <= 100.0);
+        assert_eq!(pid.update(10.0), 100.0);
     }
 
     #[test]

@@ -24,68 +24,11 @@
 //! ```
 
 mod histogram;
-mod moments;
 mod regression;
 mod summary;
 mod ttest;
 
 pub use histogram::LatencyHistogram;
-pub use moments::Moments;
 pub use regression::{linear_regression, Regression};
 pub use summary::{percentile, Summary};
 pub use ttest::{welch_t_test, TTest};
-
-/// Normalizes each value in `xs` by `base`.
-///
-/// Used pervasively by the figure harnesses ("normalized to Clock-LRU",
-/// "normalized to default MG-LRU").
-///
-/// # Panics
-///
-/// Panics if `base` is zero or not finite.
-pub fn normalize(xs: &[f64], base: f64) -> Vec<f64> {
-    assert!(
-        base.is_finite() && base != 0.0,
-        "invalid normalization base"
-    );
-    xs.iter().map(|x| x / base).collect()
-}
-
-/// Geometric mean of strictly positive values.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or contains a non-positive value.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "geometric mean of empty slice");
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geometric mean requires positive values");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn normalize_divides() {
-        assert_eq!(normalize(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid normalization base")]
-    fn normalize_rejects_zero_base() {
-        normalize(&[1.0], 0.0);
-    }
-
-    #[test]
-    fn geomean_of_reciprocals_is_one() {
-        let g = geometric_mean(&[2.0, 0.5]);
-        assert!((g - 1.0).abs() < 1e-12);
-    }
-}

@@ -57,20 +57,10 @@ impl Summary {
         }
     }
 
-    /// Coefficient of variation (std/mean); `NaN` when the mean is zero.
-    pub fn cv(&self) -> f64 {
-        self.std / self.mean
-    }
-
     /// Max-to-min ratio — the paper quotes "nearly 3x between the fastest
     /// and slowest execution" style spreads.
     pub fn spread(&self) -> f64 {
         self.max / self.min
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
     }
 }
 
@@ -166,10 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn iqr_and_spread() {
+    fn spread_is_max_over_min() {
         let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.iqr(), 2.0);
         assert_eq!(s.spread(), 5.0);
-        assert!((s.cv() - s.std / 3.0).abs() < 1e-12);
     }
 }

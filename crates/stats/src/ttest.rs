@@ -65,10 +65,7 @@ fn mean_var(xs: &[f64]) -> (f64, f64, f64) {
 
 /// Two-sided p-value for |t| with `df` degrees of freedom:
 /// `P(|T| >= t) = I_{df/(df+t²)}(df/2, 1/2)`.
-///
-/// Crate-visible so the convergence module can invert it into critical
-/// values without duplicating the incomplete-beta machinery.
-pub(crate) fn student_t_two_sided_p(t_abs: f64, df: f64) -> f64 {
+fn student_t_two_sided_p(t_abs: f64, df: f64) -> f64 {
     let x = df / (df + t_abs * t_abs);
     incomplete_beta(df / 2.0, 0.5, x).clamp(0.0, 1.0)
 }

@@ -121,14 +121,6 @@ fn hist_of(xs: &[u64]) -> LatencyHistogram {
     h
 }
 
-fn moments_of(xs: &[f64]) -> pagesim_stats::Moments {
-    let mut m = pagesim_stats::Moments::new();
-    for &x in xs {
-        m.add(x);
-    }
-    m
-}
-
 proptest! {
     /// Histogram merge is commutative and associative *exactly*: the
     /// state is integer counters, so any merge tree over any partition
@@ -167,23 +159,6 @@ proptest! {
         prop_assert_eq!(merged.to_parts(), hist_of(&xs).to_parts());
     }
 
-    /// Moments merge is commutative bit-exactly (the Chan update only
-    /// uses symmetric sums and squared differences).
-    #[test]
-    fn moments_merge_commutes(
-        a in prop::collection::vec(-1e9f64..1e9, 0..100),
-        b in prop::collection::vec(-1e9f64..1e9, 0..100),
-    ) {
-        let (ma, mb) = (moments_of(&a), moments_of(&b));
-        let ab = ma.merged(&mb);
-        let ba = mb.merged(&ma);
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert_eq!(ab.mean().to_bits(), ba.mean().to_bits());
-        prop_assert_eq!(ab.variance().to_bits(), ba.variance().to_bits());
-        prop_assert_eq!(ab.min().to_bits(), ba.min().to_bits());
-        prop_assert_eq!(ab.max().to_bits(), ba.max().to_bits());
-    }
-
     /// `to_parts` → `from_parts` reconstructs any reachable histogram
     /// exactly: same counts, same summary statistics, same percentiles.
     #[test]
@@ -203,47 +178,6 @@ proptest! {
                 prop_assert_eq!(back.value_at_percentile(p), h.value_at_percentile(p));
             }
         }
-    }
-
-    /// `to_parts` → `from_parts` reconstructs any reachable accumulator
-    /// bit-for-bit, and `from_parts` accepts every reachable state.
-    #[test]
-    fn moments_parts_roundtrip(
-        xs in prop::collection::vec(-1e9f64..1e9, 0..200),
-    ) {
-        let m = moments_of(&xs);
-        let (n, mean, m2, min, max) = m.to_parts();
-        let back = pagesim_stats::Moments::from_parts(n, mean, m2, min, max)
-            .expect("reachable state must be accepted");
-        prop_assert_eq!(back.count(), m.count());
-        prop_assert_eq!(back.mean().to_bits(), m.mean().to_bits());
-        prop_assert_eq!(back.variance().to_bits(), m.variance().to_bits());
-        prop_assert_eq!(back.min().to_bits(), m.min().to_bits());
-        prop_assert_eq!(back.max().to_bits(), m.max().to_bits());
-    }
-
-    /// Any partition of a sample merges to the single-pass statistics up
-    /// to floating-point rounding, and min/max/count exactly.
-    #[test]
-    fn moments_merge_matches_any_partition(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..200),
-        cut_permille in 0u64..=1000,
-        cut2_permille in 0u64..=1000,
-    ) {
-        let cut = (xs.len() as u64 * cut_permille / 1000) as usize;
-        let rest = xs.len() - cut;
-        let cut2 = cut + (rest as u64 * cut2_permille / 1000) as usize;
-        let merged = moments_of(&xs[..cut])
-            .merged(&moments_of(&xs[cut..cut2]))
-            .merged(&moments_of(&xs[cut2..]));
-        let single = moments_of(&xs);
-        prop_assert_eq!(merged.count(), single.count());
-        prop_assert_eq!(merged.min().to_bits(), single.min().to_bits());
-        prop_assert_eq!(merged.max().to_bits(), single.max().to_bits());
-        let scale = 1.0 + single.mean().abs();
-        prop_assert!((merged.mean() - single.mean()).abs() <= 1e-9 * scale);
-        let vscale = 1.0 + single.variance().abs();
-        prop_assert!((merged.variance() - single.variance()).abs() <= 1e-6 * vscale);
     }
 }
 

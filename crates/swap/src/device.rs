@@ -360,17 +360,6 @@ impl ZramDevice {
     pub fn pool_high_water(&self) -> u64 {
         self.pool_high_water
     }
-
-    /// The configured pool bound, if any.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
-    }
-
-    /// The compression model in use.
-    pub fn compression(&self) -> &CompressionModel {
-        &self.model
-    }
-
     fn check_faults(&mut self, now: SimTime, cpu_ns: Nanos) -> Result<(), FailedIo> {
         if let Some(f) = self.faults.as_mut() {
             if let Err(error) = f.check(now) {

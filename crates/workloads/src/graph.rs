@@ -173,12 +173,6 @@ impl PowerLawGraph {
     pub(crate) fn skew(&self) -> f64 {
         self.skew
     }
-
-    /// Maximum degree (the straggler hub).
-    pub fn max_degree(&self) -> u32 {
-        // Degrees descend by construction.
-        self.degree(0)
-    }
 }
 
 #[cfg(test)]
@@ -202,11 +196,9 @@ mod tests {
     fn degrees_are_heavy_tailed() {
         let g = g();
         let mean = g.edges() as f64 / g.vertices() as f64;
-        assert!(
-            g.max_degree() as f64 > 20.0 * mean,
-            "hub degree {} vs mean {mean}",
-            g.max_degree()
-        );
+        // Degrees descend by construction: vertex 0 is the straggler hub.
+        let hub = g.degree(0);
+        assert!(hub as f64 > 20.0 * mean, "hub degree {hub} vs mean {mean}");
         assert!(g.degree(9_999) >= 1, "every vertex has an edge");
     }
 

@@ -54,7 +54,7 @@ impl YcsbMix {
     }
 
     /// Workload letter.
-    pub fn letter(self) -> char {
+    fn letter(self) -> char {
         match self {
             YcsbMix::A => 'a',
             YcsbMix::B => 'b',

@@ -1,16 +1,6 @@
 //! # pagesim-repro
 //!
-//! Umbrella crate for the `pagesim` reproduction of *"Characterizing
+//! Umbrella package for the `pagesim` reproduction of *"Characterizing
 //! Emerging Page Replacement Policies for Memory-Intensive Applications"*
 //! (IISWC 2024). It hosts the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`), and re-exports the workspace
-//! crates for convenience.
-
-pub use pagesim;
-pub use pagesim_engine;
-pub use pagesim_kv;
-pub use pagesim_mem;
-pub use pagesim_policy;
-pub use pagesim_stats;
-pub use pagesim_swap;
-pub use pagesim_workloads;
+//! cross-crate integration tests (`tests/`); the library itself is empty.
