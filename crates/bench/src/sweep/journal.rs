@@ -153,15 +153,19 @@ impl PriorRun {
     }
 }
 
-/// Reads a journal back into resume state. Unreadable files and malformed
-/// lines (a torn last line included) yield an empty/partial prior — resume
-/// then just re-runs more.
+/// Reads a journal back into resume state. An unreadable file yields an
+/// empty prior; a malformed line (a torn last line, or one that is not
+/// UTF-8) is skipped alone — resume then just re-runs more.
 pub fn load_prior(path: &Path) -> PriorRun {
     let mut prior = PriorRun::default();
-    let Ok(text) = fs::read_to_string(path) else {
+    let Ok(bytes) = fs::read(path) else {
         return prior;
     };
-    for line in text.lines() {
+    for line in bytes.split(|&b| b == b'\n') {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let Ok(line) = std::str::from_utf8(line) else {
+            continue;
+        };
         let Ok(rec) = parse(line) else { continue };
         let field = |key| rec.get(key).and_then(|v| v.as_str());
         if field("kind") != Some("trial") {

@@ -1543,8 +1543,8 @@ impl Kernel {
     fn check_invariants_full(&self) {
         self.mem.phys.check_invariants();
 
-        // Sidecar accessed/present bitmaps against the PTE array and the
-        // per-region population counts.
+        // Accessed bits only on present PTEs, and the per-region present
+        // counts against the PTE array.
         for space in &self.mem.spaces {
             if let Err(e) = space.check_bitmap_coherence() {
                 panic!("sanitize: pte-bitmap: {e}");

@@ -140,7 +140,7 @@ mod tests {
         let (mask, examined) = m.scan_line_mask(AsId(1), 0);
         assert_eq!((mask, examined), (1 << 1, 8));
         assert_eq!(m.key_at(AsId(1), 1), 101);
-        assert!(!m.space(AsId(1)).pte(1).accessed(), "scan clears the bit");
+        assert!(!m.space(AsId(1)).accessed(1), "scan clears the bit");
         // region scan on the other space: vpn 1 of space 1 is untouched
         m.space_mut(AsId(1)).mark_accessed(1, false);
         let mut words = [0u64; WORDS_PER_REGION];

@@ -22,40 +22,22 @@ pub struct CoherenceError {
     pub kind: CoherenceKind,
 }
 
-/// The specific bitmap/PTE disagreement behind a [`CoherenceError`].
+/// The specific disagreement behind a [`CoherenceError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoherenceKind {
-    /// `present` bitmap bit disagrees with `Pte::present()`.
-    PresentBit {
-        /// Page whose bit disagrees.
+    /// An accessed bit is set on a page whose PTE is not present.
+    AccessedNotPresent {
+        /// Page whose bit is set.
         vpn: Vpn,
-        /// The bitmap's value (the PTE holds the opposite).
-        bitmap: bool,
     },
-    /// `accessed` bitmap bit disagrees with `Pte::accessed()`.
-    AccessedBit {
-        /// Page whose bit disagrees.
-        vpn: Vpn,
-        /// The bitmap's value (the PTE holds the opposite).
-        bitmap: bool,
-    },
-    /// Bits set past the last page in the final partial word.
+    /// Accessed bits set past the last page in the final partial word.
     TailBits,
-    /// Region present-count out of sync with the bitmap popcount.
+    /// Region present-count out of sync with the region's PTEs.
     RegionPresent {
         /// Region whose counter disagrees.
         region: RegionIdx,
-        /// Popcount of the region's bitmap words.
-        bits: u32,
-        /// Incrementally maintained counter value.
-        count: u32,
-    },
-    /// Region young-count out of sync with the bitmap popcount.
-    RegionYoung {
-        /// Region whose counter disagrees.
-        region: RegionIdx,
-        /// Popcount of the region's bitmap words.
-        bits: u32,
+        /// Present PTEs in the region.
+        ptes: u32,
         /// Incrementally maintained counter value.
         count: u32,
     },
@@ -65,34 +47,20 @@ impl std::fmt::Display for CoherenceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let space = self.space;
         match self.kind {
-            CoherenceKind::PresentBit { vpn, bitmap } => write!(
+            CoherenceKind::AccessedNotPresent { vpn } => write!(
                 f,
-                "space {space:?} vpn {vpn}: present bit {bitmap} but PTE present {}",
-                !bitmap
-            ),
-            CoherenceKind::AccessedBit { vpn, bitmap } => write!(
-                f,
-                "space {space:?} vpn {vpn}: accessed bit {bitmap} but PTE accessed {}",
-                !bitmap
+                "space {space:?} vpn {vpn}: accessed bit set but PTE not present"
             ),
             CoherenceKind::TailBits => {
-                write!(f, "space {space:?}: bitmap bits set beyond the last page")
+                write!(f, "space {space:?}: accessed bits set beyond the last page")
             }
             CoherenceKind::RegionPresent {
                 region,
-                bits,
+                ptes,
                 count,
             } => write!(
                 f,
-                "space {space:?} region {region}: {bits} present bits but count {count}"
-            ),
-            CoherenceKind::RegionYoung {
-                region,
-                bits,
-                count,
-            } => write!(
-                f,
-                "space {space:?} region {region}: {bits} accessed bits but count {count}"
+                "space {space:?} region {region}: {ptes} present PTEs but count {count}"
             ),
         }
     }
@@ -106,32 +74,24 @@ impl std::fmt::Display for CoherenceError {
 /// table matter for walk cost, which the cost model charges, not for
 /// policy-visible state.
 ///
-/// ## Sidecar bitmaps
+/// ## Accessed bitmap
 ///
-/// Next to the `Vec<Pte>` the space keeps packed `present` and `accessed`
-/// bitmaps (one bit per PTE, 64 PTEs per `u64` word) plus per-PMD-region
-/// population counts of present and accessed ("young") PTEs. The `Vec<Pte>`
-/// stays authoritative; every mutation goes through methods on this type so
-/// the bitmaps never diverge (the real kernel's sparse accessed-bit
-/// harvesting plays the same trick). Scans then cost 8 word loads per
-/// 512-PTE region when cold — or one counter load when the region has no
-/// young pages at all — instead of 512 branchy PTE reads, while producing
-/// byte-identical results and visit order.
+/// Each page's accessed bit lives in one place: a packed bitmap next to
+/// the `Vec<Pte>` (one bit per page, 64 pages per `u64` word), which the
+/// MMU touch sets and every policy scan reads and clears. The PTE keeps
+/// present, dirty and the frame or swap slot; per-PMD-region counts of
+/// present PTEs let linear walks skip unmapped table areas. A region scan
+/// reads its 8 words (one 64-byte line) instead of 512 branchy PTE reads,
+/// with the visit order and examined counts a per-PTE walk would give.
 #[derive(Debug)]
 pub struct AddressSpace {
     id: AsId,
     base_key: PageKey,
     ptes: Vec<Pte>,
-    /// Bit `vpn % 64` of word `vpn / 64` mirrors `ptes[vpn].present()`.
-    present: Vec<u64>,
-    /// Bit `vpn % 64` of word `vpn / 64` mirrors `ptes[vpn].accessed()`.
+    /// Bit `vpn % 64` of word `vpn / 64` is the accessed bit of `vpn`.
     accessed: Vec<u64>,
-    /// Present PTEs per PMD region (`popcount` of the region's `present`
-    /// words, maintained incrementally).
+    /// Present PTEs per PMD region, maintained incrementally.
     region_present: Vec<u32>,
-    /// Accessed PTEs per PMD region — zero lets a scan skip the whole
-    /// region without touching the bitmap.
-    region_young: Vec<u32>,
 }
 
 impl AddressSpace {
@@ -139,16 +99,12 @@ impl AddressSpace {
     /// `arena`.
     pub fn new(id: AsId, pages: u32, arena: &mut PageArena) -> Self {
         let base_key = arena.register_space(id, pages);
-        let words = (pages as usize).div_ceil(PTES_PER_WORD);
-        let regions = (pages as usize).div_ceil(PTES_PER_REGION);
         AddressSpace {
             id,
             base_key,
             ptes: vec![Pte::empty(); pages as usize],
-            present: vec![0; words],
-            accessed: vec![0; words],
-            region_present: vec![0; regions],
-            region_young: vec![0; regions],
+            accessed: vec![0; (pages as usize).div_ceil(PTES_PER_WORD)],
+            region_present: vec![0; (pages as usize).div_ceil(PTES_PER_REGION)],
         }
     }
 
@@ -173,43 +129,43 @@ impl AddressSpace {
         self.ptes[vpn as usize]
     }
 
-    /// Installs a mapping after a fault.
-    pub fn map(&mut self, vpn: Vpn, frame: FrameId) {
+    /// Whether `vpn` has been touched since its accessed bit was last
+    /// cleared.
+    pub fn accessed(&self, vpn: Vpn) -> bool {
         let (w, b) = word_bit_of(vpn);
-        if self.accessed[w] & b != 0 {
-            self.accessed[w] &= !b;
-            self.region_young[region_of(vpn) as usize] -= 1;
-        }
-        if self.present[w] & b == 0 {
-            self.present[w] |= b;
+        self.accessed[w] & b != 0
+    }
+
+    /// Installs a mapping after a fault. The accessed bit starts clear
+    /// (the faulting access sets it); remapping a present page keeps its
+    /// region count.
+    pub fn map(&mut self, vpn: Vpn, frame: FrameId) {
+        let pte = &mut self.ptes[vpn as usize];
+        if !pte.present() {
             self.region_present[region_of(vpn) as usize] += 1;
         }
-        self.ptes[vpn as usize].set_mapped(frame);
+        pte.set_mapped(frame);
+        self.test_and_clear_accessed(vpn);
     }
 
     /// Unmaps the page into swap slot `slot`.
     pub fn set_swapped(&mut self, vpn: Vpn, slot: u32) {
-        self.drop_bits(vpn);
+        self.unmap(vpn);
         self.ptes[vpn as usize].set_swapped(slot);
     }
 
     /// Clears the mapping entirely (page discarded without a swap slot,
     /// e.g. a clean file page, or a dying thread's table).
     pub fn clear_mapping(&mut self, vpn: Vpn) {
-        self.drop_bits(vpn);
+        self.unmap(vpn);
         self.ptes[vpn as usize].clear();
     }
 
-    /// Drops the sidecar present/accessed bits of `vpn` ahead of a PTE
-    /// write that clears its hardware bits.
-    fn drop_bits(&mut self, vpn: Vpn) {
-        let (w, b) = word_bit_of(vpn);
-        if self.accessed[w] & b != 0 {
-            self.accessed[w] &= !b;
-            self.region_young[region_of(vpn) as usize] -= 1;
-        }
-        if self.present[w] & b != 0 {
-            self.present[w] &= !b;
+    /// Drops `vpn`'s accessed bit and region count ahead of a PTE write
+    /// that unmaps it.
+    fn unmap(&mut self, vpn: Vpn) {
+        self.test_and_clear_accessed(vpn);
+        if self.ptes[vpn as usize].present() {
             self.region_present[region_of(vpn) as usize] -= 1;
         }
     }
@@ -221,15 +177,12 @@ impl AddressSpace {
     /// Panics (debug) if the page is not present — callers must fault first.
     pub fn mark_accessed(&mut self, vpn: Vpn, write: bool) {
         let pte = &mut self.ptes[vpn as usize];
-        pte.set_accessed();
+        debug_assert!(pte.present(), "accessed bit on non-present PTE");
         if write {
             pte.set_dirty();
         }
         let (w, b) = word_bit_of(vpn);
-        if self.accessed[w] & b == 0 {
-            self.accessed[w] |= b;
-            self.region_young[region_of(vpn) as usize] += 1;
-        }
+        self.accessed[w] |= b;
     }
 
     /// Sets the dirty bit without touching accessed state (fd writes that
@@ -242,17 +195,13 @@ impl AddressSpace {
         self.ptes[vpn as usize].set_dirty();
     }
 
-    /// Reverse-map probe: test-and-clear the accessed bit of one PTE.
-    /// Bitmap-first — a cold page answers from the sidecar word without
-    /// touching the PTE array.
+    /// Reverse-map probe: test-and-clear the accessed bit of one page.
     pub fn test_and_clear_accessed(&mut self, vpn: Vpn) -> bool {
         let (w, b) = word_bit_of(vpn);
-        if self.accessed[w] & b == 0 {
-            return false;
-        }
-        self.accessed[w] &= !b;
-        self.region_young[region_of(vpn) as usize] -= 1;
-        self.ptes[vpn as usize].test_and_clear_accessed()
+        let word = &mut self.accessed[w];
+        let was = *word & b != 0;
+        *word &= !b;
+        was
     }
 
     /// Number of PTE cache lines.
@@ -284,33 +233,21 @@ impl AddressSpace {
     /// vpn `region*512 + w*64 + i` was present and accessed; all bits are
     /// cleared) and returns how many PTEs were examined (for cost
     /// accounting — clamped region size, identical to a per-PTE walk).
+    /// An all-zero word is only read, never written.
     pub fn scan_region(&mut self, region: RegionIdx, words: &mut [u64; WORDS_PER_REGION]) -> u32 {
         let range = self.region_vpns(region);
-        let examined = range.end - range.start;
-        if self.region_young[region as usize] == 0 {
-            // No young PTEs anywhere in the region: 1 counter load.
-            *words = [0; WORDS_PER_REGION];
-            return examined;
-        }
-        let first_word = range.start as usize / PTES_PER_WORD;
-        for (i, slot) in words.iter_mut().enumerate() {
-            let Some(word) = self.accessed.get_mut(first_word + i) else {
-                *slot = 0;
-                continue;
-            };
-            let mask = std::mem::take(word);
-            *slot = mask;
-            // Keep the authoritative PTE flags coherent: only the set
-            // bits cost a PTE write.
-            let mut bits = mask;
-            while bits != 0 {
-                let vpn = range.start + i as u32 * PTES_PER_WORD as u32 + bits.trailing_zeros();
-                bits &= bits - 1;
-                self.ptes[vpn as usize].test_and_clear_accessed();
+        let first_word = region as usize * WORDS_PER_REGION;
+        let end_word = self.accessed.len().min(first_word + WORDS_PER_REGION);
+        *words = [0; WORDS_PER_REGION];
+        for (slot, word) in words
+            .iter_mut()
+            .zip(&mut self.accessed[first_word..end_word])
+        {
+            if *word != 0 {
+                *slot = std::mem::take(word);
             }
         }
-        self.region_young[region as usize] = 0;
-        examined
+        range.end - range.start
     }
 
     /// Test-and-clear accessed bits over one PTE cache line, returning
@@ -322,21 +259,13 @@ impl AddressSpace {
         if range.is_empty() {
             return (0, 0);
         }
-        let examined = range.end - range.start;
         let (w, _) = word_bit_of(range.start);
         let shift = range.start % PTES_PER_WORD as u32;
         let mask = ((self.accessed[w] >> shift) & 0xFF) as u8;
         if mask != 0 {
             self.accessed[w] &= !((mask as u64) << shift);
-            self.region_young[region_of(range.start) as usize] -= mask.count_ones();
-            let mut bits = mask;
-            while bits != 0 {
-                let vpn = range.start + bits.trailing_zeros();
-                bits &= bits - 1;
-                self.ptes[vpn as usize].test_and_clear_accessed();
-            }
         }
-        (mask, examined)
+        (mask, range.end - range.start)
     }
 
     /// Present PTEs in a region (lets linear walks skip unmapped table
@@ -345,81 +274,46 @@ impl AddressSpace {
         self.region_present[region as usize]
     }
 
-    /// Accessed PTEs in a region since the last scan. O(1).
-    pub fn region_young_count(&self, region: RegionIdx) -> u32 {
-        self.region_young[region as usize]
-    }
-
     /// Number of resident pages in the whole space.
     pub fn resident_pages(&self) -> u32 {
         self.region_present.iter().sum()
     }
 
-    /// Verifies the sidecar bitmaps and region counters against the
-    /// authoritative `Vec<Pte>`. Cold diagnostic for the sanitize invariant
-    /// sweep and property tests; returns the first mismatch. Allocation-free:
-    /// the error carries indices only and formats lazily via `Display`, so
-    /// the sweep itself stays clean under the hot-path lint.
+    /// Checks what the accessed bitmap and region counts must agree on
+    /// with the `Vec<Pte>`: accessed bits only on present pages and none
+    /// past the last page, and each region's count equal to its present
+    /// PTEs. Cold diagnostic for the sanitize invariant sweep and property
+    /// tests; returns the first mismatch. Allocation-free: the error
+    /// carries indices only and formats lazily via `Display`, so the sweep
+    /// itself stays clean under the hot-path lint.
     pub fn check_bitmap_coherence(&self) -> Result<(), CoherenceError> {
-        for vpn in 0..self.pages() {
-            let pte = self.ptes[vpn as usize];
-            let (w, b) = word_bit_of(vpn);
-            let bit = self.present[w] & b != 0;
-            if bit != pte.present() {
-                return Err(CoherenceError {
-                    space: self.id,
-                    kind: CoherenceKind::PresentBit { vpn, bitmap: bit },
-                });
+        let fail = |kind| {
+            Err(CoherenceError {
+                space: self.id,
+                kind,
+            })
+        };
+        for region in 0..self.regions() {
+            let mut ptes = 0;
+            for vpn in self.region_vpns(region) {
+                if self.ptes[vpn as usize].present() {
+                    ptes += 1;
+                } else if self.accessed(vpn) {
+                    return fail(CoherenceKind::AccessedNotPresent { vpn });
+                }
             }
-            let bit = self.accessed[w] & b != 0;
-            if bit != pte.accessed() {
-                return Err(CoherenceError {
-                    space: self.id,
-                    kind: CoherenceKind::AccessedBit { vpn, bitmap: bit },
+            let count = self.region_present[region as usize];
+            if ptes != count {
+                return fail(CoherenceKind::RegionPresent {
+                    region,
+                    ptes,
+                    count,
                 });
             }
         }
         let tail = self.pages() as usize % PTES_PER_WORD;
-        if tail != 0 {
-            let last = self.present.len() - 1;
-            let beyond = !((1u64 << tail) - 1);
-            if self.present[last] & beyond != 0 || self.accessed[last] & beyond != 0 {
-                return Err(CoherenceError {
-                    space: self.id,
-                    kind: CoherenceKind::TailBits,
-                });
-            }
-        }
-        for region in 0..self.regions() {
-            let first_word = region as usize * WORDS_PER_REGION;
-            let words =
-                &self.present[first_word..self.present.len().min(first_word + WORDS_PER_REGION)];
-            let bits: u32 = words.iter().map(|w| w.count_ones()).sum();
-            let count = self.region_present[region as usize];
-            if bits != count {
-                return Err(CoherenceError {
-                    space: self.id,
-                    kind: CoherenceKind::RegionPresent {
-                        region,
-                        bits,
-                        count,
-                    },
-                });
-            }
-            let words =
-                &self.accessed[first_word..self.accessed.len().min(first_word + WORDS_PER_REGION)];
-            let bits: u32 = words.iter().map(|w| w.count_ones()).sum();
-            let count = self.region_young[region as usize];
-            if bits != count {
-                return Err(CoherenceError {
-                    space: self.id,
-                    kind: CoherenceKind::RegionYoung {
-                        region,
-                        bits,
-                        count,
-                    },
-                });
-            }
+        if tail != 0 && self.accessed.last().is_some_and(|w| w >> tail != 0) {
+            return fail(CoherenceKind::TailBits);
         }
         Ok(())
     }
@@ -482,12 +376,16 @@ mod tests {
         let (mut s, _) = space(16);
         for vpn in [0u32, 2, 9] {
             s.map(vpn, vpn as FrameId + 100);
-            s.mark_accessed(vpn, false);
+            s.mark_accessed(vpn, true);
         }
         let (mask, examined) = s.scan_line_mask(0);
         assert_eq!(examined, 8);
         assert_eq!(line_hits(0, mask), vec![0, 2]);
-        assert!(!s.pte(0).accessed());
+        assert!(!s.accessed(0));
+        assert!(
+            s.pte(0).dirty() && s.pte(0).frame() == Some(100),
+            "the scan keeps the PTE"
+        );
         // second scan finds nothing
         let (mask, _) = s.scan_line_mask(0);
         assert_eq!(mask, 0);
@@ -502,14 +400,17 @@ mod tests {
         let (mut s, _) = space(1200);
         for vpn in [0u32, 2, 63, 64, 300, 511, 512, 1199] {
             s.map(vpn, vpn as FrameId + 7);
-            s.mark_accessed(vpn, false);
+            s.mark_accessed(vpn, true);
         }
         let mut words = [0u64; WORDS_PER_REGION];
         let examined = s.scan_region(0, &mut words);
         assert_eq!(examined, 512);
         assert_eq!(region_hits(0, &words), vec![0, 2, 63, 64, 300, 511]);
-        assert_eq!(s.region_young_count(0), 0);
-        assert!(!s.pte(0).accessed());
+        assert!(!s.accessed(0));
+        assert!(
+            s.pte(0).dirty() && s.pte(0).frame() == Some(7),
+            "the scan keeps the PTE"
+        );
         // a second scan over a now-cold region reports nothing
         let examined = s.scan_region(0, &mut words);
         assert_eq!((examined, words), (512, [0u64; WORDS_PER_REGION]));
@@ -550,11 +451,15 @@ mod tests {
             s.map(vpn, vpn as FrameId);
             s.mark_accessed(vpn, true);
         }
-        assert_eq!(s.region_young_count(0), 4);
         s.set_swapped(0, 1);
         s.clear_mapping(1);
         s.map(2, 77); // remap clears hardware bits
-        assert_eq!(s.region_young_count(0), 1);
+        assert_eq!(s.region_present_count(0), 2);
+        assert_eq!(
+            (0..4).map(|v| s.accessed(v)).collect::<Vec<_>>(),
+            [false, false, false, true]
+        );
+        assert!(!s.pte(2).dirty(), "remap clears dirty");
         let (mask, _) = s.scan_line_mask(0);
         assert_eq!(line_hits(0, mask), vec![3]);
         s.check_bitmap_coherence().unwrap();
@@ -565,10 +470,14 @@ mod tests {
         let (mut s, _) = space(8);
         s.map(5, 1);
         assert!(!s.test_and_clear_accessed(5));
-        s.mark_accessed(5, false);
+        s.mark_accessed(5, true);
         assert!(s.test_and_clear_accessed(5));
         assert!(!s.test_and_clear_accessed(5));
-        assert!(!s.pte(5).accessed());
+        assert!(!s.accessed(5));
+        assert!(
+            s.pte(5).dirty() && s.pte(5).frame() == Some(1),
+            "the probe keeps the PTE"
+        );
         s.check_bitmap_coherence().unwrap();
     }
 
@@ -578,11 +487,35 @@ mod tests {
         s.map(1, 7);
         s.mark_accessed(1, true);
         assert!(s.pte(1).dirty());
-        assert!(s.pte(1).accessed());
+        assert!(s.accessed(1));
         s.mark_accessed(1, false);
         assert!(s.pte(1).dirty(), "reads must not clear dirty");
         s.set_dirty(1);
         assert!(s.pte(1).dirty());
         s.check_bitmap_coherence().unwrap();
+    }
+
+    #[test]
+    fn coherence_check_names_each_disagreement() {
+        let kind = |s: &AddressSpace| s.check_bitmap_coherence().map_err(|e| e.kind);
+        let (mut s, _) = space(100);
+        s.map(4, 1);
+        s.mark_accessed(4, false);
+        assert_eq!(kind(&s), Ok(()));
+        s.accessed[0] |= 1 << 5;
+        assert_eq!(kind(&s), Err(CoherenceKind::AccessedNotPresent { vpn: 5 }));
+        s.accessed[0] &= !(1 << 5);
+        s.accessed[1] |= 1 << 40;
+        assert_eq!(kind(&s), Err(CoherenceKind::TailBits));
+        s.accessed[1] = 0;
+        s.region_present[0] = 2;
+        assert_eq!(
+            kind(&s),
+            Err(CoherenceKind::RegionPresent {
+                region: 0,
+                ptes: 1,
+                count: 2
+            })
+        );
     }
 }

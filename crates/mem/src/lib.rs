@@ -1,9 +1,11 @@
 //! # pagesim-mem
 //!
 //! The simulated memory substrate beneath the `pagesim` replacement-policy
-//! study: page-table entries with hardware-maintained accessed/dirty bits,
-//! per-address-space leaf page tables with x86-64 leaf geometry, a physical
-//! frame pool with Linux-style watermarks, and reverse-map ownership.
+//! study: per-address-space leaf page tables with x86-64 leaf geometry
+//! (page-table entries carrying present and dirty bits, and one packed
+//! accessed bitmap per space that the MMU touch sets and policy scans
+//! clear), a physical frame pool with Linux-style watermarks, and
+//! reverse-map ownership.
 //!
 //! ## Geometry
 //!
@@ -25,7 +27,7 @@
 //! let frame = phys.allocate(space.key_of(3)).unwrap();
 //! space.map(3, frame);
 //! space.mark_accessed(3, false);
-//! assert!(space.pte(3).accessed());
+//! assert!(space.pte(3).present() && space.accessed(3));
 //! ```
 
 // H4: simulated state is integer arithmetic, identical on every host.
@@ -59,11 +61,11 @@ pub const PTES_PER_REGION: usize = 512;
 /// Cache lines per PMD region.
 pub const LINES_PER_REGION: usize = PTES_PER_REGION / PTES_PER_LINE;
 
-/// PTEs covered by one word of the sidecar accessed/present bitmaps.
+/// Pages covered by one word of an address space's accessed bitmap.
 pub const PTES_PER_WORD: usize = 64;
 
-/// Bitmap words per PMD region — a cold region costs this many word loads
-/// to scan instead of [`PTES_PER_REGION`] branchy PTE reads.
+/// Accessed-bitmap words per PMD region — one 64-byte line, which a region
+/// scan reads instead of [`PTES_PER_REGION`] branchy PTE reads.
 pub const WORDS_PER_REGION: usize = PTES_PER_REGION / PTES_PER_WORD;
 
 /// Identifies a simulated address space (process).

@@ -3,29 +3,27 @@
 use crate::phys::FrameId;
 
 const FLAG_PRESENT: u64 = 1 << 0;
-const FLAG_ACCESSED: u64 = 1 << 1;
-const FLAG_DIRTY: u64 = 1 << 2;
-const FLAG_SWAPPED: u64 = 1 << 3;
+const FLAG_DIRTY: u64 = 1 << 1;
+const FLAG_SWAPPED: u64 = 1 << 2;
 const PAYLOAD_SHIFT: u32 = 8;
 const PAYLOAD_MASK: u64 = 0xFFFF_FFFF << PAYLOAD_SHIFT;
 
 /// A simulated page-table entry.
 ///
-/// Mirrors the bits the studied policies actually consume: *present*,
-/// *accessed* (set by the simulated MMU on every touch, cleared by policy
-/// scans), *dirty* (set on stores, decides whether eviction needs a
-/// write-back), plus a payload holding either the backing frame (present)
-/// or the swap slot (swapped out).
+/// Holds *present*, *dirty* (set on stores, decides whether eviction
+/// needs a write-back) and a payload holding either the backing frame
+/// (present) or the swap slot (swapped out). The accessed bit the policies
+/// scan lives in the owning [`AddressSpace`](crate::AddressSpace)'s bitmap,
+/// not here.
 ///
 /// ```rust
 /// use pagesim_mem::Pte;
 /// let mut pte = Pte::empty();
 /// assert!(!pte.present());
 /// pte.set_mapped(42);
-/// pte.set_accessed();
+/// pte.set_dirty();
 /// assert_eq!(pte.frame(), Some(42));
-/// assert!(pte.test_and_clear_accessed());
-/// assert!(!pte.accessed());
+/// assert!(pte.dirty());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Pte(u64);
@@ -39,11 +37,6 @@ impl Pte {
     /// Whether the page is resident in a physical frame.
     pub const fn present(self) -> bool {
         self.0 & FLAG_PRESENT != 0
-    }
-
-    /// Whether the hardware accessed bit is set.
-    pub const fn accessed(self) -> bool {
-        self.0 & FLAG_ACCESSED != 0
     }
 
     /// Whether the page has been written since the last clean.
@@ -68,8 +61,8 @@ impl Pte {
             .then_some(((self.0 & PAYLOAD_MASK) >> PAYLOAD_SHIFT) as u32)
     }
 
-    /// Maps the page to `frame`, clearing any swap state. Accessed and
-    /// dirty bits start clear (the faulting access will set them).
+    /// Maps the page to `frame`, clearing any swap state. The dirty bit
+    /// starts clear (a faulting store sets it).
     pub fn set_mapped(&mut self, frame: FrameId) {
         self.0 = FLAG_PRESENT | ((frame as u64) << PAYLOAD_SHIFT);
     }
@@ -85,23 +78,10 @@ impl Pte {
         self.0 = 0;
     }
 
-    /// Hardware sets the accessed bit on a touch.
-    pub fn set_accessed(&mut self) {
-        debug_assert!(self.present(), "accessed bit on non-present PTE");
-        self.0 |= FLAG_ACCESSED;
-    }
-
     /// Hardware sets the dirty bit on a store.
     pub fn set_dirty(&mut self) {
         debug_assert!(self.present(), "dirty bit on non-present PTE");
         self.0 |= FLAG_DIRTY;
-    }
-
-    /// Policy scan primitive: reads and clears the accessed bit.
-    pub fn test_and_clear_accessed(&mut self) -> bool {
-        let was = self.accessed();
-        self.0 &= !FLAG_ACCESSED;
-        was
     }
 }
 
@@ -112,7 +92,7 @@ mod tests {
     #[test]
     fn empty_pte_maps_nothing() {
         let p = Pte::empty();
-        assert!(!p.present() && !p.swapped() && !p.accessed() && !p.dirty());
+        assert!(!p.present() && !p.swapped() && !p.dirty());
         assert_eq!(p.frame(), None);
         assert_eq!(p.swap_slot(), None);
     }
@@ -133,32 +113,10 @@ mod tests {
     fn mapping_clears_hardware_bits() {
         let mut p = Pte::empty();
         p.set_mapped(1);
-        p.set_accessed();
         p.set_dirty();
         p.set_mapped(2);
-        assert!(!p.accessed());
         assert!(!p.dirty());
         assert_eq!(p.frame(), Some(2));
-    }
-
-    #[test]
-    fn test_and_clear_semantics() {
-        let mut p = Pte::empty();
-        p.set_mapped(9);
-        assert!(!p.test_and_clear_accessed());
-        p.set_accessed();
-        assert!(p.test_and_clear_accessed());
-        assert!(!p.test_and_clear_accessed());
-    }
-
-    #[test]
-    fn dirty_survives_accessed_clear() {
-        let mut p = Pte::empty();
-        p.set_mapped(3);
-        p.set_dirty();
-        p.set_accessed();
-        p.test_and_clear_accessed();
-        assert!(p.dirty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the sidecar accessed/present bitmaps: under
-//! arbitrary mutation sequences the word-level scans must stay
-//! observationally identical to a naive per-PTE walk over the
-//! authoritative `Vec<Pte>`, and [`AddressSpace::check_bitmap_coherence`]
-//! must hold after every single operation.
+//! Property tests for the accessed bitmap and the per-region present
+//! counts: under arbitrary mutation sequences the word-level scans must
+//! stay observationally identical to a naive per-page walk over a
+//! reference model, each page's PTE present bit and bitmap accessed bit
+//! must match the model, and [`AddressSpace::check_bitmap_coherence`] must
+//! hold after every single operation.
 
 use proptest::prelude::*;
 
@@ -31,7 +32,7 @@ fn check_mirror(space: &AddressSpace, model: &[ModelPte]) -> Result<(), String> 
         let pte = space.pte(vpn as u32);
         prop_assert_eq!(pte.present(), m.present, "present mismatch at vpn {}", vpn);
         prop_assert_eq!(
-            pte.accessed(),
+            space.accessed(vpn as u32),
             m.accessed,
             "accessed mismatch at vpn {}",
             vpn
@@ -43,8 +44,8 @@ fn check_mirror(space: &AddressSpace, model: &[ModelPte]) -> Result<(), String> 
 }
 
 proptest! {
-    /// Random op soup: every mutator keeps the bitmaps, the region
-    /// counters, and the PTE flags in lockstep with the model.
+    /// Random op soup: every mutator keeps the accessed bitmap, the region
+    /// counters, and the PTE present flags in lockstep with the model.
     #[test]
     fn bitmaps_mirror_ptes_under_random_ops(
         ops in prop::collection::vec((0u8..7, 0u32..PAGES), 1..400),
@@ -151,13 +152,9 @@ proptest! {
                 PTES_PER_LINE.min(PAGES as usize - range.start as usize) as u32
             );
         }
-        // Everything harvested: a second pass over every line is all-zero
-        // and the young counters agree.
+        // Everything harvested: a second pass over every line is all-zero.
         for line in 0..space.lines() {
             prop_assert_eq!(space.scan_line_mask(line).0, 0);
-        }
-        for region in 0..space.regions() {
-            prop_assert_eq!(space.region_young_count(region), 0);
         }
         check_mirror(&space, &model)?;
     }

@@ -12,7 +12,7 @@ use pagesim_policy::{
 };
 
 /// Single-space [`MemView`] over the real word-level [`AddressSpace`]
-/// bitmaps — the production fast path, driven here head-to-head against
+/// accessed bitmap — the production fast path, driven here head-to-head against
 /// [`FakeMem`], whose scans are naive per-PTE loops over `Vec<bool>`.
 struct BitmapMem {
     space: AddressSpace,
@@ -362,7 +362,7 @@ proptest! {
     }
 
     /// Same head-to-head for Clock, whose only scan primitive is the rmap
-    /// probe: the bitmap-first `test_and_clear_accessed` answers exactly
+    /// probe: the bitmap's `test_and_clear_accessed` answers exactly
     /// like the reference bit array.
     #[test]
     fn clock_rmap_probes_match_per_pte_reference(

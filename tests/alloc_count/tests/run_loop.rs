@@ -10,16 +10,21 @@
 //! pool. Between them these run device stalls, transient I/O errors with
 //! retries, injected ZRAM errors, aborted evictions, ZRAM pool
 //! rejections, pressure balloons, SIGBUS-style and OOM kills, and killed
-//! threads leaving PageRank's barriers.
+//! threads leaving PageRank's barriers. The buffered-I/O workload (tiny
+//! and default configurations, both policies, both media) runs
+//! file-backed pages through fd reads and MG-LRU's refault tiers and PID
+//! controller; it never writes a file page, so file write-back is not
+//! counted.
 //!
 //! Each counted run must also produce the same metrics as the plain
 //! `Kernel::run` of the same cell, so the count is of the real run.
 
 use alloc_count::{count, Counts, Uncounted};
 use pagesim::experiments::{CellQuery, Scale, Wl};
-use pagesim::{FaultConfig, Kernel, PolicyChoice, RunMetrics, SwapChoice};
+use pagesim::{FaultConfig, Kernel, PolicyChoice, RunMetrics, SwapChoice, SystemConfig};
 use pagesim_engine::rng::trial_seed;
 use pagesim_engine::{FaultPlan, PressureStep, MILLISECOND, SECOND};
+use pagesim_workloads::buffered::{BufferedIoConfig, BufferedIoWorkload};
 use pagesim_workloads::pagerank::{PageRankConfig, PageRankWorkload};
 use pagesim_workloads::tpch::{TpchConfig, TpchWorkload};
 use pagesim_workloads::ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
@@ -49,37 +54,40 @@ fn smoke_workload(wl: Wl) -> Box<dyn Workload> {
     }
 }
 
-/// Counts trial 0 of `q`'s run loop and checks that the counted run is the
-/// plain run of the same cell.
-fn counted_run(q: &CellQuery, workload: &dyn Workload) -> (RunMetrics, Counts) {
-    let config = q.system_config();
+/// A counted cell: its name in reports, its system and its workload.
+type Cell<'a> = (String, SystemConfig, &'a dyn Workload);
+
+fn cell(q: CellQuery, workload: &dyn Workload) -> Cell<'_> {
+    (q.ident(), q.system_config(), workload)
+}
+
+/// Counts trial 0 of a cell's run loop and checks that the counted run is
+/// the plain run of the same cell.
+fn counted_run((ident, config, workload): &Cell) -> (RunMetrics, Counts) {
     let seed = trial_seed(Scale::smoke().seed, 0);
-    let mut kernel = Kernel::build(&config, &Uncounted(workload), seed);
+    let mut kernel = Kernel::build(config, &Uncounted(*workload), seed);
     let ((), counts) = count(|| kernel.run_loop());
     let metrics = kernel.finalize();
-    let plain = Kernel::build(&config, workload, seed).run();
+    let plain = Kernel::build(config, *workload, seed).run();
     assert_eq!(
         metrics.to_cache_text(),
         plain.to_cache_text(),
-        "{}: the counted run differs from the plain run",
-        q.ident()
+        "{ident}: the counted run differs from the plain run"
     );
-    assert_eq!(metrics.error, None, "{}: run ended in an error", q.ident());
+    assert_eq!(metrics.error, None, "{ident}: run ended in an error");
     (metrics, counts)
 }
 
 /// Runs every cell and reports all that allocated at once.
-fn assert_allocation_free(cells: &[(CellQuery, &dyn Workload)]) -> Vec<RunMetrics> {
+fn assert_allocation_free(cells: &[Cell]) -> Vec<RunMetrics> {
     let mut bad = Vec::new();
     let mut runs = Vec::new();
-    for (q, workload) in cells {
-        let (m, c) = counted_run(q, *workload);
-        if c != Counts::default() {
+    for c in cells {
+        let (m, counts) = counted_run(c);
+        if counts != Counts::default() {
             bad.push(format!(
                 "{}: {} allocs, {} reallocs",
-                q.ident(),
-                c.allocs,
-                c.reallocs
+                c.0, counts.allocs, counts.reallocs
             ));
         }
         runs.push(m);
@@ -96,7 +104,7 @@ fn healthy(wl: Wl) {
     let workload = smoke_workload(wl);
     let cells: Vec<_> = POLICIES
         .iter()
-        .flat_map(|&p| SWAPS.map(|s| (CellQuery::healthy(wl, p, s, 0.5), &*workload)))
+        .flat_map(|&p| SWAPS.map(|s| cell(CellQuery::healthy(wl, p, s, 0.5), &*workload)))
         .collect();
     assert_allocation_free(&cells);
 }
@@ -124,6 +132,31 @@ fn ycsb_b_run_loop_allocates_nothing() {
 #[test]
 fn ycsb_c_run_loop_allocates_nothing() {
     healthy(Wl::YcsbC);
+}
+
+/// File-backed pages (see the module doc). The MG-LRU cells must protect
+/// a tier, so the refault tiers and PID controller run.
+#[test]
+fn buffered_io_run_loops_allocate_nothing() {
+    let workloads = [
+        ("tiny", BufferedIoWorkload::new(BufferedIoConfig::tiny())),
+        ("default", BufferedIoWorkload::new(BufferedIoConfig::default())),
+    ];
+    let mut cells: Vec<Cell> = Vec::new();
+    for (size, workload) in &workloads {
+        for policy in POLICIES {
+            for swap in SWAPS {
+                let ident = format!("buffered-io {size}/{}/{swap:?}", policy.label());
+                let config = SystemConfig::new(policy, swap).capacity_ratio(0.5);
+                cells.push((ident, config, workload));
+            }
+        }
+    }
+    let runs = assert_allocation_free(&cells);
+    for ((ident, config, _), m) in cells.iter().zip(&runs) {
+        let mglru = config.policy == PolicyChoice::MgLruDefault;
+        assert!(!mglru || m.policy.tier_protected > 0, "{ident}: no tier protected");
+    }
 }
 
 /// The kernel golden's fault cell: transient swap-in errors, a balloon
@@ -183,7 +216,7 @@ fn faulted_run_loops_allocate_nothing() {
     for (wl, workload) in [(Wl::Tpch, &*tpch), (Wl::YcsbA, &*ycsb_a)] {
         for policy in POLICIES {
             let q = CellQuery::faulted(wl, policy, Ssd, 0.5, FaultConfig::stalling_ssd());
-            cells.push((q, workload));
+            cells.push(cell(q, workload));
         }
     }
     for (wl, workload, policy, swap, faults) in [
@@ -195,7 +228,8 @@ fn faulted_run_loops_allocate_nothing() {
         // Injected errors on ZRAM, beside update writes on the same path.
         (Wl::YcsbA, &*ycsb_a, MgLruDefault, Zram, harsh_faults()),
     ] {
-        cells.push((CellQuery::faulted(wl, policy, swap, 0.5, faults), workload));
+        let q = CellQuery::faulted(wl, policy, swap, 0.5, faults);
+        cells.push(cell(q, workload));
     }
     let runs = assert_allocation_free(&cells);
 
