@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--scale smoke|default|paper|paper-native] [--seed N] [--trials N]
 //!       [--jobs N] [--cache-dir DIR | --no-cache]
-//!       [--journal FILE] [--resume FILE] [--max-attempts N]
-//!       [--trial-budget NS] [--chaos SPEC]
+//!       [--journal FILE] [--trial-budget NS] [--chaos SPEC]
 //!       [fig1 fig2 ... | faults | all]
 //! repro trace <fig> [--cell N] [--trial N] [--trace-out FILE]...
 //!       [--sample-interval NS] [--trace-events N] [--list]
@@ -31,11 +30,13 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every trial runs isolated: a panic costs one attempt (retried up to
-//! `--max-attempts`, default 3), not the run. Progress is checkpointed to
-//! an append-only JSONL journal (default: `<cache-dir>/run-journal.jsonl`;
-//! `--journal` to relocate) and `--resume FILE` continues an interrupted
-//! run from it, producing byte-identical figure output. Cache entries are
+//! Every trial runs isolated: a panic costs one attempt (three in all),
+//! not the run. The cell cache is the checkpoint: each finished trial is
+//! durable there, so rerunning an interrupted command with the same
+//! `--cache-dir` serves what finished and runs the rest, producing
+//! byte-identical figure output. Each run also writes an append-only JSONL
+//! journal of its trial outcomes (default: `<cache-dir>/run-journal.jsonl`;
+//! `--journal` to relocate), which nothing reads back. Cache entries are
 //! checksummed; a corrupt entry is quarantined (renamed `*.quarantine`)
 //! and recomputed, never parsed. Cells that still fail after retries
 //! become explicit `# HOLE` comment lines in place of the affected
@@ -50,16 +51,17 @@
 //! and cache state (CI golden-diffs `vmstat_fig1.txt`).
 //!
 //! `trace` and `vmstat` sweep with the same options as a figure run
-//! (`--max-attempts`, `--trial-budget` and `--chaos` included) but keep
-//! no journal, so `--journal` and `--resume` are usage errors with them.
+//! (`--trial-budget` and `--chaos` included) but keep no journal, so
+//! `--journal` is a usage error with them.
 //! If a cell still fails, they exit 3 with the failure report instead of
 //! rendering.
 //!
 //! Host performance is measured by `pagebench` (see `BENCHMARK.json`),
 //! not by this binary.
 //!
-//! Exit codes: 0 success, 2 usage (including an unknown figure id, which
-//! is rejected before any sweep runs and leaves stdout empty),
+//! Exit codes: 0 success, 2 usage (including an unknown figure id or an
+//! argument that is not UTF-8, both rejected before any sweep runs, with
+//! stdout left empty),
 //! 3 completed with failed cells, 4 sweep aborted before merging (chaos
 //! `abort-after`).
 //!
@@ -79,8 +81,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale smoke|default|paper|paper-native] [--seed N] [--trials N]\n\
          \x20            [--jobs N] [--cache-dir DIR | --no-cache] [--journal FILE]\n\
-         \x20            [--resume FILE] [--max-attempts N] [--trial-budget NS]\n\
-         \x20            [--chaos SPEC] [fig1..fig12 | faults | all]\n\
+         \x20            [--trial-budget NS] [--chaos SPEC] [fig1..fig12 | faults | all]\n\
          \x20      repro trace <fig> [--cell N] [--trial N] [--trace-out FILE]...\n\
          \x20            [--sample-interval NS] [--trace-events N] [--list]\n\
          \x20      repro vmstat <fig>\n\
@@ -91,9 +92,6 @@ fn usage() -> ! {
          --cache-dir D       cell cache directory (default: .pagesim-cache)\n\
          --no-cache          disable the on-disk cell cache\n\
          --journal F         run journal path (default: <cache-dir>/run-journal.jsonl)\n\
-         --resume F          resume from journal F, skipping trials it records\n\
-         \x20                    as done (still verified against the cache)\n\
-         --max-attempts N    attempts per trial before recording a failure (default 3)\n\
          --trial-budget NS   per-trial simulated-time budget; exceeding it is a\n\
          \x20                    timeout failure (deterministic, host-independent)\n\
          --chaos SPEC        inject seeded harness faults, e.g.\n\
@@ -159,8 +157,6 @@ fn main() {
     let mut jobs = default_jobs();
     let mut cache_dir = Some(std::path::PathBuf::from(".pagesim-cache"));
     let mut journal: Option<std::path::PathBuf> = None;
-    let mut resume = false;
-    let mut max_attempts = 3u32;
     let mut trial_budget: Option<u64> = None;
     let mut chaos: Option<ChaosPlan> = None;
     let mut trace_outs: Vec<std::path::PathBuf> = Vec::new();
@@ -168,7 +164,9 @@ fn main() {
     let mut trial = 0u32;
     let mut trace_cfg = TraceConfig::default();
     let mut list_cells = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args_os()
+        .skip(1)
+        .map(|a| a.into_string().unwrap_or_else(|_| usage()));
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -211,18 +209,6 @@ fn main() {
                 let v = args.next().unwrap_or_else(|| usage());
                 journal = Some(std::path::PathBuf::from(v));
             }
-            "--resume" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                journal = Some(std::path::PathBuf::from(v));
-                resume = true;
-            }
-            "--max-attempts" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                max_attempts = v.parse().unwrap_or_else(|_| usage());
-                if max_attempts == 0 {
-                    usage();
-                }
-            }
             "--trial-budget" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 trial_budget = Some(v.parse().unwrap_or_else(|_| usage()));
@@ -260,7 +246,6 @@ fn main() {
     let mut opts = SweepOptions {
         jobs,
         cache_dir,
-        max_attempts,
         trial_budget,
         chaos,
         ..SweepOptions::default()
@@ -297,16 +282,16 @@ fn main() {
         usage();
     }
     if figs.is_empty() || figs.iter().any(|f| f == "all") {
-        figs = (1..=12).map(|i| format!("fig{i}")).collect();
+        figs = experiments::EXPERIMENTS
+            .iter()
+            .filter(|e| e.id != "faults")
+            .map(|e| e.id.to_owned())
+            .collect();
     }
 
-    // Journalling defaults on whenever the cache does: the journal is the
-    // checkpoint `--resume` needs, and it lives next to the cache entries.
-    if journal.is_none() {
-        journal = opts.cache_dir.as_ref().map(|d| d.join("run-journal.jsonl"));
-    }
-    opts.journal = journal;
-    opts.resume = resume;
+    // Journalling defaults on whenever the cache does: the journal lives
+    // next to the cache entries whose outcomes it records.
+    opts.journal = journal.or_else(|| opts.cache_dir.as_ref().map(|d| d.join("run-journal.jsonl")));
 
     let bench = Bench::new(scale);
     let t0 = std::time::Instant::now();
@@ -318,7 +303,7 @@ fn main() {
     );
 
     if outcome.aborted {
-        eprintln!("# sweep aborted before merging; journal records partial progress (--resume to continue)");
+        eprintln!("# sweep aborted before merging; rerun with the same --cache-dir to continue");
         print_failure_report(&outcome);
         std::process::exit(4);
     }

@@ -16,9 +16,9 @@
 //!   figure cells, runs trials on a worker pool with a content-addressed
 //!   on-disk cache, and installs byte-identical results regardless of
 //!   worker count. Its fault-tolerance layer (per-trial panic isolation,
-//!   retries, checksummed cache with quarantine, JSONL run journal with
-//!   `--resume`, seeded chaos injection) is behind
-//!   [`sweep::run_sweep_resilient`];
+//!   retries, a checksummed cache with quarantine that doubles as the
+//!   checkpoint of an interrupted sweep, a write-only JSONL run journal,
+//!   seeded chaos injection) is behind [`sweep::run_sweep_resilient`];
 //! * [`vmstat`] renders `repro vmstat`'s working-set report.
 //!
 //! Host performance is measured by `pagebench`, the package under

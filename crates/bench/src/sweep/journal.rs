@@ -1,12 +1,10 @@
-//! Append-only JSONL run journal: the sweep's checkpoint for resume.
+//! Append-only JSONL run journal: the sweep's write-only audit log.
 //!
 //! One line per event. Lines are group-committed: [`Journal::trial`]
 //! appends to a buffer, and [`Journal::commit`] writes the buffer with one
 //! `write_all` and one `sync_data`. The sweep's collector commits before
 //! it next waits for an outcome, so every outcome it has received is
-//! synced by then. A crash loses at most the outcomes received since the
-//! last commit; each of those is re-served from its already-durable cache
-//! entry, or re-run. The run header and the end line commit at once, and
+//! synced by then. The run header and the end line commit at once, and
 //! dropping the journal commits what is left:
 //!
 //! ```text
@@ -16,32 +14,27 @@
 //! {"v":1,"kind":"end","done":120,"failed":1,"aborted":false}
 //! ```
 //!
-//! `hash` is the trial content hash ([`Bench::trial_content_hash`]): it
-//! folds in config, seed, trial index, footprint and format versions, so a
-//! journal from a different scale or crate version simply matches nothing
-//! on resume — stale journals are harmless, never wrong. `status` is
-//! `done` (metrics merged; `attempts:0` means served from cache),
+//! `hash` is the trial content hash ([`Bench::trial_content_hash`]), the
+//! same key the cell cache files the trial under. `status` is `done`
+//! (metrics merged; `attempts:0` means served from cache),
 //! `done-degraded` (merged, but the metrics carry a `SimError` — the fault
 //! experiments plot these), or `failed` (a typed [`CellFailure`] was
 //! recorded; `detail` carries the classification).
 //!
-//! Resume reads the journal back ([`load_prior`]); trials recorded `done`
-//! whose cache entry is still present and intact are served from cache and
-//! counted in `SweepStats::resumed`, everything else — failed, missing, or
-//! quarantined — re-runs. Because the merge is content-keyed and
-//! canonical-ordered, a resumed sweep's figure output is byte-identical to
-//! an uninterrupted one.
+//! Nothing reads the journal back. The cell cache is the checkpoint: an
+//! interrupted sweep continues when it is rerun on the same cache
+//! directory, whatever the journal says. The header's `resume` field is
+//! always `false` from the sweep.
 //!
 //! [`Bench::trial_content_hash`]: pagesim::experiments::Bench::trial_content_hash
 //! [`CellFailure`]: pagesim::CellFailure
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use pagesim_trace::json::{escape, parse};
+use pagesim_trace::json::escape;
 
 /// Journal line format version.
 const JOURNAL_VERSION: u32 = 1;
@@ -55,15 +48,15 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens the journal: truncating for a fresh run, appending when
-    /// resuming (the prior run's lines are the resume state).
-    pub fn open(path: &Path, resume: bool) -> Option<Journal> {
+    /// Opens the journal: truncating it, or keeping its lines and appending
+    /// when `append` is set.
+    pub fn open(path: &Path, append: bool) -> Option<Journal> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 let _ = fs::create_dir_all(parent);
             }
         }
-        let file = if resume {
+        let file = if append {
             fs::OpenOptions::new().create(true).append(true).open(path)
         } else {
             fs::File::create(path)
@@ -86,7 +79,8 @@ impl Journal {
         self.pending.clear();
     }
 
-    /// The run header: what was planned. Committed at once.
+    /// The run header: what was planned. Committed at once. `resume` is
+    /// written as the header's `resume` field.
     pub fn run_header(&mut self, cells: usize, trials: usize, figs: &[String], resume: bool) {
         let _ = writeln!(
             self.pending,
@@ -138,82 +132,113 @@ impl Drop for Journal {
     }
 }
 
-/// What a previous run's journal says about each trial, keyed by content
-/// hash. Later lines win, so a trial that failed and then succeeded on a
-/// prior resume reads as done.
-#[derive(Debug, Default)]
-pub struct PriorRun {
-    done: BTreeMap<u64, bool>,
-}
-
-impl PriorRun {
-    /// Whether the journal recorded this trial as completed (merged).
-    pub fn is_done(&self, hash: u64) -> bool {
-        self.done.get(&hash).copied().unwrap_or(false)
-    }
-}
-
-/// Reads a journal back into resume state. An unreadable file yields an
-/// empty prior; a malformed line (a torn last line, or one that is not
-/// UTF-8) is skipped alone — resume then just re-runs more.
-pub fn load_prior(path: &Path) -> PriorRun {
-    let mut prior = PriorRun::default();
-    let Ok(bytes) = fs::read(path) else {
-        return prior;
-    };
-    for line in bytes.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let Ok(line) = std::str::from_utf8(line) else {
-            continue;
-        };
-        let Ok(rec) = parse(line) else { continue };
-        let field = |key| rec.get(key).and_then(|v| v.as_str());
-        if field("kind") != Some("trial") {
-            continue;
-        }
-        let Some(hash) = field("hash").and_then(|h| u64::from_str_radix(h, 16).ok()) else {
-            continue;
-        };
-        let done = matches!(field("status"), Some("done" | "done-degraded"));
-        prior.done.insert(hash, done);
-    }
-    prior
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagesim_trace::json::parse;
+
+    /// A fresh journal path in its own directory.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pagesim-journal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir.join("j.jsonl")
+    }
+
+    fn cleanup(path: &Path) {
+        if let Some(dir) = path.parent() {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
 
     #[test]
-    fn round_trip_last_line_wins() {
-        let dir = std::env::temp_dir().join(format!("pagesim-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("j.jsonl");
+    fn every_written_line_parses() {
+        let path = scratch("parse");
         {
             let mut j = Journal::open(&path, false).expect("open");
-            j.run_header(2, 4, &["fig1".to_owned()], false);
-            j.trial(0xA, "cell a trial 0", "failed", Some("panic: x"), 3, 10);
-            j.trial(0xB, "cell a trial 1", "done", None, 1, 20);
-            j.end(2, 1, true);
+            j.run_header(2, 4, &["fig1".to_owned(), "fig\"2".to_owned()], false);
+            j.trial(0xA, "cell a trial 0", "failed", Some("panic: x\ny"), 3, 10);
+            j.trial(0xB, "cell a trial 1", "done", None, 0, 20);
+            j.trial(0xC, "cell b trial 0", "done-degraded", Some("oom"), 1, 5);
+            j.end(3, 1, true);
+        }
+        let text = std::fs::read_to_string(&path).expect("journal file");
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|line| {
+                let rec = parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(rec.get("v").and_then(|v| v.as_u64()), Some(1), "{line}");
+                rec.get("kind")
+                    .and_then(|k| k.as_str())
+                    .expect("kind")
+                    .to_owned()
+            })
+            .collect();
+        assert_eq!(kinds, ["run", "trial", "trial", "trial", "end"]);
+        let header = parse(text.lines().next().expect("header")).expect("header parses");
+        assert_eq!(
+            header.get("figs").and_then(|f| f.as_str()),
+            Some("fig1 fig\"2")
+        );
+        assert_eq!(header.get("resume").and_then(|r| r.as_bool()), Some(false));
+        cleanup(&path);
+    }
+
+    /// Escaped text inside `ident` or `detail` is data, not structure: a
+    /// failed trial whose strings spell out other fields reads back with
+    /// its own status and those strings intact.
+    #[test]
+    fn escaped_fields_read_back_as_data() {
+        let path = scratch("escape");
+        let ident = "cell \"status\":\"done\" trial 0";
+        let detail = "panic: \"kind\":\"trial\",\"status\":\"done\"";
+        {
+            let mut j = Journal::open(&path, false).expect("open");
+            j.trial(0x1, ident, "failed", Some(detail), 3, 5);
+        }
+        let text = std::fs::read_to_string(&path).expect("journal file");
+        let [line] = text.lines().collect::<Vec<_>>()[..] else {
+            panic!("one line expected:\n{text}");
+        };
+        let rec = parse(line).expect("line parses");
+        let field = |key| rec.get(key).and_then(|v| v.as_str());
+        assert_eq!(field("status"), Some("failed"));
+        assert_eq!(field("ident"), Some(ident));
+        assert_eq!(field("detail"), Some(detail));
+        assert_eq!(field("hash"), Some("0000000000000001"));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn append_keeps_earlier_lines_and_a_fresh_open_truncates() {
+        let path = scratch("append");
+        let read = || std::fs::read_to_string(&path).expect("journal file");
+        {
+            let mut j = Journal::open(&path, false).expect("open");
+            j.run_header(1, 2, &["fig1".to_owned()], false);
+            j.trial(0xA, "cell trial 0", "done", None, 1, 10);
         }
         {
-            // Resume appends; the retried trial now succeeds.
             let mut j = Journal::open(&path, true).expect("append");
-            j.trial(0xA, "cell a trial 0", "done", None, 1, 12);
+            j.trial(0xB, "cell trial 1", "done", None, 1, 12);
         }
-        let prior = load_prior(&path);
-        assert!(prior.is_done(0xA), "later line wins");
-        assert!(prior.is_done(0xB));
-        assert!(!prior.is_done(0xC));
-        assert_eq!(prior.done.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        let text = read();
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert!(text.contains("\"hash\":\"000000000000000a\""));
+        assert!(text.contains("\"hash\":\"000000000000000b\""));
+        {
+            let mut j = Journal::open(&path, false).expect("reopen");
+            j.trial(0xC, "cell trial 0", "done", None, 0, 1);
+        }
+        let text = read();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("\"hash\":\"000000000000000c\""));
+        cleanup(&path);
     }
 
     #[test]
     fn trial_lines_are_durable_only_after_a_commit() {
-        let dir = std::env::temp_dir().join(format!("pagesim-journal3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("j.jsonl");
+        let path = scratch("commit");
         let read = || std::fs::read_to_string(&path).expect("journal file");
         let mut j = Journal::open(&path, false).expect("open");
         j.run_header(1, 3, &["fig1".to_owned()], false);
@@ -237,53 +262,6 @@ mod tests {
             .lines()
             .last()
             .is_some_and(|l| l.contains("\"hash\":\"0000000000000003\"")));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn degraded_counts_as_done() {
-        let dir = std::env::temp_dir().join(format!("pagesim-journal2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("j.jsonl");
-        let mut j = Journal::open(&path, false).expect("open");
-        j.trial(
-            0x1,
-            "cell",
-            "done-degraded",
-            Some("sim error: deadlock"),
-            1,
-            5,
-        );
-        drop(j);
-        assert!(load_prior(&path).is_done(0x1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Escaped text inside `ident` or `detail` is data, not structure: a
-    /// failed trial whose strings spell out other fields still reads as
-    /// failed, and a torn last line is skipped.
-    #[test]
-    fn escaped_fields_and_torn_lines_are_not_misread() {
-        let dir = std::env::temp_dir().join(format!("pagesim-journal4-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("j.jsonl");
-        let mut j = Journal::open(&path, false).expect("open");
-        j.trial(
-            0x1,
-            "cell \"status\":\"done\" trial 0",
-            "failed",
-            Some("panic: \"kind\":\"trial\",\"status\":\"done\""),
-            3,
-            5,
-        );
-        j.trial(0x2, "cell trial 1", "done", None, 1, 5);
-        drop(j);
-        let text = std::fs::read_to_string(&path).expect("journal file");
-        std::fs::write(&path, &text[..text.len() - 10]).expect("tear the last line");
-        let prior = load_prior(&path);
-        assert!(!prior.is_done(0x1), "escaped text read as a status");
-        assert!(!prior.is_done(0x2), "a torn line read as done");
-        assert_eq!(prior.done.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
+        cleanup(&path);
     }
 }

@@ -17,8 +17,8 @@
 //!    verified hit skips the simulation and a corrupt entry is quarantined
 //!    and recomputed. Each trial attempt runs behind the `isolation`
 //!    module's `catch_unwind`: a panic costs one attempt, not the sweep;
-//!    transient failures retry up to [`SweepOptions::max_attempts`], then
-//!    the trial records a typed [`FailureKind`]. A worker that dies outside
+//!    transient failures retry up to three attempts in all, then the
+//!    trial records a typed [`FailureKind`]. A worker that dies outside
 //!    per-trial isolation is respawned and its in-flight trial requeued.
 //! 3. **Merge** — results are placed by spec index and folded into
 //!    [`TrialSet`]s in canonical (enumeration) order, then installed into
@@ -28,15 +28,14 @@
 //!    figure output is byte-identical for any `jobs` value, any cache
 //!    state, and any recovered fault schedule.
 //!
-//! Alongside the cache, an append-only JSONL [`journal`] records every
-//! trial outcome as the collector receives it. Lines are group-committed:
-//! every outcome received is synced before the collector next waits, so a
-//! crash loses at most the outcomes received since the last commit, and
-//! each of those is re-served from its already-durable cache entry or
-//! re-run. `repro --resume` turns the journal into a checkpoint, skipping
-//! completed trials and re-running failed or missing ones. The [`chaos`]
-//! module injects seeded harness faults so tests and CI can prove all of
-//! the above.
+//! The cache is the sweep's one checkpoint: every entry is durable before
+//! its outcome reaches the collector, so rerunning an interrupted sweep
+//! with the same cache directory serves every finished trial from it and
+//! runs only the rest. Alongside the cache, an append-only JSONL
+//! [`journal`] records every trial outcome as the collector receives it,
+//! as a write-only audit log; nothing reads it back. The [`chaos`] module
+//! injects seeded harness faults so tests and CI can prove all of the
+//! above.
 //!
 //! Nothing here writes to stdout; progress and the final summary belong to
 //! stderr so `repro`'s figure stream stays byte-comparable.
@@ -77,8 +76,11 @@ pub struct TraceRequest {
     pub config: TraceConfig,
 }
 
+/// Attempts per trial before a panic becomes a recorded failure.
+const MAX_ATTEMPTS: u32 = 3;
+
 /// How the sweep runs: worker count, cache placement, optional tracing,
-/// and the fault-tolerance knobs (journal, resume, retries, budget, chaos).
+/// and the fault-tolerance knobs (journal, budget, chaos).
 #[derive(Clone, Debug)]
 pub struct SweepOptions {
     /// Worker threads. `1` executes trials strictly serially.
@@ -87,15 +89,9 @@ pub struct SweepOptions {
     pub cache_dir: Option<PathBuf>,
     /// Trace one trial while sweeping (`repro trace`).
     pub trace: Option<TraceRequest>,
-    /// Run journal path; `None` disables journalling (and with it resume).
+    /// Run journal path; `None` disables journalling. Each sweep
+    /// truncates the file and writes its own outcomes.
     pub journal: Option<PathBuf>,
-    /// Treat an existing journal at [`SweepOptions::journal`] as prior
-    /// progress: append to it, and count journalled-done cache hits as
-    /// resumed trials.
-    pub resume: bool,
-    /// Attempts per trial before a panic becomes a recorded failure
-    /// (minimum 1).
-    pub max_attempts: u32,
     /// Deterministic per-trial budget in *simulated* nanoseconds: a trial
     /// whose simulation would exceed it is classified as a timeout failure
     /// and its truncated metrics are discarded, never merged or cached.
@@ -113,8 +109,6 @@ impl Default for SweepOptions {
             cache_dir: None,
             trace: None,
             journal: None,
-            resume: false,
-            max_attempts: 3,
             trial_budget: None,
             chaos: None,
         }
@@ -139,8 +133,6 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Trials simulated (cache disabled, cold, stale, or quarantined).
     pub cache_misses: usize,
-    /// Cache hits that a resume journal had recorded as done.
-    pub resumed: usize,
     /// Extra attempts spent retrying transient trial failures.
     pub retries: usize,
     /// Corrupt cache entries quarantined (then recomputed).
@@ -177,16 +169,15 @@ impl SweepStats {
 impl std::fmt::Display for SweepStats {
     /// One stable-format summary line, greppable by CI:
     /// `sweep cells=2 trials=6 hits=0 misses=6 hit_rate=0.000 plan_ms=0
-    /// exec_ms=41 merge_ms=0 resumed=0 retries=0 quarantined=0
-    /// tmp_cleaned=0 failed=0 respawns=0 shadow=0 ws_refault=0`.
+    /// exec_ms=41 merge_ms=0 retries=0 quarantined=0 tmp_cleaned=0
+    /// failed=0 respawns=0 shadow=0 ws_refault=0`.
     /// Single spaces, no trailing space; tools match on the `key=value`
-    /// tokens (` hits=0 `, ` resumed=[1-9]`), so keys are only ever
-    /// appended, never reordered.
+    /// tokens (` hits=0 `, ` hits=N `), so keys are never reordered.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "sweep cells={} trials={} hits={} misses={} hit_rate={:.3} plan_ms={} \
-             exec_ms={} merge_ms={} resumed={} retries={} quarantined={} \
+             exec_ms={} merge_ms={} retries={} quarantined={} \
              tmp_cleaned={} failed={} respawns={} shadow={} ws_refault={}",
             self.cells,
             self.trials,
@@ -196,7 +187,6 @@ impl std::fmt::Display for SweepStats {
             self.plan_ms,
             self.exec_ms,
             self.merge_ms,
-            self.resumed,
             self.retries,
             self.quarantined,
             self.tmp_cleaned,
@@ -235,8 +225,8 @@ pub struct SweepOutcome {
     /// The captured trace, when one was requested.
     pub trace: Option<TraceData>,
     /// True when a chaos abort stopped the sweep before merging: nothing
-    /// was installed, and the journal records the partial progress for a
-    /// later `--resume`.
+    /// was installed, and rerunning with the same cache directory serves
+    /// every trial already finished.
     pub aborted: bool,
 }
 
@@ -306,8 +296,6 @@ struct TrialOutcome {
     attempts: u32,
     /// Served from the on-disk cache.
     from_cache: bool,
-    /// Cache hit that the resume journal had recorded as done.
-    resumed: bool,
     /// Corrupt cache entries quarantined while reading this trial.
     quarantined: usize,
     /// Retries consumed by transient failures.
@@ -324,7 +312,6 @@ struct WorkerCtx<'a> {
     queue: &'a parking_lot::Mutex<VecDeque<usize>>,
     abort: &'a AtomicBool,
     chaos: Option<&'a ChaosState>,
-    prior: &'a journal::PriorRun,
     traced_idx: Option<usize>,
     trace_slot: &'a parking_lot::Mutex<Option<TraceData>>,
 }
@@ -362,16 +349,12 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
         }
     }
 
-    let prior = match &opts.journal {
-        Some(path) if opts.resume => journal::load_prior(path),
-        _ => journal::PriorRun::default(),
-    };
     let mut jw = opts
         .journal
         .as_deref()
-        .and_then(|p| journal::Journal::open(p, opts.resume));
+        .and_then(|p| journal::Journal::open(p, false));
     if let Some(j) = jw.as_mut() {
-        j.run_header(plan.len(), specs.len(), figs, opts.resume);
+        j.run_header(plan.len(), specs.len(), figs, false);
     }
 
     // The spec the trace request names, matched on trial index plus cell
@@ -400,7 +383,6 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
             queue: &queue,
             abort: &abort,
             chaos: chaos.as_ref(),
-            prior: &prior,
             traced_idx,
             trace_slot: &trace_slot,
         };
@@ -437,7 +419,6 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
                     Msg::Trial(i, out) => {
                         done += 1;
                         stats.cache_hits += out.from_cache as usize;
-                        stats.resumed += out.resumed as usize;
                         stats.retries += out.retried as usize;
                         stats.quarantined += out.quarantined;
                         let cache::TrialKey { hash, ident } = &out.key;
@@ -635,7 +616,7 @@ fn worker_thread(ctx: &WorkerCtx<'_>, tx: &mpsc::Sender<Msg>) {
     });
 }
 
-/// Resolves one trial: resume/cache read, then isolated simulation
+/// Resolves one trial: cache read, then isolated simulation
 /// attempts with retry and failure classification.
 #[expect(
     clippy::disallowed_methods,
@@ -651,7 +632,6 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
         failure: None,
         attempts: 0,
         from_cache: false,
-        resumed: false,
         quarantined: 0,
         retried: 0,
         wall_ms: 0,
@@ -664,7 +644,6 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
             match cache::load_keyed(dir, &out.key) {
                 cache::CacheRead::Hit(m) => {
                     out.from_cache = true;
-                    out.resumed = ctx.prior.is_done(out.key.hash);
                     out.metrics = Some(*m);
                     out.wall_ms = t.elapsed().as_millis() as u64;
                     return out;
@@ -675,7 +654,6 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
         }
     }
 
-    let max_attempts = ctx.opts.max_attempts.max(1);
     loop {
         let attempt = out.attempts;
         out.attempts += 1;
@@ -701,7 +679,7 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
         });
         match run {
             Err(payload) => {
-                if out.attempts >= max_attempts {
+                if out.attempts >= MAX_ATTEMPTS {
                     out.failure = Some(FailureKind::Panic(payload));
                     break;
                 }
@@ -714,7 +692,7 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
                 let budget_bound =
                     budget.is_some_and(|b| b < spec.query.system_config().max_sim_time);
                 if budget_bound && m.error == Some(SimError::SimTimeExceeded) {
-                    if chaos_budget.is_some() && out.attempts < max_attempts {
+                    if chaos_budget.is_some() && out.attempts < MAX_ATTEMPTS {
                         out.retried += 1; // injected slowness is transient
                         continue;
                     }
@@ -742,13 +720,12 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
 mod tests {
     use super::SweepStats;
 
-    fn stats(resumed: usize) -> SweepStats {
+    fn stats(cache_hits: usize) -> SweepStats {
         SweepStats {
             cells: 2,
             trials: 6,
-            cache_hits: 0,
-            cache_misses: 6,
-            resumed,
+            cache_hits,
+            cache_misses: 6 - cache_hits,
             retries: 0,
             quarantined: 0,
             tmp_cleaned: 0,
@@ -762,37 +739,46 @@ mod tests {
         }
     }
 
-    /// The summary's exact byte shape: the original key set, grown
-    /// append-only (`shadow`/`ws_refault` at the end).
+    /// What CI's `sed -E 's/.* key=([0-9]+) .*/\1/'` extracts from a
+    /// summary line: the digits after the one ` key=`, ended by a space.
+    fn sed_field(line: &str, key: &str) -> Option<usize> {
+        let probe = format!(" {key}=");
+        let mut hits = line.match_indices(&probe);
+        let (at, _) = hits.next()?;
+        assert!(hits.next().is_none(), "` {key}=` appears twice: {line}");
+        let rest = &line[at + probe.len()..];
+        let (digits, _) = rest.split_once(' ')?;
+        digits.parse().ok()
+    }
+
+    /// The summary's exact byte shape.
     #[test]
     fn sweep_stats_display_format_is_unchanged() {
         assert_eq!(
             stats(0).to_string(),
             "sweep cells=2 trials=6 hits=0 misses=6 hit_rate=0.000 plan_ms=0 \
-             exec_ms=41 merge_ms=0 resumed=0 retries=0 quarantined=0 \
+             exec_ms=41 merge_ms=0 retries=0 quarantined=0 \
              tmp_cleaned=0 failed=0 respawns=0 shadow=128 ws_refault=9"
         );
     }
 
-    /// The exact grep patterns CI relies on (.github/workflows/ci.yml):
-    /// a fully-cold sweep must contain ` hits=0 `, a fully-warm one
-    /// ` misses=0 `, a resumed one must match ` resumed=[1-9]`, and a
-    /// vmstat run ` shadow=[0-9]+ ws_refault=[0-9]+`.
+    /// The exact patterns CI relies on (.github/workflows/ci.yml): a
+    /// fully-cold sweep must contain ` hits=0 `, a fully-warm one
+    /// ` misses=0 `, a vmstat run ` shadow=[0-9]+ ws_refault=[0-9]+`, and
+    /// `sed` must pull `trials=` and `hits=` out of any line (the rerun of
+    /// an interrupted sweep compares its hits to the aborted journal).
     #[test]
     fn ci_grep_patterns_match_the_emitted_bytes() {
-        for resumed in [0, 3] {
-            let line = stats(resumed).to_string();
+        for hits in [0, 3, 6] {
+            let line = stats(hits).to_string();
             assert!(!line.contains("  ") && !line.ends_with(' '), "{line}");
             // ` hits=0 ` and ` misses=0 ` match with surrounding spaces
             // even mid-line: neither field is ever last.
-            assert!(line.contains(" hits=0 "));
-            assert!(line.contains(" misses=6 ") && !line.contains(" misses=0"));
+            assert_eq!(line.contains(" hits=0 "), hits == 0, "{line}");
+            assert_eq!(line.contains(" misses=0 "), hits == 6, "{line}");
             assert!(line.contains(" shadow=128 ws_refault=9"));
-            // `resumed=[1-9]` matches exactly a nonzero resumed count.
-            for d in 1..=9 {
-                let probe = format!(" resumed={d}");
-                assert_eq!(line.contains(&probe), d == resumed, "digit {d}");
-            }
+            assert_eq!(sed_field(&line, "hits"), Some(hits), "{line}");
+            assert_eq!(sed_field(&line, "trials"), Some(6), "{line}");
         }
     }
 }

@@ -108,7 +108,7 @@ fn permanent_panics_record_typed_failures_not_panics() {
         matches!(f.kind, FailureKind::Panic(_)),
         "classified as a panic: {f}"
     );
-    assert_eq!(f.attempts, 3, "default max_attempts exhausted");
+    assert_eq!(f.attempts, 3, "every attempt exhausted");
     assert!(!f.ident.is_empty());
 }
 
@@ -270,9 +270,10 @@ fn stale_tmp_files_are_cleaned_at_startup() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The acceptance scenario: a chaos-aborted ("killed") run followed by
-/// `--resume` must produce byte-identical figure output, serving journaled
-/// progress from the cache.
+/// The acceptance scenario: a chaos-aborted ("killed") run, rerun with
+/// the same options on the same cache directory, must produce
+/// byte-identical figure output, serving the finished trials from the
+/// cache.
 #[test]
 fn aborted_run_resumes_to_byte_identical_output() {
     let dir = scratch_dir("resume");
@@ -301,28 +302,27 @@ fn aborted_run_resumes_to_byte_identical_output() {
     assert!(journal_text.contains("\"kind\":\"trial\""));
 
     let bench = tiny_bench();
-    let resumed = run_sweep_resilient(
+    let rerun = run_sweep_resilient(
         &bench,
         &figs(),
         &SweepOptions {
             jobs: 2,
             cache_dir: Some(dir.clone()),
             journal: Some(journal.clone()),
-            resume: true,
             ..SweepOptions::default()
         },
     );
-    assert!(!resumed.aborted);
-    assert!(resumed.failures.is_empty());
+    assert!(!rerun.aborted);
+    assert!(rerun.failures.is_empty());
     assert!(
-        resumed.stats.resumed >= 3,
-        "journalled trials must be served from cache, saw resumed={}",
-        resumed.stats.resumed
+        rerun.stats.cache_hits >= 3,
+        "finished trials must be served from cache, saw hits={}",
+        rerun.stats.cache_hits
     );
     assert_eq!(
         render(&bench),
         golden(),
-        "resumed output diverged from an uninterrupted run"
+        "rerun output diverged from an uninterrupted run"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -2,9 +2,11 @@
 //! statistic that needs two as `-` instead of panicking, and zero trials
 //! or an unknown figure id is a usage error.
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::process::{Command, Output};
 
-fn repro(args: &[&str]) -> Output {
+fn repro<S: AsRef<OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .args(args)
@@ -57,11 +59,13 @@ fn one_trial_renders_dashes_for_fits_and_p_values() {
 
 /// Bad arguments are rejected before any sweep runs: exit 2, the usage
 /// text on stderr, and nothing on stdout. Unknown ids count too, even
-/// after a valid one, `bench` is no longer a subcommand, and `vmstat` and
-/// `trace`, which keep no journal, refuse `--journal` and `--resume`.
+/// after a valid one, as do an argument that is not UTF-8 and the retired
+/// `--resume` and `--max-attempts` flags. `bench` is no longer a
+/// subcommand, and `vmstat` and `trace`, which keep no journal, refuse
+/// `--journal`.
 #[test]
 fn zero_trials_is_a_usage_error() {
-    for args in [
+    let mut cases: Vec<Vec<&OsStr>> = [
         &["--trials", "0", "fig1"][..],
         &["--scale", "smoke", "--no-cache", "figx"],
         &["--scale", "smoke", "--no-cache", "fig1", "figx"],
@@ -76,15 +80,6 @@ fn zero_trials_is_a_usage_error() {
             "j",
         ],
         &[
-            "vmstat",
-            "fig1",
-            "--scale",
-            "smoke",
-            "--no-cache",
-            "--resume",
-            "j",
-        ],
-        &[
             "trace",
             "fig1",
             "--scale",
@@ -93,17 +88,22 @@ fn zero_trials_is_a_usage_error() {
             "--journal",
             "j",
         ],
+        &["--scale", "smoke", "--no-cache", "--resume", "j", "fig1"],
         &[
-            "trace",
-            "fig1",
             "--scale",
             "smoke",
             "--no-cache",
-            "--resume",
-            "j",
+            "--max-attempts",
+            "3",
+            "fig1",
         ],
-    ] {
-        let out = repro(args);
+    ]
+    .iter()
+    .map(|a| a.iter().map(OsStr::new).collect())
+    .collect();
+    cases.push(vec![OsStr::from_bytes(b"\xff")]);
+    for args in cases {
+        let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing may render");
         let stderr = String::from_utf8_lossy(&out.stderr);

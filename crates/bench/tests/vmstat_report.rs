@@ -3,8 +3,8 @@
 //! The report annotates golden-diffed figures, so it inherits their
 //! contract: byte-identical output whether cells were computed by a
 //! serial sweep, by a cold parallel sweep, or replayed from a warm cache
-//! under `--resume` — and identical sweep-summary observability counters
-//! (`shadow=`, `ws_refault=`) either way.
+//! — and identical sweep-summary observability counters (`shadow=`,
+//! `ws_refault=`) either way.
 
 use std::path::PathBuf;
 
@@ -30,10 +30,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn vmstat_report_is_identical_across_jobs_and_warm_resume() {
+fn vmstat_report_is_identical_across_jobs_and_warm_cache() {
     let fig = "fig1";
     let figs = vec![fig.to_string()];
-    let dir = scratch_dir("resume");
+    let dir = scratch_dir("warm");
 
     // Serial, uncached sweep: the reference rendering.
     let reference = tiny_bench();
@@ -59,22 +59,17 @@ fn vmstat_report_is_identical_across_jobs_and_warm_resume() {
     assert!(cold.ws_refault > 0, "50% capacity must refault");
     assert_eq!(vmstat_report(&bench, fig), golden, "cold jobs=4");
 
-    // Serial warm resume: every trial replays from the cache + journal.
+    // Serial warm rerun: every trial replays from the cache.
     let bench = tiny_bench();
-    let warm_opts = SweepOptions {
-        jobs: 1,
-        resume: true,
-        ..opts
-    };
+    let warm_opts = SweepOptions { jobs: 1, ..opts };
     let warm = run_sweep(&bench, &figs, &warm_opts);
     assert_eq!(warm.cache_hits, warm.trials, "warm cache");
-    assert!(warm.resumed > 0, "journal must mark trials resumed");
     // The observability counters flow through the cache codec unchanged.
     assert_eq!(
         (warm.shadow, warm.ws_refault),
         (cold.shadow, cold.ws_refault)
     );
-    assert_eq!(vmstat_report(&bench, fig), golden, "warm resume jobs=1");
+    assert_eq!(vmstat_report(&bench, fig), golden, "warm jobs=1");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -182,6 +182,32 @@ impl SsdDevice {
             cpu_ns: self.submit_cpu,
         }
     }
+
+    /// Queues one page of I/O, a write or a read, and counts it with its
+    /// queueing delay. Every transfer, swap or file, goes through here.
+    fn submit(&mut self, now: SimTime, write: bool) -> SwapResult {
+        let service = if write {
+            self.write_service
+        } else {
+            self.read_service
+        };
+        let done_at = match self.queue.submit(now, service) {
+            Ok(t) => t,
+            Err(e) => return Err(self.fail(e)),
+        };
+        let queue_ns = done_at.saturating_since(now) - service;
+        if write {
+            self.stats.writes += 1;
+            self.stats.write_queue_ns += queue_ns;
+        } else {
+            self.stats.reads += 1;
+            self.stats.read_queue_ns += queue_ns;
+        }
+        Ok(IoOutcome {
+            cpu_ns: self.submit_cpu,
+            done_at,
+        })
+    }
 }
 
 impl SwapDevice for SsdDevice {
@@ -198,17 +224,9 @@ impl SwapDevice for SsdDevice {
     }
 
     fn write(&mut self, now: SimTime, slot: SwapSlot, _class: EntropyClass) -> SwapResult {
-        let done_at = match self.queue.submit(now, self.write_service) {
-            Ok(t) => t,
-            Err(e) => return Err(self.fail(e)),
-        };
-        self.table.store(slot, PAGE_SIZE as u32, done_at);
-        self.stats.writes += 1;
-        self.stats.write_queue_ns += done_at.saturating_since(now) - self.write_service;
-        Ok(IoOutcome {
-            cpu_ns: self.submit_cpu,
-            done_at,
-        })
+        let out = self.submit(now, true)?;
+        self.table.store(slot, PAGE_SIZE as u32, out.done_at);
+        Ok(out)
     }
 
     fn write_done(&self, slot: SwapSlot) -> SimTime {
@@ -217,17 +235,9 @@ impl SwapDevice for SsdDevice {
 
     fn read(&mut self, now: SimTime, slot: SwapSlot) -> SwapResult {
         debug_assert!(self.table.bytes(slot) != 0, "read of empty slot");
-        let done_at = match self.queue.submit(now, self.read_service) {
-            Ok(t) => t,
-            Err(e) => return Err(self.fail(e)),
-        };
+        let out = self.submit(now, false)?;
         self.table.read_back(slot);
-        self.stats.reads += 1;
-        self.stats.read_queue_ns += done_at.saturating_since(now) - self.read_service;
-        Ok(IoOutcome {
-            cpu_ns: self.submit_cpu,
-            done_at,
-        })
+        Ok(out)
     }
 
     fn release(&mut self, slot: SwapSlot) {
@@ -236,29 +246,11 @@ impl SwapDevice for SsdDevice {
     }
 
     fn file_read(&mut self, now: SimTime) -> SwapResult {
-        let done_at = match self.queue.submit(now, self.read_service) {
-            Ok(t) => t,
-            Err(e) => return Err(self.fail(e)),
-        };
-        self.stats.reads += 1;
-        self.stats.read_queue_ns += done_at.saturating_since(now) - self.read_service;
-        Ok(IoOutcome {
-            cpu_ns: self.submit_cpu,
-            done_at,
-        })
+        self.submit(now, false)
     }
 
     fn file_write(&mut self, now: SimTime) -> SwapResult {
-        let done_at = match self.queue.submit(now, self.write_service) {
-            Ok(t) => t,
-            Err(e) => return Err(self.fail(e)),
-        };
-        self.stats.writes += 1;
-        self.stats.write_queue_ns += done_at.saturating_since(now) - self.write_service;
-        Ok(IoOutcome {
-            cpu_ns: self.submit_cpu,
-            done_at,
-        })
+        self.submit(now, true)
     }
 
     fn used_bytes(&self) -> u64 {
