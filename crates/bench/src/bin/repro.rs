@@ -59,9 +59,11 @@
 //! Host performance is measured by `pagebench` (see `BENCHMARK.json`),
 //! not by this binary.
 //!
-//! Exit codes: 0 success, 2 usage (including an unknown figure id or an
-//! argument that is not UTF-8, both rejected before any sweep runs, with
-//! stdout left empty),
+//! Exit codes: 0 success, 1 a trace that could not be written or whose
+//! sampler reached its cap (`--sample-interval` far below the default),
+//! 2 usage (including an unknown figure id, a zero count or interval, or
+//! an argument that is not UTF-8, all rejected before any sweep runs,
+//! with stdout left empty),
 //! 3 completed with failed cells, 4 sweep aborted before merging (chaos
 //! `abort-after`).
 //!
@@ -75,7 +77,7 @@ use pagesim_bench::sweep::{
     default_jobs, run_sweep_resilient, ChaosPlan, SweepOptions, SweepOutcome, TraceRequest,
 };
 use pagesim_trace::json::escape;
-use pagesim_trace::TraceConfig;
+use pagesim_trace::{TraceConfig, MAX_SAMPLES};
 
 fn usage() -> ! {
     eprintln!(
@@ -102,7 +104,10 @@ fn usage() -> ! {
          --trial N           trial index to trace (default 0)\n\
          --trace-out FILE    output path, repeatable; .jsonl => JSON Lines,\n\
          \x20                    otherwise Chrome trace_event (default: trace.json)\n\
-         --sample-interval N sampler interval in simulated ns (default 10ms)\n\
+         --sample-interval N sampler interval in simulated ns, at least 1 (default\n\
+         \x20                    10ms); a trace holds at most {MAX_SAMPLES} samples, which\n\
+         \x20                    10ms never reaches: a smaller interval that does\n\
+         \x20                    fails the run and writes no trace\n\
          --trace-events N    event ring capacity (default 65536)\n\
          --list              print the figure's cells and exit\n\
          \n\
@@ -232,6 +237,9 @@ fn main() {
             "--sample-interval" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 trace_cfg.sample_interval = v.parse().unwrap_or_else(|_| usage());
+                if trace_cfg.sample_interval == 0 {
+                    usage();
+                }
             }
             "--trace-events" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -481,6 +489,14 @@ fn run_trace(
         eprintln!("repro trace: no trace captured (internal error)");
         std::process::exit(1);
     };
+    if trace.samples_capped() {
+        eprintln!(
+            "repro trace: --sample-interval {} reached the cap of {MAX_SAMPLES} samples \
+             before the trial ended; no trace written (raise the interval)",
+            trace.meta.sample_interval_ns
+        );
+        std::process::exit(1);
+    }
 
     // Same stdout stream as a plain figure run, so traced output can be
     // diffed line-for-line against golden figures.

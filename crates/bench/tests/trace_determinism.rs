@@ -8,7 +8,7 @@ use std::process::Command;
 
 use pagesim::experiments::{self, Bench, Scale};
 use pagesim_bench::sweep::{run_sweep_resilient, SweepOptions, TraceRequest};
-use pagesim_trace::{TraceConfig, TraceData};
+use pagesim_trace::{TraceConfig, TraceData, MAX_SAMPLES};
 
 fn smoke_bench() -> Bench {
     Bench::new(Scale::smoke())
@@ -34,6 +34,24 @@ fn trace_with_jobs(jobs: usize) -> TraceData {
     };
     let outcome = run_sweep_resilient(&smoke_bench(), &["fig1".to_owned()], &opts);
     outcome.trace.expect("a trace was requested")
+}
+
+/// A trial stops at its config's `max_sim_time`, which no scale changes:
+/// at the default interval, every cell `repro` can trace fits under the
+/// sampler's cap.
+#[test]
+fn the_default_interval_never_reaches_the_sample_cap() {
+    let interval = TraceConfig::default().sample_interval;
+    for fig in &experiments::EXPERIMENTS {
+        for q in (fig.cells)() {
+            let boundaries = q.system_config().max_sim_time / interval + 1;
+            assert!(
+                boundaries < MAX_SAMPLES as u64,
+                "{}: {boundaries} boundaries",
+                q.ident()
+            );
+        }
+    }
 }
 
 #[test]

@@ -88,6 +88,15 @@ fn zero_trials_is_a_usage_error() {
             "--journal",
             "j",
         ],
+        &[
+            "trace",
+            "fig1",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--sample-interval",
+            "0",
+        ],
         &["--scale", "smoke", "--no-cache", "--resume", "j", "fig1"],
         &[
             "--scale",

@@ -153,23 +153,51 @@ impl RunMetrics {
     /// Serializes every field to the versioned line format the on-disk
     /// cell cache stores ([`RunMetrics::from_cache_text`] inverts it
     /// exactly; the roundtrip test in this module covers every field).
+    ///
+    /// The integers go through a small decimal writer, not `core::fmt`,
+    /// into one buffer sized up front from the bucket counts and the
+    /// `lru_gen` length; the bytes are those `write!` would produce.
     pub fn to_cache_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        out.push_str(FORMAT_LINE);
-        out.push('\n');
+        let histograms = [
+            ("read_latency", &self.read_latency),
+            ("write_latency", &self.write_latency),
+            (
+                "workingset_refault_distance",
+                &self.workingset_refault_distance,
+            ),
+        ];
+        let pairs = histograms.map(|(_, h)| h.sparse_parts().0.count());
+        let mut out = Vec::with_capacity(self.cache_text_capacity(pairs.iter().sum()));
+        out.extend_from_slice(FORMAT_LINE.as_bytes());
+        out.push(b'\n');
         self.write_scalars(&mut out);
-        write_histogram(&mut out, "read_latency", &self.read_latency);
-        write_histogram(&mut out, "write_latency", &self.write_latency);
-        write_histogram(
-            &mut out,
-            "workingset_refault_distance",
-            &self.workingset_refault_distance,
-        );
-        let _ = writeln!(out, "lru_gen {}", escape_line(&self.lru_gen));
-        let _ = writeln!(out, "error {}", self.error.map_or("-", |e| e.name()));
-        out.push_str("end\n");
-        out
+        for ((name, h), n) in histograms.into_iter().zip(pairs) {
+            write_histogram(&mut out, name, h, n);
+        }
+        out.extend_from_slice(b"lru_gen ");
+        push_escaped(&mut out, &self.lru_gen);
+        out.extend_from_slice(b"\nerror ");
+        out.extend_from_slice(self.error.map_or("-", |e| e.name()).as_bytes());
+        out.extend_from_slice(b"\nend\n");
+        String::from_utf8(out).expect("ASCII lines and one UTF-8 dump with ASCII escapes")
+    }
+
+    /// An upper bound on [`RunMetrics::to_cache_text`]'s length, given the
+    /// histograms' `pairs` in all.
+    fn cache_text_capacity(&self, pairs: usize) -> usize {
+        // A histogram line's name (at most 27 bytes), its u128 sum and
+        // three u64s with their spaces, and its `\n`.
+        const HISTOGRAM_LINE: usize = 27 + 1 + 39 + 3 * 21 + 1;
+        // One ` index:count` pair: a u32 and a u64.
+        const PAIR: usize = 1 + 10 + 1 + 20;
+        FORMAT_LINE.len()
+            + 1
+            + Self::SCALAR_LINES_BOUND
+            + 3 * HISTOGRAM_LINE
+            + PAIR * pairs
+            + "lru_gen \nerror \nend\n".len()
+            + 2 * self.lru_gen.len()
+            + self.error.map_or(1, |e| e.name().len())
     }
 
     /// Parses [`RunMetrics::to_cache_text`] output. Returns `None` on any
@@ -253,7 +281,22 @@ const FORMAT_LINE: &str = concat!("format ", cache_format_version!());
 macro_rules! codec_scalars {
     ($($($part:ident).+),* $(,)?) => {
         impl RunMetrics {
-            fn write_scalars(&self, out: &mut String) {
+            /// An upper bound on the scalar lines' length: each key, a
+            /// space, at most 20 digits and `\n`.
+            const SCALAR_LINES_BOUND: usize = 0 $(+ stringify!($($part).+).len() + 22)*;
+
+            fn write_scalars(&self, out: &mut Vec<u8>) {
+                $(
+                    out.extend_from_slice(concat!(stringify!($($part).+), " ").as_bytes());
+                    push_u64(out, u64::from(self.$($part).+));
+                    out.push(b'\n');
+                )*
+            }
+
+            /// The `core::fmt` writer [`RunMetrics::write_scalars`]
+            /// replaced, kept as the reference it is tested against.
+            #[cfg(test)]
+            fn reference_write_scalars(&self, out: &mut String) {
                 use std::fmt::Write as _;
                 $(
                     let _ = writeln!(
@@ -350,31 +393,93 @@ codec_scalars!(
     swap_stats.stall_delay_ns,
 );
 
-fn write_histogram(out: &mut String, name: &str, h: &LatencyHistogram) {
-    use std::fmt::Write as _;
-    let (sparse, sum, min, max) = h.to_parts();
-    let _ = write!(out, "{name} {sum} {min} {max} {}", sparse.len());
-    for (i, c) in sparse {
-        let _ = write!(out, " {i}:{c}");
+/// One histogram line: `<name> <sum> <min> <max> <n>` and the `n`
+/// ` index:count` pairs of its non-zero buckets.
+fn write_histogram(out: &mut Vec<u8>, name: &str, h: &LatencyHistogram, n: usize) {
+    let (sparse, sum, min, max) = h.sparse_parts();
+    out.extend_from_slice(name.as_bytes());
+    out.push(b' ');
+    push_u128(out, sum);
+    for v in [min, max, n as u64] {
+        out.push(b' ');
+        push_u64(out, v);
     }
-    out.push('\n');
+    for (i, c) in sparse {
+        // Right to left into one stack buffer, appended in one copy.
+        let mut buf = [0u8; 32];
+        let mut at = digits_into(&mut buf, c) - 1;
+        buf[at] = b':';
+        at = digits_into(&mut buf[..at], u64::from(i)) - 1;
+        buf[at] = b' ';
+        out.extend_from_slice(&buf[at..]);
+    }
+    out.push(b'\n');
 }
 
-/// Flattens a multi-line introspection dump onto one cache line
-/// (`\` → `\\`, newline → `\n`); [`unescape_line`] inverts it exactly.
-fn escape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// `00` to `99`: the two digits of each value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `v`'s decimal digits right-aligned into `buf`, which must have
+/// room for them, and returns where they start. Two digits per division.
+fn digits_into(buf: &mut [u8], mut v: u64) -> usize {
+    let mut at = buf.len();
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // `v` is now the leading digit, or 0 after an even digit count.
+    if v > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    at
+}
+
+/// Appends `v` in decimal, as `{v}` formats it.
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 20];
+    let at = digits_into(&mut buf, v);
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `v` in decimal, as `{v}` formats it: 19 digits at a time in
+/// `u64` arithmetic, so only sums past `u64` pay for `u128` division.
+fn push_u128(out: &mut Vec<u8>, v: u128) {
+    const TEN_POW_19: u128 = 10_000_000_000_000_000_000;
+    match u64::try_from(v) {
+        Ok(v) => push_u64(out, v),
+        Err(_) => {
+            push_u128(out, v / TEN_POW_19);
+            // The low 19 digits, zero-padded.
+            let mut buf = [b'0'; 19];
+            digits_into(&mut buf, (v % TEN_POW_19) as u64);
+            out.extend_from_slice(&buf);
         }
     }
-    out
 }
 
-/// Inverts [`escape_line`] on one line's bytes: the only UTF-8 check the
+/// Appends a multi-line introspection dump as one cache line (`\` →
+/// `\\`, newline → `\n`); [`unescape_line`] inverts it exactly. Both
+/// bytes are ASCII, so they never occur inside a multi-byte character.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    let mut rest = s.as_bytes();
+    while let Some(i) = rest.iter().position(|&b| b == b'\\' || b == b'\n') {
+        let (plain, escaped) = rest.split_at(i);
+        out.extend_from_slice(plain);
+        out.extend_from_slice(if escaped[0] == b'\n' { b"\\n" } else { b"\\\\" });
+        rest = &escaped[1..];
+    }
+    out.extend_from_slice(rest);
+}
+
+/// Inverts [`push_escaped`] on one line's bytes: the only UTF-8 check the
 /// decoder makes, then a scan from one `\` to the next.
 fn unescape_line(line: &[u8]) -> Option<String> {
     let mut rest = std::str::from_utf8(line).ok()?;
@@ -678,11 +783,52 @@ impl TrialSet {
     }
 }
 
-/// The line-by-line decoder that [`RunMetrics::from_cache_bytes`]
-/// replaced, kept as the reference the byte decoder is tested against.
+/// The `core::fmt` writer that [`RunMetrics::to_cache_text`] replaced and
+/// the line-by-line decoder that [`RunMetrics::from_cache_bytes`]
+/// replaced, kept as the references the codec is tested against.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use std::fmt::Write as _;
+
+    pub(super) fn to_cache_text(m: &RunMetrics) -> String {
+        let mut out = String::with_capacity(1024);
+        out.push_str(FORMAT_LINE);
+        out.push('\n');
+        m.reference_write_scalars(&mut out);
+        write_histogram(&mut out, "read_latency", &m.read_latency);
+        write_histogram(&mut out, "write_latency", &m.write_latency);
+        write_histogram(
+            &mut out,
+            "workingset_refault_distance",
+            &m.workingset_refault_distance,
+        );
+        let _ = writeln!(out, "lru_gen {}", escape_line(&m.lru_gen));
+        let _ = writeln!(out, "error {}", m.error.map_or("-", |e| e.name()));
+        out.push_str("end\n");
+        out
+    }
+
+    fn write_histogram(out: &mut String, name: &str, h: &LatencyHistogram) {
+        let (sparse, sum, min, max) = h.to_parts();
+        let _ = write!(out, "{name} {sum} {min} {max} {}", sparse.len());
+        for (i, c) in sparse {
+            let _ = write!(out, " {i}:{c}");
+        }
+        out.push('\n');
+    }
+
+    fn escape_line(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
 
     pub(super) fn from_cache_text(text: &str) -> Option<RunMetrics> {
         let mut m = RunMetrics::default();
@@ -1047,6 +1193,78 @@ mod tests {
                 grown.insert(at, b);
                 same_as_reference(&grown)?;
             }
+        }
+    }
+
+    /// The encoder against the `core::fmt` reference on `m`: the same
+    /// bytes, and no more of them than it reserved.
+    fn encodes_as_the_reference(m: &RunMetrics) -> Result<(), String> {
+        let text = m.to_cache_text();
+        let pairs = [
+            &m.read_latency,
+            &m.write_latency,
+            &m.workingset_refault_distance,
+        ]
+        .iter()
+        .map(|h| h.sparse_parts().0.count())
+        .sum();
+        if text != reference::to_cache_text(m) {
+            return Err(format!(
+                "encoders disagree:\n new: {text:?}\n old: {:?}",
+                reference::to_cache_text(m)
+            ));
+        }
+        if text.len() > m.cache_text_capacity(pairs) {
+            return Err(format!("{} bytes outgrew the reserved buffer", text.len()));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The decimal writer emits exactly the `core::fmt` text, for
+        /// scalars from 0 to `u64::MAX`, sums past `u64` and `lru_gen`
+        /// dumps full of escapes.
+        #[test]
+        fn encoder_matches_the_reference(seed in any::<u64>()) {
+            encodes_as_the_reference(&random_metrics(seed))?;
+        }
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_on_edge_cases() {
+        let mut max = RunMetrics::default();
+        max.fill_scalars(&mut || u64::MAX);
+        max.read_latency =
+            LatencyHistogram::from_parts(&[(0, 1)], u128::MAX, 0, u64::MAX).expect("one bucket");
+        let big_sum = u128::from(u64::MAX) + 1;
+        max.write_latency = LatencyHistogram::from_parts(&[(3711, u64::MAX)], big_sum, 1, 1)
+            .expect("the top bucket");
+        max.lru_gen = "\\\n\\\\n\n\né→\\".to_owned();
+        max.error = Some(SimError::RequestWithoutStart);
+        let mut tens = RunMetrics::default();
+        let mut next = 1u64;
+        tens.fill_scalars(&mut || {
+            next = next.wrapping_mul(10);
+            next - 1
+        });
+        tens.workingset_refault_distance = LatencyHistogram::from_parts(
+            &[(9, 10), (99, 100), (999, 1000)],
+            10u128.pow(38),
+            9,
+            99_999,
+        )
+        .expect("three buckets");
+        let escapes_only = RunMetrics {
+            lru_gen: "\n\n\\".to_owned(),
+            ..RunMetrics::default()
+        };
+        for (what, m) in [
+            ("empty histograms, zero scalars", RunMetrics::default()),
+            ("u64::MAX scalars, u128::MAX sum", max),
+            ("powers of ten minus one", tens),
+            ("lru_gen of escapes only", escapes_only),
+        ] {
+            encodes_as_the_reference(&m).unwrap_or_else(|e| panic!("{what}: {e}"));
         }
     }
 

@@ -197,13 +197,19 @@ impl LatencyHistogram {
     /// [`from_parts`](LatencyHistogram::from_parts) reconstructs a
     /// byte-identical histogram — the cell cache serializes through this.
     pub fn to_parts(&self) -> (Vec<(u32, u64)>, u128, u64, u64) {
+        let (sparse, sum, min, max) = self.sparse_parts();
+        (sparse.collect(), sum, min, max)
+    }
+
+    /// [`to_parts`](LatencyHistogram::to_parts) with the sparse buckets
+    /// left as an iterator, for a writer that streams them out.
+    pub fn sparse_parts(&self) -> (impl Iterator<Item = (u32, u64)> + '_, u128, u64, u64) {
         let sparse = self
             .counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect();
+            .map(|(i, &c)| (i as u32, c));
         (sparse, self.sum, self.min, self.max)
     }
 

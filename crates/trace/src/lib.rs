@@ -35,4 +35,4 @@ mod tracer;
 
 pub use event::{EventRing, ThreadKind, TraceEvent};
 pub use export::TraceDecodeError;
-pub use tracer::{CoreOcc, Sample, TraceConfig, TraceData, TraceMeta, Tracer};
+pub use tracer::{CoreOcc, Sample, TraceConfig, TraceData, TraceMeta, Tracer, MAX_SAMPLES};

@@ -141,6 +141,14 @@ pub struct TraceData {
     pub dropped_events: u64,
 }
 
+/// The most samples one trace holds. Every trial `repro` runs stops at
+/// its `max_sim_time`, six simulated hours at most, which the default
+/// 10 ms interval splits into 2 160 000 boundaries: only a far smaller
+/// interval reaches the cap. The sampler then stops, so such a trace is
+/// bounded rather than grown until the host runs out of memory, and
+/// [`TraceData::samples_capped`] reports it.
+pub const MAX_SAMPLES: usize = 1 << 22;
+
 /// Collects samples and events during one kernel run.
 ///
 /// The kernel holds a `Tracer` only for a traced run; untraced runs (the
@@ -152,7 +160,17 @@ pub struct Tracer {
     refaults: u64,
     next_sample_ns: u64,
     samples: Vec<Sample>,
+    /// [`MAX_SAMPLES`]; lowered only by this module's tests.
+    sample_cap: usize,
     ring: EventRing,
+}
+
+impl TraceData {
+    /// Whether the sampler stopped at [`MAX_SAMPLES`]: the time series
+    /// then ends before the trial did.
+    pub fn samples_capped(&self) -> bool {
+        self.samples.len() >= MAX_SAMPLES
+    }
 }
 
 impl Tracer {
@@ -168,6 +186,7 @@ impl Tracer {
             refaults: 0,
             next_sample_ns: interval,
             samples: Vec::new(),
+            sample_cap: MAX_SAMPLES,
             ring: EventRing::new(cfg.event_capacity),
         }
     }
@@ -196,11 +215,13 @@ impl Tracer {
         self.ring.push(t_ns, ev);
     }
 
-    /// The next sample boundary at or before `upto_ns`, if one is due.
-    /// The kernel answers by snapshotting gauges and calling
+    /// The next sample boundary at or before `upto_ns`, if one is due
+    /// and the trace holds fewer than [`MAX_SAMPLES`] samples. The kernel
+    /// answers by snapshotting gauges and calling
     /// [`Tracer::push_sample`], which advances the boundary.
     pub fn next_boundary(&self, upto_ns: u64) -> Option<u64> {
-        (self.next_sample_ns <= upto_ns).then_some(self.next_sample_ns)
+        (self.next_sample_ns <= upto_ns && self.samples.len() < self.sample_cap)
+            .then_some(self.next_sample_ns)
     }
 
     /// Appends a sample and advances to the next boundary.
@@ -257,6 +278,23 @@ mod tests {
         t.push_sample(sample_at(200));
         t.push_sample(sample_at(300));
         assert_eq!(t.next_boundary(350), None);
+    }
+
+    #[test]
+    fn sampling_stops_at_the_cap() {
+        let mut t = Tracer::new(TraceConfig {
+            sample_interval: 1,
+            event_capacity: 1,
+        });
+        t.sample_cap = 3;
+        let mut pumped = 0;
+        while let Some(t_ns) = t.next_boundary(u64::MAX) {
+            t.push_sample(sample_at(t_ns));
+            pumped += 1;
+            assert!(pumped <= 3, "the sampler ran past its cap");
+        }
+        assert_eq!(t.samples.len(), 3);
+        assert_eq!(t.next_boundary(u64::MAX), None, "and stays stopped");
     }
 
     #[test]
