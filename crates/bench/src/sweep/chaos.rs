@@ -16,6 +16,7 @@
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// What to break, and where. Parsed from `repro --chaos` or built directly
 /// by tests. Everything defaults to "no injection".
@@ -113,7 +114,7 @@ pub(super) struct ChaosState {
     permanent_set: BTreeSet<usize>,
     slow_set: BTreeSet<usize>,
     kill_set: BTreeSet<usize>,
-    kills_fired: parking_lot::Mutex<BTreeSet<usize>>,
+    kills_fired: Mutex<BTreeSet<usize>>,
 }
 
 impl ChaosState {
@@ -135,7 +136,7 @@ impl ChaosState {
             permanent_set,
             slow_set,
             kill_set,
-            kills_fired: parking_lot::Mutex::new(BTreeSet::new()),
+            kills_fired: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -152,7 +153,7 @@ impl ChaosState {
     /// Should processing this trial kill the whole worker? Fires at most
     /// once per trial, so the requeued trial succeeds on its second host.
     pub(super) fn kill_worker(&self, spec: usize) -> bool {
-        self.kill_set.contains(&spec) && self.kills_fired.lock().insert(spec)
+        self.kill_set.contains(&spec) && super::lock(&self.kills_fired).insert(spec)
     }
 
     /// Has the abort threshold been reached?

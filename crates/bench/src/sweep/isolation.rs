@@ -16,8 +16,10 @@
 //!   requeued.
 //!
 //! Both use `AssertUnwindSafe`: the shared state a worker touches is either
-//! non-poisoning (`parking_lot` locks), atomic, or owned per-trial, so an
-//! unwind cannot leave it torn in a way a later observer could see.
+//! behind a `std::sync::Mutex` locked through a poisoned state
+//! (`lock().unwrap_or_else(PoisonError::into_inner)`, so a panicked holder
+//! does not wedge it), atomic, or owned per-trial, so an unwind cannot
+//! leave it torn in a way a later observer could see.
 
 #![expect(
     clippy::disallowed_methods,

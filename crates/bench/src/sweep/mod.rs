@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 // Wall-clock phase timing for the stderr summary only — never visible to
 // the simulation (the two timing fns carry the clippy.toml waiver).
 use std::time::Instant;
@@ -113,6 +113,12 @@ impl Default for SweepOptions {
             chaos: None,
         }
     }
+}
+
+/// Locks `m`, reading through a poisoned state: a worker panic that
+/// [`isolation`] caught does not wedge the lock for the rest of the sweep.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The default worker count: every available core.
@@ -309,11 +315,11 @@ struct WorkerCtx<'a> {
     bench: &'a Bench,
     opts: &'a SweepOptions,
     specs: &'a [CellSpec],
-    queue: &'a parking_lot::Mutex<VecDeque<usize>>,
+    queue: &'a Mutex<VecDeque<usize>>,
     abort: &'a AtomicBool,
     chaos: Option<&'a ChaosState>,
     traced_idx: Option<usize>,
-    trace_slot: &'a parking_lot::Mutex<Option<TraceData>>,
+    trace_slot: &'a Mutex<Option<TraceData>>,
 }
 
 /// [`run_sweep`] with the full fault-tolerance outcome: typed per-cell
@@ -369,13 +375,13 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
     stats.plan_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = Instant::now();
-    let trace_slot = parking_lot::Mutex::new(None::<TraceData>);
+    let trace_slot = Mutex::new(None::<TraceData>);
     let mut slots: Vec<Option<RunMetrics>> = vec![None; specs.len()];
     let mut spec_failures: BTreeMap<usize, (FailureKind, u32)> = BTreeMap::new();
     let abort = AtomicBool::new(false);
 
     if !specs.is_empty() {
-        let queue = parking_lot::Mutex::new((0..specs.len()).collect::<VecDeque<usize>>());
+        let queue = Mutex::new((0..specs.len()).collect::<VecDeque<usize>>());
         let ctx = WorkerCtx {
             bench,
             opts,
@@ -495,7 +501,7 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
                                 }
                                 spec_failures.insert(i, (kind, *d));
                             } else {
-                                queue.lock().push_back(i);
+                                lock(&queue).push_back(i);
                             }
                         }
                         if died && done < specs.len() && !abort.load(Ordering::Relaxed) {
@@ -559,9 +565,12 @@ pub fn run_sweep_resilient(bench: &Bench, figs: &[String], opts: &SweepOptions) 
         j.end(stats.cache_hits + stats.cache_misses, stats.failed, aborted);
     }
 
-    // parking_lot mutexes do not poison: a caught worker panic cannot
-    // cascade into this read (the old std::sync slot needed an `expect`).
-    let mut trace = trace_slot.into_inner();
+    // Like `lock`, this read goes through a poisoned state: a caught
+    // worker panic cannot cascade into it (the old std::sync slot needed
+    // an `expect`).
+    let mut trace = trace_slot
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     if !aborted {
         if let (Some(req), None) = (&opts.trace, &trace) {
             // The requested trial was not part of the plan (cell resident
@@ -592,7 +601,7 @@ fn worker_thread(ctx: &WorkerCtx<'_>, tx: &mpsc::Sender<Msg>) {
         if ctx.abort.load(Ordering::Relaxed) {
             break;
         }
-        let next = ctx.queue.lock().pop_front();
+        let next = lock(ctx.queue).pop_front();
         let Some(i) = next else { break };
         current.set(i);
         if ctx.chaos.is_some_and(|c| c.kill_worker(i)) {
@@ -669,7 +678,7 @@ fn process_spec(ctx: &WorkerCtx<'_>, i: usize) -> TrialOutcome {
                     let (m, data) =
                         ctx.bench
                             .run_trial_traced(&spec.query, spec.trial, budget, req.config);
-                    *ctx.trace_slot.lock() = Some(data);
+                    *lock(ctx.trace_slot) = Some(data);
                     m
                 }
                 _ => ctx

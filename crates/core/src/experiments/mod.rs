@@ -25,7 +25,7 @@ pub use figures::*;
 // Ordered containers only (rule L1, clippy.toml): the cell table is never
 // iterated today, but a `BTreeMap` keeps any future walk deterministic.
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pagesim_engine::rng::trial_seed;
 use pagesim_engine::Nanos;
@@ -243,7 +243,7 @@ pub struct Bench {
     ycsb_a: YcsbWorkload,
     ycsb_b: YcsbWorkload,
     ycsb_c: YcsbWorkload,
-    cells: parking_lot::Mutex<BTreeMap<CellKey, Arc<TrialSet>>>,
+    cells: Mutex<BTreeMap<CellKey, Arc<TrialSet>>>,
 }
 
 impl Bench {
@@ -263,8 +263,14 @@ impl Bench {
             ycsb_b: ycsb_a.with_mix(YcsbMix::B),
             ycsb_c: ycsb_a.with_mix(YcsbMix::C),
             ycsb_a,
-            cells: parking_lot::Mutex::new(BTreeMap::new()),
+            cells: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// The cell table, locked. The lock reads through a poisoned state, so
+    /// a panicked holder does not wedge the table for everyone else.
+    fn cells(&self) -> MutexGuard<'_, BTreeMap<CellKey, Arc<TrialSet>>> {
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The sweep scale.
@@ -334,7 +340,7 @@ impl Bench {
     /// it runs exactly what each figure declares, so a miss means a driver
     /// reads a cell its [`FigureSpec::cells`] does not list.
     pub fn query(&self, query: &CellQuery) -> Arc<TrialSet> {
-        let hit = self.cells.lock().get(&query.config_key()).cloned();
+        let hit = self.cells().get(&query.config_key()).cloned();
         hit.unwrap_or_else(|| {
             panic!(
                 "cell {} is not in the cell table: sweep the figures that declare it first",
@@ -411,12 +417,12 @@ impl Bench {
     /// Installs a computed cell (from a sweep or a cache) into the table
     /// the figure drivers read.
     pub fn install_cell(&self, query: &CellQuery, set: TrialSet) {
-        self.cells.lock().insert(query.config_key(), Arc::new(set));
+        self.cells().insert(query.config_key(), Arc::new(set));
     }
 
     /// Whether a cell is already installed.
     pub fn has_cell(&self, query: &CellQuery) -> bool {
-        self.cells.lock().contains_key(&query.config_key())
+        self.cells().contains_key(&query.config_key())
     }
 
     /// The content key of one trial of `query`, independent of process,
@@ -513,4 +519,32 @@ fn grid(ratios: &[f64], wls: &[Wl], policies: &[PolicyChoice], swap: SwapChoice)
         }
     }
     cells
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a thread that panics while it holds the cell table's lock"
+    )]
+    fn cell_table_survives_a_panicked_holder() {
+        let bench = Bench::new(Scale::smoke());
+        let query = CellQuery::healthy(Wl::Tpch, PolicyChoice::Clock, SwapChoice::Zram, 0.5);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = bench.cells.lock();
+                panic!("poison attempt");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(bench.cells.is_poisoned());
+        // Every site reads through the poison: none panics.
+        assert!(!bench.has_cell(&query));
+        bench.install_cell(&query, TrialSet { runs: Vec::new() });
+        assert!(bench.has_cell(&query));
+        assert!(bench.query(&query).runs.is_empty());
+    }
 }

@@ -7,15 +7,20 @@
 //! The kernel is a discrete-event simulation. When a thread is dispatched
 //! onto a core it runs a *slice*: ops are consumed from the batch it took
 //! from its access stream, refilled a batch at a time, until the
-//! time-slice budget is spent, the thread blocks (fault I/O, barrier,
-//! frame starvation), or it finishes. Slice effects are applied
-//! at dispatch using the slice's *virtual* timestamps (`now + used`);
-//! cross-thread interleaving is therefore accurate to within one quantum,
-//! which is far below every latency of interest (SSD ops are 7.5 ms).
-//! The slice's end is an event at `now + used`. When it ends a preemption
-//! and no other thread waits for a core, the thread is dispatched again on
-//! the same core at that event, without a round trip through the run
-//! queue.
+//! time-slice budget is spent, the thread blocks, or it finishes. Slice
+//! effects are applied at dispatch using the slice's *virtual* timestamps
+//! (`now + used`); cross-thread interleaving is therefore accurate to
+//! within one quantum, which is far below every latency of interest (SSD
+//! ops are 7.5 ms). The slice's end is an event at `now + used`. When it
+//! ends a preemption and no other thread waits for a core, the thread is
+//! dispatched again on the same core at that event, without a round trip
+//! through the run queue.
+//!
+//! A thread that blocks records why as one [`Wait`]: `Io`, `PageLock`,
+//! `Frame`, `Backoff`, `Barrier` or `Idle`. `Io` and `Barrier` consume the
+//! op that blocked; after the others the access runs again at the next
+//! dispatch. Every wake goes through one path, [`Waits::wake`], which
+//! clears the wait and hands the thread back to the scheduler.
 //!
 //! ## Fault path fidelity
 //!
@@ -249,6 +254,64 @@ enum ThreadBody {
     Aging,
 }
 
+/// Why a blocked thread waits, and what ends the wait.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Wait {
+    /// Its major fault's device read is in flight: the read's `IoDone`.
+    Io,
+    /// Another thread's read of the page is in flight: that read's
+    /// `IoDone` releases the page lock's chain in arrival order.
+    PageLock,
+    /// No frame could be had, even by direct reclaim: a `Wake` 300 µs on.
+    Frame,
+    /// The device rejected its swap-in: a `Wake` after the backoff.
+    Backoff,
+    /// The rest of a barrier's parties: the round's last arrival, or a
+    /// party's death.
+    Barrier,
+    /// A kernel thread with no work: `maybe_wake_kswapd` or
+    /// `maybe_wake_aging` once there is some.
+    Idle,
+}
+
+impl Wait {
+    /// Whether the op the thread blocked on is done once the wait ends:
+    /// the read maps the page, the barrier round completes. After any
+    /// other wait the access runs again.
+    fn consumes_op(self) -> bool {
+        matches!(self, Wait::Io | Wait::Barrier)
+    }
+}
+
+/// The wait of each thread, `None` while it does not wait. A struct of
+/// its own so a wake site can drain a wait queue (a page lock's chain, a
+/// barrier) while it wakes: the two borrows are of disjoint fields.
+struct Waits(Vec<Option<Wait>>);
+
+impl Waits {
+    /// Records that `tid` blocks on `wait`.
+    fn block(&mut self, tid: ThreadId, wait: Wait) {
+        let slot = &mut self.0[tid.0 as usize];
+        debug_assert_eq!(*slot, None, "thread {tid:?} blocks while it waits");
+        *slot = Some(wait);
+    }
+
+    /// The wait of `tid`, if it waits.
+    fn get(&self, tid: ThreadId) -> Option<Wait> {
+        self.0[tid.0 as usize]
+    }
+
+    /// The one wake path: ends `tid`'s wait and makes it runnable. A
+    /// finished thread stays finished: a thread killed while it waited
+    /// can retire before the event that ends its wait.
+    fn wake(&mut self, sched: &mut Scheduler, tid: ThreadId) {
+        self.0[tid.0 as usize] = None;
+        if !sched.is_finished(tid) {
+            sched.make_runnable(tid);
+        }
+    }
+}
+
 /// The simulated system. One [`run`](Kernel::run) = one workload execution.
 pub struct Kernel {
     cfg: SystemConfig,
@@ -263,10 +326,10 @@ pub struct Kernel {
     app_live: usize,
     finish_time: SimTime,
     kswapd: ThreadId,
-    kswapd_asleep: bool,
     kswapd_retry_pending: bool,
     aging: ThreadId,
-    aging_asleep: bool,
+    /// Why each blocked thread waits.
+    waits: Waits,
     /// Page locks of faults whose read is in flight: later faulters on
     /// the same page wait for the first I/O instead of issuing their own.
     /// A locked page's frame is pinned: the OOM killer must not free it
@@ -403,6 +466,9 @@ impl Kernel {
         bodies.push(ThreadBody::Kswapd);
         let aging = sched.spawn(ThreadClass::Kernel);
         bodies.push(ThreadBody::Aging);
+        // App threads start runnable; the kernel threads start idle.
+        let mut waits = vec![None; app_live];
+        waits.extend([Some(Wait::Idle); 2]);
 
         let mut metrics = RunMetrics {
             footprint_pages: footprint,
@@ -439,10 +505,9 @@ impl Kernel {
             app_live,
             finish_time: SimTime::ZERO,
             kswapd,
-            kswapd_asleep: true,
             kswapd_retry_pending: false,
             aging,
-            aging_asleep: true,
+            waits: Waits(waits),
             locks: PageLocks::new(total_pages as usize, frames, thread_count),
             victims: vec![0; config.kswapd_batch.max(config.direct_batch) as usize]
                 .into_boxed_slice(),
@@ -633,6 +698,14 @@ impl Kernel {
                         }
                     );
                 }
+                // A wake that came while the slice ran overtook its block:
+                // the thread stays runnable.
+                let woken = decision == DispatchDecision::Blocked && self.waits.get(tid).is_none();
+                let decision = if woken {
+                    DispatchDecision::Preempted
+                } else {
+                    decision
+                };
                 // A preempted thread that nobody waits behind keeps its
                 // core: run its next slice now, as the dispatch loop would.
                 if decision == DispatchDecision::Preempted && self.sched.redispatch(core, tid, used)
@@ -656,57 +729,41 @@ impl Kernel {
                 write,
                 fd,
             } => {
-                if self.killed[tid.0 as usize] || self.sched.is_finished(tid) {
+                if self.killed[tid.0 as usize] {
                     // The faulting thread died while its I/O was in
                     // flight: drop the frame, leave the page out.
                     self.frame_owner[frame as usize] = None;
                     if self.mem.phys.state(frame) == FrameState::InUse {
                         self.mem.phys.free(frame);
                     }
-                    self.wake_inflight_waiters(key);
-                    return;
+                } else {
+                    self.complete_major_fault(key, frame, slot, write, fd);
+                    trace_event!(
+                        self,
+                        self.now.as_ns(),
+                        TraceEvent::FaultEnd {
+                            tid: tid.0,
+                            key: key as u64,
+                        }
+                    );
+                    self.waits.wake(&mut self.sched, tid);
                 }
-                self.complete_major_fault(tid, key, frame, slot, write, fd);
-                trace_event!(
-                    self,
-                    self.now.as_ns(),
-                    TraceEvent::FaultEnd {
-                        tid: tid.0,
-                        key: key as u64,
-                    }
-                );
-                self.sched.make_runnable(tid);
                 // Release the page lock: threads that faulted on the same
-                // page retry their access and hit.
-                self.wake_inflight_waiters(key);
+                // page meanwhile retry their access, in arrival order.
+                for w in self.locks.unlock(key) {
+                    self.waits.wake(&mut self.sched, w);
+                }
             }
             Event::FrameFree { frame } => {
                 self.mem.phys.writeback_done(frame);
             }
-            Event::Wake { tid } => {
-                if !self.sched.is_finished(tid) {
-                    self.sched.make_runnable(tid);
-                }
-            }
+            Event::Wake { tid } => self.waits.wake(&mut self.sched, tid),
             Event::KswapdRetry => {
                 self.kswapd_retry_pending = false;
-                if self.kswapd_asleep && self.mem.phys.below_low() {
-                    self.kswapd_asleep = false;
-                    self.sched.make_runnable(self.kswapd);
-                }
+                self.maybe_wake_kswapd();
             }
             Event::PressureOn { idx } => self.pressure_on(idx),
             Event::PressureOff { idx } => self.pressure_off(idx),
-        }
-    }
-
-    /// Unlocks `key` and wakes the threads that faulted on it meanwhile,
-    /// in arrival order.
-    fn wake_inflight_waiters(&mut self, key: PageKey) {
-        for w in self.locks.unlock(key) {
-            if !self.sched.is_finished(w) {
-                self.sched.make_runnable(w);
-            }
         }
     }
 
@@ -775,7 +832,8 @@ impl Kernel {
 
     /// Executes `ops` from `pos` until the slice ends. An op that is
     /// consumed advances `pos`; one that must be retried (preempted before
-    /// it starts, starved of a frame) leaves it in place, and a `Compute`
+    /// it starts, or blocked on a [`Wait`] that does not
+    /// [consume](Wait::consumes_op) it) leaves it in place, and a `Compute`
     /// split at the quantum is rewritten in place to its remainder.
     fn run_ops(
         &mut self,
@@ -830,9 +888,14 @@ impl Kernel {
                     let fd = matches!(op, Op::FdAccess { .. });
                     match self.touch(tid, space, vpn, write, fd, &mut used) {
                         TouchResult::Hit => None,
-                        TouchResult::BlockedIo => Some(DispatchDecision::Blocked),
-                        // Retry the whole access once frames free up.
-                        TouchResult::Starved => return (used, DispatchDecision::Blocked),
+                        TouchResult::Blocked(wait) => {
+                            self.waits.block(tid, wait);
+                            if !wait.consumes_op() {
+                                // Retry the whole access once the wait ends.
+                                return (used, DispatchDecision::Blocked);
+                            }
+                            Some(DispatchDecision::Blocked)
+                        }
                         TouchResult::Killed => Some(DispatchDecision::Finished),
                     }
                 }
@@ -841,11 +904,14 @@ impl Kernel {
                     match self.barriers.arrive(id, tid) {
                         Some(waiters) => {
                             for w in waiters {
-                                self.sched.make_runnable(w);
+                                self.waits.wake(&mut self.sched, w);
                             }
                             None
                         }
-                        None => Some(DispatchDecision::Blocked),
+                        None => {
+                            self.waits.block(tid, Wait::Barrier);
+                            Some(DispatchDecision::Blocked)
+                        }
                     }
                 }
                 Op::RequestStart { class, warmup } => {
@@ -952,7 +1018,7 @@ impl Kernel {
         //    already in flight, wait for its I/O and retry the access.
         if self.locks.wait(key, tid) {
             self.metrics.shared_fault_waits += 1;
-            return TouchResult::Starved;
+            return TouchResult::Blocked(Wait::PageLock);
         }
         // 1. A frame must be available before any read can start.
         let frame = match self.grab_frame(key, used) {
@@ -973,7 +1039,7 @@ impl Kernel {
                 // looked accessed): retry shortly.
                 self.events
                     .push(self.now + *used + 300 * MICROSECOND, Event::Wake { tid });
-                return TouchResult::Starved;
+                return TouchResult::Blocked(Wait::Frame);
             }
         };
 
@@ -1007,7 +1073,7 @@ impl Kernel {
             let sync_done = self.now + *used;
             if out.done_at <= sync_done.max(submit + out.cpu_ns) && submit == vt {
                 // CPU-bound medium (ZRAM): the fault resolves inline.
-                self.complete_major_fault(tid, key, frame, slot, write, fd);
+                self.complete_major_fault(key, frame, slot, write, fd);
                 TouchResult::Hit
             } else {
                 trace_event!(
@@ -1030,7 +1096,7 @@ impl Kernel {
                         fd,
                     },
                 );
-                TouchResult::BlockedIo
+                TouchResult::Blocked(Wait::Io)
             }
         } else {
             // Minor fault: zero-fill. The page is mapped dirty — it
@@ -1081,7 +1147,7 @@ impl Kernel {
         self.metrics.backoff_ns += backoff;
         self.events
             .push(self.now + *used + backoff, Event::Wake { tid });
-        TouchResult::Starved
+        TouchResult::Blocked(Wait::Backoff)
     }
 
     /// Counts a starved allocation toward the OOM trigger. Returns `true`
@@ -1102,7 +1168,6 @@ impl Kernel {
     /// Finishes a swap-in/file read: maps the page and updates the policy.
     fn complete_major_fault(
         &mut self,
-        _tid: ThreadId,
         key: PageKey,
         frame: FrameId,
         slot: Option<SwapSlot>,
@@ -1392,40 +1457,37 @@ impl Kernel {
             freed += 1;
         }
         self.metrics.kill_freed_frames += freed;
-        self.barriers.depart(victim, |w| {
-            if !self.sched.is_finished(w) {
-                self.sched.make_runnable(w);
-            }
-        });
-        // Ensure the victim reaches dispatch and retires (a no-op if it
-        // is already runnable; a pending wake if it is mid-slice).
-        self.sched.make_runnable(victim);
+        self.barriers
+            .depart(victim, |w| self.waits.wake(&mut self.sched, w));
+        // Ensure the victim reaches dispatch and retires. One on a page
+        // lock's chain stays there; the unlock skips it once it retired.
+        self.waits.wake(&mut self.sched, victim);
         self.maybe_wake_kswapd();
         #[cfg(feature = "sanitize")]
         self.check_invariants();
     }
 
     fn maybe_wake_kswapd(&mut self) {
-        if self.kswapd_asleep && self.mem.phys.below_low() {
-            self.kswapd_asleep = false;
-            self.sched.make_runnable(self.kswapd);
+        if self.waits.get(self.kswapd) == Some(Wait::Idle) && self.mem.phys.below_low() {
+            self.waits.wake(&mut self.sched, self.kswapd);
         }
     }
 
     fn maybe_wake_aging(&mut self) {
-        if self.aging_asleep && self.policy.wants_background(&self.mem) {
-            self.aging_asleep = false;
-            self.sched.make_runnable(self.aging);
+        let idle = self.waits.get(self.aging) == Some(Wait::Idle);
+        if idle && self.policy.wants_background(&self.mem) {
+            self.waits.wake(&mut self.sched, self.aging);
         }
     }
 
     fn run_kswapd_slice(&mut self) -> (Nanos, DispatchDecision) {
         let budget = self.sched.quantum();
         let mut used: Nanos = 0;
-        loop {
+        // kswapd goes idle once the high watermark is met, and also, with
+        // a retry due, when it cannot make progress.
+        let retry_in = loop {
             if self.mem.phys.above_high() {
-                self.kswapd_asleep = true;
-                return (used, DispatchDecision::Blocked);
+                break None;
             }
             // Write-back throttling: stop feeding the device while its
             // queue is deep, or swap-out storms starve demand reads.
@@ -1438,13 +1500,7 @@ impl Kernel {
                         backlog_ns: self.swap.backlog(self.now + used),
                     }
                 );
-                self.kswapd_asleep = true;
-                if !self.kswapd_retry_pending {
-                    self.kswapd_retry_pending = true;
-                    self.events
-                        .push(self.now + used + 10 * MILLISECOND, Event::KswapdRetry);
-                }
-                return (used, DispatchDecision::Blocked);
+                break Some(10 * MILLISECOND);
             }
             let batch = &mut self.victims[..self.cfg.kswapd_batch as usize];
             let out = self.policy.reclaim(batch, &mut self.mem);
@@ -1467,23 +1523,26 @@ impl Kernel {
             if out.victims == 0 {
                 // No progress possible right now (write-backs in flight or
                 // everything recently accessed): retry shortly.
-                self.kswapd_asleep = true;
-                if !self.kswapd_retry_pending {
-                    self.kswapd_retry_pending = true;
-                    self.events
-                        .push(self.now + used + 2 * MILLISECOND, Event::KswapdRetry);
-                }
-                return (used, DispatchDecision::Blocked);
+                break Some(2 * MILLISECOND);
             }
             if used >= budget {
                 return (used, DispatchDecision::Preempted);
             }
+        };
+        if let Some(delay) = retry_in {
+            if !self.kswapd_retry_pending {
+                self.kswapd_retry_pending = true;
+                self.events
+                    .push(self.now + used + delay, Event::KswapdRetry);
+            }
         }
+        self.waits.block(self.kswapd, Wait::Idle);
+        (used, DispatchDecision::Blocked)
     }
 
     fn run_aging_slice(&mut self) -> (Nanos, DispatchDecision) {
         if !self.policy.wants_background(&self.mem) {
-            self.aging_asleep = true;
+            self.waits.block(self.aging, Wait::Idle);
             return (0, DispatchDecision::Blocked);
         }
         let bg = self
@@ -1498,7 +1557,7 @@ impl Kernel {
         if self.policy.wants_background(&self.mem) {
             (bg.cpu_ns, DispatchDecision::Preempted)
         } else {
-            self.aging_asleep = true;
+            self.waits.block(self.aging, Wait::Idle);
             (bg.cpu_ns, DispatchDecision::Blocked)
         }
     }
@@ -1538,6 +1597,62 @@ impl Kernel {
     /// One in this many quiesce points sweeps when throttled.
     #[cfg(feature = "sanitize")]
     const SANITIZE_THROTTLE_PERIOD: u64 = 64;
+
+    /// The wait model: a thread the scheduler holds blocked records one
+    /// [`Wait`]; `Io`, `PageLock` and `Barrier` waits are held by exactly
+    /// the threads on that wait's queue (the owners of io-pinned frames,
+    /// the page locks' chains, the barriers' waiting lists), and `Idle`
+    /// waits only by kernel threads. A killed thread no longer waits, but
+    /// it stays on a page lock's chain until the unlock: it is exempt
+    /// there. (`Frame` and `Backoff` waits queue in the event heap, which
+    /// is not searched.)
+    #[cfg(feature = "sanitize")]
+    fn check_waits(&self) {
+        let threads = self.bodies.len();
+        let mut io = vec![false; threads];
+        for f in 0..self.mem.phys.capacity() as FrameId {
+            if let (Some(_), Some(t)) = (self.locks.pinned_page(f), self.frame_owner[f as usize]) {
+                io[t.0 as usize] = true;
+            }
+        }
+        let mut lock = vec![false; threads];
+        for t in self.locks.waiters() {
+            lock[t.0 as usize] = true;
+        }
+        let mut barrier = vec![false; threads];
+        for t in self.barriers.waiting() {
+            barrier[t.0 as usize] = true;
+        }
+        for (i, body) in self.bodies.iter().enumerate() {
+            let wait = self.waits.0[i];
+            assert!(
+                wait.is_some() || !self.sched.is_blocked(ThreadId(i as u32)),
+                "sanitize: wait: blocked thread {i} records no wait"
+            );
+            let kernel = !matches!(body, ThreadBody::App { .. });
+            assert_eq!(
+                kernel && wait.is_some(),
+                wait == Some(Wait::Idle),
+                "sanitize: wait: thread {i} (kernel thread: {kernel}) waits on {wait:?}"
+            );
+            let live = !self.killed[i];
+            let queued = if io[i] && live {
+                Some(Wait::Io)
+            } else if lock[i] && live {
+                Some(Wait::PageLock)
+            } else if barrier[i] {
+                Some(Wait::Barrier)
+            } else {
+                None
+            };
+            let queue_wait =
+                wait.filter(|w| matches!(w, Wait::Io | Wait::PageLock | Wait::Barrier));
+            assert_eq!(
+                queue_wait, queued,
+                "sanitize: wait: thread {i} waits on {wait:?} but is queued for {queued:?}"
+            );
+        }
+    }
 
     #[cfg(feature = "sanitize")]
     fn check_invariants_full(&self) {
@@ -1654,6 +1769,7 @@ impl Kernel {
         // The lock tables: in-flight pages and io-pinned frames pair up
         // one to one, and each waiter is queued on exactly one page.
         self.locks.check_invariants();
+        self.check_waits();
 
         // Slot sweep: every referenced slot must hold data, and the
         // device's live count must equal the kernel's reference count. The
@@ -1692,8 +1808,8 @@ impl Kernel {
 
 enum TouchResult {
     Hit,
-    BlockedIo,
-    Starved,
+    /// The access cannot finish until the wait ends.
+    Blocked(Wait),
     /// The faulting thread was killed (permanent I/O failure or the OOM
     /// killer chose it); the slice finishes immediately.
     Killed,
@@ -1906,38 +2022,45 @@ mod tests {
         assert_eq!(w.refills.load(Ordering::Relaxed), 3);
     }
 
-    /// Three threads sharing one page: each computes for its delay, then
-    /// reads page 0. A thread logs its id when it asks for the batch after
-    /// that read, i.e. the first time it runs once the read has resolved.
-    struct PageLockProgram {
-        delays: [Nanos; 3],
+    /// Threads on eight pages, each running its own list of ops. A thread
+    /// logs its id when it asks for the batch after its list, i.e. the
+    /// first time it runs once its last op has resolved.
+    struct Script {
+        threads: Vec<Vec<Op>>,
+        barriers: Vec<usize>,
         resumed: Arc<Mutex<Vec<u32>>>,
     }
 
-    struct PageLockStream {
+    impl Script {
+        fn new(threads: Vec<Vec<Op>>, barriers: Vec<usize>) -> Script {
+            Script {
+                threads,
+                barriers,
+                resumed: Default::default(),
+            }
+        }
+
+        fn resumed(&self) -> Vec<u32> {
+            self.resumed.lock().expect("log lock").clone()
+        }
+    }
+
+    struct ScriptStream {
         id: u32,
-        delay: Nanos,
+        ops: Vec<Op>,
         refills: u32,
         buf: OpBuf,
         resumed: Arc<Mutex<Vec<u32>>>,
     }
 
-    impl AccessStream for PageLockStream {
+    impl AccessStream for ScriptStream {
         fn refill(&mut self) -> bool {
             self.refills += 1;
             if self.refills > 1 {
                 self.resumed.lock().expect("log lock").push(self.id);
                 return false;
             }
-            if self.delay > 0 {
-                self.buf.push(Op::Compute { cpu_ns: self.delay });
-            }
-            self.buf.push(Op::Access {
-                space: AsId(0),
-                vpn: 0,
-                write: false,
-                cpu_ns: 100,
-            });
+            self.buf.extend(self.ops.iter().copied());
             true
         }
 
@@ -1946,9 +2069,9 @@ mod tests {
         }
     }
 
-    impl Workload for PageLockProgram {
+    impl Workload for Script {
         fn name(&self) -> String {
-            "page-lock-program".to_owned()
+            "script".to_owned()
         }
 
         fn spaces(&self) -> Vec<SpaceSpec> {
@@ -1959,15 +2082,16 @@ mod tests {
         }
 
         fn barriers(&self) -> Vec<usize> {
-            Vec::new()
+            self.barriers.clone()
         }
 
         fn streams(&self, _seed: u64) -> Vec<Box<dyn AccessStream>> {
-            (0..3)
-                .map(|id| {
-                    Box::new(PageLockStream {
+            (0..)
+                .zip(&self.threads)
+                .map(|(id, ops)| {
+                    Box::new(ScriptStream {
                         id,
-                        delay: self.delays[id as usize],
+                        ops: ops.clone(),
                         refills: 0,
                         buf: Default::default(),
                         resumed: Arc::clone(&self.resumed),
@@ -1977,38 +2101,163 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threads_faulting_on_one_ssd_page_resume_in_arrival_order() {
-        // Thread 2 faults first and issues the read; threads 1 and then 0
-        // arrive in later slices while it is in flight. Arrival order is the
-        // reverse of thread order, so a wake in thread order would fail.
-        let w = PageLockProgram {
-            delays: [
-                2 * MILLISECOND + MILLISECOND / 2,
-                MILLISECOND + MILLISECOND / 2,
-                0,
-            ],
-            resumed: Default::default(),
+    /// Computes for `delay`, then reads page 0.
+    fn read_page0_after(delay: Nanos) -> Vec<Op> {
+        let read = Op::Access {
+            space: AsId(0),
+            vpn: 0,
+            write: false,
+            cpu_ns: 100,
         };
-        let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
-        let mut k = Kernel::build(&c, &w, 1);
-        // Page 0 starts out swapped to the SSD: its 7.5 ms write is still
-        // in flight, so the read queues behind it.
+        match delay {
+            0 => vec![read],
+            _ => vec![Op::Compute { cpu_ns: delay }, read],
+        }
+    }
+
+    /// Three threads that read page 0: thread 2 at once, then threads 1
+    /// and 0 in later slices, all before the first read completes.
+    fn page0_readers() -> Script {
+        Script::new(
+            vec![
+                read_page0_after(2 * MILLISECOND + MILLISECOND / 2),
+                read_page0_after(MILLISECOND + MILLISECOND / 2),
+                read_page0_after(0),
+            ],
+            Vec::new(),
+        )
+    }
+
+    /// Puts page 0 out on the SSD, its 7.5 ms write still in flight, so
+    /// the first fault on it reads from the device behind that write.
+    /// Returns when the write completes.
+    fn swap_page0_to_ssd(k: &mut Kernel) -> SimTime {
         let slot = k.swap.allocate_slot();
         let write = k
             .swap
             .write(SimTime::ZERO, slot, EntropyClass::Text)
             .expect("ssd write");
         k.mem.space_mut(AsId(0)).set_swapped(0, slot);
+        write.done_at
+    }
+
+    /// Runs `k` as [`Kernel::run_loop`] does until `stop` holds between
+    /// two events.
+    fn run_until(k: &mut Kernel, stop: impl Fn(&Kernel) -> bool) {
+        loop {
+            while let Some((core, tid)) = k.sched.try_dispatch() {
+                k.run_dispatched(core, tid);
+            }
+            if stop(k) {
+                return;
+            }
+            let (t, ev) = k.events.pop().expect("no event left before the stop");
+            k.now = t;
+            k.handle_event(ev);
+        }
+    }
+
+    #[test]
+    fn threads_faulting_on_one_ssd_page_resume_in_arrival_order() {
+        // Thread 2 faults first and issues the read; threads 1 and then 0
+        // arrive in later slices while it is in flight. Arrival order is the
+        // reverse of thread order, so a wake in thread order would fail.
+        let w = page0_readers();
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
+        let mut k = Kernel::build(&c, &w, 1);
+        let write_done = swap_page0_to_ssd(&mut k);
         let m = k.run();
         assert_eq!(m.error, None);
         assert_eq!(m.major_faults, 1, "one read serves all three threads");
         assert_eq!(m.shared_fault_waits, 2);
-        assert_eq!(*w.resumed.lock().expect("log lock"), [2, 1, 0]);
+        assert_eq!(w.resumed(), [2, 1, 0]);
         assert!(
-            m.runtime_ns > write.done_at.as_ns(),
+            m.runtime_ns > write_done.as_ns(),
             "the read waited for the write"
         );
+    }
+
+    #[test]
+    fn a_thread_killed_on_a_page_lock_retires_before_the_unlock() {
+        let w = page0_readers();
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
+        let mut k = Kernel::build(&c, &w, 1);
+        swap_page0_to_ssd(&mut k);
+        let (victim, holder) = (ThreadId(1), ThreadId(2));
+        run_until(&mut k, |k| k.sched.is_blocked(victim));
+        assert_eq!(k.waits.get(victim), Some(Wait::PageLock));
+        k.kill_thread(victim);
+        assert_eq!(k.waits.get(victim), None, "a killed thread waits no more");
+        run_until(&mut k, |k| k.sched.is_finished(victim));
+        assert_eq!(
+            k.waits.get(holder),
+            Some(Wait::Io),
+            "the victim retired while the read it queued behind was in flight"
+        );
+        // The unlock walks a chain the dead thread is still on: waking it
+        // would panic in the scheduler.
+        k.run_loop();
+        let m = k.finalize();
+        assert_eq!(m.error, None);
+        assert_eq!(m.major_faults, 1, "the holder completed its fault");
+        assert_eq!(m.shared_fault_waits, 2);
+        assert_eq!(w.resumed(), [2, 0], "every thread but the dead one resumed");
+    }
+
+    #[test]
+    fn a_thread_killed_at_a_barrier_retires_and_the_rounds_go_on() {
+        // Threads 0 and 1 reach the three-party barrier at once; thread 2
+        // computes first. Thread 0 dies while it waits: from then on a
+        // round needs two parties, so thread 2's arrival releases thread 1
+        // and the second round completes without thread 0.
+        let barrier = Op::Barrier { id: 0 };
+        let w = Script::new(
+            vec![
+                vec![barrier, barrier],
+                vec![barrier, barrier],
+                vec![
+                    Op::Compute {
+                        cpu_ns: 3 * MILLISECOND,
+                    },
+                    barrier,
+                    barrier,
+                ],
+            ],
+            vec![3],
+        );
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Zram, 1.0);
+        let mut k = Kernel::build(&c, &w, 1);
+        let victim = ThreadId(0);
+        run_until(&mut k, |k| k.sched.is_blocked(victim));
+        assert_eq!(k.waits.get(victim), Some(Wait::Barrier));
+        k.kill_thread(victim);
+        assert_eq!(
+            k.waits.get(ThreadId(1)),
+            Some(Wait::Barrier),
+            "no round completed"
+        );
+        run_until(&mut k, |k| k.sched.is_finished(victim));
+        assert_eq!(k.waits.get(ThreadId(1)), Some(Wait::Barrier));
+        k.run_loop();
+        let m = k.finalize();
+        assert_eq!(m.error, None);
+        assert_eq!(w.resumed(), [1, 2], "every thread but the dead one resumed");
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(
+        expected = "sanitize: wait: thread 1 waits on Some(Frame) but is queued for Some(PageLock)"
+    )]
+    fn sanitizer_catches_a_page_lock_waiter_with_another_wait() {
+        let w = page0_readers();
+        let c = cfg(PolicyChoice::Clock, SwapChoice::Ssd, 1.0);
+        let mut k = Kernel::build(&c, &w, 1);
+        swap_page0_to_ssd(&mut k);
+        run_until(&mut k, |k| k.sched.is_blocked(ThreadId(1)));
+        k.check_invariants_full();
+        k.waits.0[1] = Some(Wait::Frame);
+        k.check_invariants_full();
     }
 
     // ------------------------------------------------------------

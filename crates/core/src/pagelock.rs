@@ -127,6 +127,14 @@ impl Iterator for Waiters<'_> {
 
 #[cfg(feature = "sanitize")]
 impl PageLocks {
+    /// Every thread queued on any page's chain.
+    pub(crate) fn waiters(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        self.pins.iter().flat_map(|pin| Waiters {
+            next: &self.next,
+            cur: pin.head,
+        })
+    }
+
     /// Verifies the lock tables: each locked page and its pinned frame
     /// point at each other, so the in-flight count equals the pinned frame
     /// count; each queued waiter is chained to exactly one in-flight page,

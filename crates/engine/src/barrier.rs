@@ -73,6 +73,12 @@ impl BarrierSet {
         }
     }
 
+    /// The threads blocked at any barrier, barrier by barrier, each in
+    /// arrival order.
+    pub fn waiting(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        self.barriers.iter().flat_map(|b| b.waiting.iter().copied())
+    }
+
     /// Removes `tid` from every barrier permanently (the thread was
     /// killed). It is withdrawn from any waiting list and stops counting
     /// as a party; rounds completed by its departure release their
@@ -104,6 +110,7 @@ mod tests {
         assert!(bs.arrive(b, ThreadId(0)).is_none());
         assert!(bs.arrive(b, ThreadId(1)).is_none());
         assert_eq!(bs.barriers[b].waiting.len(), 2);
+        assert_eq!(bs.waiting().collect::<Vec<_>>(), [ThreadId(0), ThreadId(1)]);
         let released: Vec<_> = bs.arrive(b, ThreadId(2)).unwrap().collect();
         assert_eq!(released, vec![ThreadId(0), ThreadId(1)]);
         assert!(bs.barriers[b].waiting.is_empty());

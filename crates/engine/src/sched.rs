@@ -46,10 +46,6 @@ struct Thread {
     state: ThreadState,
     cpu_consumed: Nanos,
     switches: u64,
-    /// A wakeup arrived while the thread was still running (its blocking
-    /// slice-end had not been processed yet). Real kernels handle this
-    /// race the same way: the sleep is cancelled at the blocking point.
-    wake_pending: bool,
 }
 
 /// How a dispatched slice ended, reported back by the driver.
@@ -131,18 +127,30 @@ impl Scheduler {
             state: ThreadState::Blocked,
             cpu_consumed: 0,
             switches: 0,
-            wake_pending: false,
         });
         self.live_threads += 1;
         // A thread waits in its class's run queue at most once, so room
         // for every thread of the class keeps the queue from reallocating.
         let peers = self.threads.iter().filter(|t| t.class == class).count();
-        let queue = match class {
-            ThreadClass::App => &mut self.app_queue,
-            ThreadClass::Kernel => &mut self.kernel_queue,
-        };
+        let queue = self.queue(class);
         queue.reserve(peers - queue.len());
         id
+    }
+
+    /// The run queue of `class`.
+    fn queue(&mut self, class: ThreadClass) -> &mut VecDeque<ThreadId> {
+        match class {
+            ThreadClass::App => &mut self.app_queue,
+            ThreadClass::Kernel => &mut self.kernel_queue,
+        }
+    }
+
+    /// Marks `tid` runnable, at the back of its class's run queue.
+    fn enqueue(&mut self, tid: ThreadId) {
+        let t = &mut self.threads[tid.0 as usize];
+        t.state = ThreadState::Runnable;
+        let class = t.class;
+        self.queue(class).push_back(tid);
     }
 
     /// The scheduling time slice.
@@ -156,26 +164,17 @@ impl Scheduler {
     }
 
     /// Marks a blocked thread runnable and queues it for dispatch. Waking
-    /// a runnable thread is a no-op; waking a *running* thread records a
-    /// pending wake that cancels the thread's next block (the standard
-    /// wake-vs-sleep race resolution).
+    /// a runnable or running thread is a no-op: a driver that wakes a
+    /// thread while its slice runs reports that slice
+    /// [`Preempted`](DispatchDecision::Preempted), not `Blocked`.
     ///
     /// # Panics
     ///
     /// Panics if the thread has finished.
     pub fn make_runnable(&mut self, tid: ThreadId) {
-        let t = &mut self.threads[tid.0 as usize];
-        match t.state {
-            ThreadState::Runnable => {}
-            ThreadState::Blocked => {
-                t.state = ThreadState::Runnable;
-                t.wake_pending = false;
-                match t.class {
-                    ThreadClass::App => self.app_queue.push_back(tid),
-                    ThreadClass::Kernel => self.kernel_queue.push_back(tid),
-                }
-            }
-            ThreadState::Running(_) => t.wake_pending = true,
+        match self.threads[tid.0 as usize].state {
+            ThreadState::Runnable | ThreadState::Running(_) => {}
+            ThreadState::Blocked => self.enqueue(tid),
             ThreadState::Finished => panic!("cannot wake finished thread {tid:?}"),
         }
     }
@@ -212,26 +211,8 @@ impl Scheduler {
         let t = &mut self.threads[tid.0 as usize];
         self.idle_cores.push(core);
         match decision {
-            DispatchDecision::Preempted => {
-                t.state = ThreadState::Runnable;
-                t.wake_pending = false;
-                match t.class {
-                    ThreadClass::App => self.app_queue.push_back(tid),
-                    ThreadClass::Kernel => self.kernel_queue.push_back(tid),
-                }
-            }
-            DispatchDecision::Blocked => {
-                if std::mem::take(&mut t.wake_pending) {
-                    // A wake raced with this block: stay runnable.
-                    t.state = ThreadState::Runnable;
-                    match t.class {
-                        ThreadClass::App => self.app_queue.push_back(tid),
-                        ThreadClass::Kernel => self.kernel_queue.push_back(tid),
-                    }
-                } else {
-                    t.state = ThreadState::Blocked;
-                }
-            }
+            DispatchDecision::Preempted => self.enqueue(tid),
+            DispatchDecision::Blocked => t.state = ThreadState::Blocked,
             DispatchDecision::Finished => {
                 t.state = ThreadState::Finished;
                 self.live_threads -= 1;
@@ -257,9 +238,7 @@ impl Scheduler {
             return false;
         }
         self.charge(core, tid, used);
-        let t = &mut self.threads[tid.0 as usize];
-        t.wake_pending = false;
-        t.switches += 1;
+        self.threads[tid.0 as usize].switches += 1;
         self.stats.dispatches += 1;
         true
     }
@@ -293,6 +272,12 @@ impl Scheduler {
     /// Whether `tid` has finished.
     pub fn is_finished(&self, tid: ThreadId) -> bool {
         self.threads[tid.0 as usize].state == ThreadState::Finished
+    }
+
+    /// Whether `tid` is blocked: not queued, running or finished, and
+    /// dispatched again only after a [`make_runnable`](Self::make_runnable).
+    pub fn is_blocked(&self, tid: ThreadId) -> bool {
+        self.threads[tid.0 as usize].state == ThreadState::Blocked
     }
 
     /// Whether any thread is waiting for a core.
@@ -367,6 +352,7 @@ mod tests {
         assert_eq!(tid2, b);
         s.slice_done(core, tid2, DispatchDecision::Preempted, 1000);
         // `a` is blocked: only b cycles.
+        assert!(s.is_blocked(a) && !s.is_blocked(b));
         assert_eq!(s.try_dispatch().unwrap().1, b);
     }
 
@@ -394,18 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn waking_running_thread_cancels_next_block() {
+    fn waking_a_running_thread_changes_nothing() {
         let mut s = sched2();
         let a = s.spawn(ThreadClass::App);
         s.make_runnable(a);
         let (core, tid) = s.try_dispatch().unwrap();
-        // Wake races with the running slice...
         s.make_runnable(a);
-        // ...so the block at slice end is cancelled.
+        assert_eq!(s.running_on(core), Some(a));
+        // The driver reports a block the wake overtook as a preemption;
+        // a block it reports sticks.
         s.slice_done(core, tid, DispatchDecision::Blocked, 10);
-        assert_eq!(s.try_dispatch().unwrap().1, a);
-        // Without a pending wake, blocking sticks.
-        s.slice_done(0, a, DispatchDecision::Blocked, 10);
         assert!(s.try_dispatch().is_none());
     }
 
@@ -458,13 +442,12 @@ mod tests {
         let b = s.spawn(ThreadClass::App);
         s.make_runnable(a);
         let (core, tid) = s.try_dispatch().unwrap();
-        s.make_runnable(a); // a pending wake is dropped, as by preemption
         assert!(s.redispatch(core, tid, 1000));
         assert_eq!(s.running_on(core), Some(a));
         assert_eq!((s.switches(a), s.cpu_consumed(a)), (2, 1000));
         assert_eq!(s.stats().dispatches, 2);
         s.slice_done(core, a, DispatchDecision::Blocked, 10);
-        assert!(s.try_dispatch().is_none(), "the pending wake was cleared");
+        assert!(s.try_dispatch().is_none());
         // With a thread waiting, the core is not kept.
         s.make_runnable(a);
         let (core, _) = s.try_dispatch().unwrap();

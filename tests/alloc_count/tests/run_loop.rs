@@ -140,7 +140,10 @@ fn ycsb_c_run_loop_allocates_nothing() {
 fn buffered_io_run_loops_allocate_nothing() {
     let workloads = [
         ("tiny", BufferedIoWorkload::new(BufferedIoConfig::tiny())),
-        ("default", BufferedIoWorkload::new(BufferedIoConfig::default())),
+        (
+            "default",
+            BufferedIoWorkload::new(BufferedIoConfig::default()),
+        ),
     ];
     let mut cells: Vec<Cell> = Vec::new();
     for (size, workload) in &workloads {
@@ -155,7 +158,10 @@ fn buffered_io_run_loops_allocate_nothing() {
     let runs = assert_allocation_free(&cells);
     for ((ident, config, _), m) in cells.iter().zip(&runs) {
         let mglru = config.policy == PolicyChoice::MgLruDefault;
-        assert!(!mglru || m.policy.tier_protected > 0, "{ident}: no tier protected");
+        assert!(
+            !mglru || m.policy.tier_protected > 0,
+            "{ident}: no tier protected"
+        );
     }
 }
 
